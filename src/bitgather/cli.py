@@ -140,17 +140,13 @@ def _resolve(command: str, args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _build_model(cfg: dict[str, Any]):
-    if cfg["model"] == 1:
-        cls, which = PowerLawModel, "alpha1"
-    elif cfg["model"] == 2:
-        cls, which = GaussianDecayModel, "alpha2"
-    else:
+    cls = {1: PowerLawModel, 2: GaussianDecayModel}.get(cfg["model"])
+    if cls is None:
         raise ConfigError(f"model must be 1 or 2, got {cfg['model']}")
-    if cfg["n"] < 1:
-        raise ConfigError("n must be >= 1")
-    if not cfg["alpha"] > 0:
-        raise ConfigError(f"{which} must be positive")
-    return cls(n=cfg["n"], alpha=cfg["alpha"], beta=cfg["beta"])
+    try:
+        return cls(n=cfg["n"], alpha=cfg["alpha"], beta=cfg["beta"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _build_rule(cfg: dict[str, Any]) -> ConditioningRule:

@@ -6,7 +6,12 @@ budget is conditioned on the set already polled, so the total depends on
 the order. Under the MIN rule the minimum total over all schedules equals
 n plus the weight of the minimum spanning tree of the complete graph with
 pairwise budgets as edge weights: any schedule's attachment edges form a
-spanning tree, and a Prim order achieves the MST.
+spanning tree, and every Prim order achieves the MST.
+
+One kernel, _Attach, keeps each unpolled node's link into the polled set
+and updates it in O(N) per poll. evaluate, gather, greedy_prim and the
+exhaustive walks (which share each prefix's links) all run on it; scoring
+unrelated random permutations folds each prefix of a term matrix instead.
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -15,20 +20,25 @@ sampled results are bit-reproducible across platforms and worker counts.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import islice
 from statistics import fmean
 from typing import Callable, Sequence
 
-from .correlation import (
+# conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
+from .correlation import (  # noqa: F401
     ConditioningRule,
-    GaussianDecayModel,
     ModelSpec,
     conditioned_bits,
+    decay_bits,
+    decay_term,
     pairwise_bits,
+    require_decay,
 )
 from .topology import Topology
 
@@ -66,6 +76,64 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
     return order
 
 
+class _Attach:
+    """The attach recurrence: each node's link into the polled set.
+
+    A link is the min or max pairwise budget to the polled nodes, or the
+    sum of their decay terms in polling order (ADDITIVE); cost(link) is the
+    node's budget, fold_cost(terms) the same from the terms themselves.
+    poll(u) merges u's term into every unpolled link, computing terms on
+    demand, and tracks each node's nearest polled node by (distance, id).
+    """
+
+    def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
+        self.n = model.n
+        self.distances = topology.distances
+        if rule is ConditioningRule.ADDITIVE:
+            require_decay(model)
+            self.term = partial(decay_term, model)
+            self.merge = operator.add
+            self.cost = partial(decay_bits, model)
+            self.fold_cost = lambda terms: decay_bits(model, reduce(operator.add, terms))
+            empty = 0.0
+        else:
+            self.term = partial(pairwise_bits, model)
+            self.merge = self.fold_cost = min if rule is ConditioningRule.MIN else max
+            self.cost = int  # the link is the budget
+            empty = model.n if rule is ConditioningRule.MIN else 0
+        self.link = [empty] * topology.size
+        self.near = [(math.inf, -1)] * topology.size
+        self.pending = list(range(topology.size))  # unpolled, in id order
+
+    def row(self, u: int) -> list:
+        """u's term to every node; 0 on the diagonal, which is never read."""
+        term = self.term
+        return [term(d) if v != u else 0 for v, d in enumerate(self.distances[u])]
+
+    def poll(self, u: int) -> tuple[int, int]:
+        """Poll u; returns its budget and its reference node (-1 if first)."""
+        pending, link, near = self.pending, self.link, self.near
+        bits = self.n if len(pending) == len(link) else self.cost(link[u])
+        pending.remove(u)
+        drow, term, merge = self.distances[u], self.term, self.merge
+        for v in pending:
+            d = drow[v]
+            link[v] = merge(link[v], term(d))
+            if d <= near[v][0] and (d, u) < near[v]:
+                near[v] = (d, u)
+        return bits, near[u][1]
+
+
+def _walk(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
+) -> tuple[BitReport, list[int]]:
+    """Budgets of one polling order, and each node's reference node."""
+    kernel = _Attach(model, rule, topology)
+    order = _check_permutation(schedule, topology.size)
+    bits, refs = zip(*map(kernel.poll, order))
+    return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits)), list(refs)
+
+
 def evaluate(
     model: ModelSpec,
     rule: ConditioningRule,
@@ -73,66 +141,78 @@ def evaluate(
     schedule: Sequence[int],
 ) -> BitReport:
     """Per-node budgets and total bits for one polling order."""
-    order = _check_permutation(schedule, topology.size)
-    per_node = []
-    total = 0
-    for k, node in enumerate(order):
-        bits = conditioned_bits(model, rule, topology, node, order[:k])
-        per_node.append((node, bits))
-        total += bits
-    return BitReport(per_node=tuple(per_node), total=total)
+    return _walk(model, rule, topology, schedule)[0]
 
 
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     """Pairwise budgets for every node pair; symmetric, zero-safe diagonal."""
-    n_nodes = topology.size
-    w = [[0] * n_nodes for _ in range(n_nodes)]
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            b = pairwise_bits(model, topology.distance(i, j))
-            w[i][j] = b
-            w[j][i] = b
-    return w
+    return [
+        [pairwise_bits(model, d) if i != j else 0 for j, d in enumerate(row)]
+        for i, row in enumerate(topology.distances)
+    ]
 
 
 def _total_fn(
     model: ModelSpec, rule: ConditioningRule, topology: Topology
 ) -> Callable[[Sequence[int]], int]:
-    """Fast total-only evaluation, equivalent to evaluate().total."""
-    n = model.n
-    if rule is ConditioningRule.ADDITIVE:
-        if not isinstance(model, GaussianDecayModel):
-            raise ValueError("additive rule requires Gaussian-decay parameters")
-        n_nodes = topology.size
-        e = [
-            [math.exp(-model.beta * topology.distance(i, j) ** 2) for j in range(n_nodes)]
-            for i in range(n_nodes)
-        ]
-        alpha = model.alpha
-        from .correlation import guarded_ceil
+    """Total bits of one permutation, equal to evaluate().total; folding
+    each node's prefix beats an O(N) link update per unrelated permutation."""
+    kernel = _Attach(model, rule, topology)
+    rows = [kernel.row(u) for u in range(topology.size)]
+    n, fold_cost = kernel.n, kernel.fold_cost
 
-        def total_additive(order: Sequence[int]) -> int:
-            t = n
-            for k in range(1, len(order)):
-                node = order[k]
-                row = e[node]
-                s = sum(row[order[j]] for j in range(k))
-                t += max(0, min(guarded_ceil(n * (1.0 - alpha * s)), n))
-            return t
-
-        return total_additive
-
-    w = budget_matrix(model, topology)
-    pick = min if rule is ConditioningRule.MIN else max
-
-    def total_minmax(order: Sequence[int]) -> int:
+    def total(order: Sequence[int]) -> int:
         t = n
         for k in range(1, len(order)):
-            row = w[order[k]]
-            t += pick(row[order[j]] for j in range(k))
+            # islice, not order[:k]: CPython 3.11 never reuses the 20-item
+            # tuples it caches, so slicing would hold ~0.4 MB per process
+            t += fold_cost(map(rows[order[k]].__getitem__, islice(order, k)))
         return t
 
-    return total_minmax
+    return total
+
+
+def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> ScheduleStats:
+    """Exact statistics over all permutations: a depth-first walk in
+    lexicographic order (argmin and argmax are the first extremes) that
+    computes each prefix's links once for every permutation extending it."""
+    kernel = _Attach(model, rule, topology)
+    rows = [kernel.row(u) for u in range(topology.size)]
+    merge, cost = kernel.merge, kernel.cost
+    acc = count = 0
+    lo, hi = math.inf, -math.inf
+    argmin = argmax = ()
+    path: list[int] = []
+
+    def leaf(t: int, tail: tuple[int, ...]) -> None:
+        nonlocal acc, count, lo, hi, argmin, argmax
+        acc += t
+        count += 1
+        if t < lo:
+            lo, argmin = t, (*path, *tail)
+        if t > hi:
+            hi, argmax = t, (*path, *tail)
+
+    def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
+        if len(rest) == 2:  # both orders of the last two nodes, no link update
+            a, b = rest
+            leaf(total + cost(link[a]) + cost(merge(link[b], rows[a][b])), rest)
+            leaf(total + cost(link[b]) + cost(merge(link[a], rows[b][a])), (b, a))
+            return
+        if len(rest) < 2:
+            leaf(total + sum(cost(link[v]) for v in rest), rest)
+            return
+        for i, v in enumerate(rest):
+            path.append(v)
+            visit(total + cost(link[v]), list(map(merge, link, rows[v])), rest[:i] + rest[i + 1 :])
+            path.pop()
+
+    everyone = tuple(range(topology.size))
+    for i, first in enumerate(everyone):
+        path.append(first)
+        visit(kernel.n, list(map(merge, kernel.link, rows[first])), everyone[:i] + everyone[i + 1 :])
+        path.pop()
+    return ScheduleStats(acc / count, lo, hi, argmin, argmax, count, exhaustive=True)
 
 
 def _sampled_perms(n_nodes: int, count: int, seed: int) -> list[tuple[int, ...]]:
@@ -162,35 +242,13 @@ def schedule_stats(
     not depend on `workers`.
     """
     n_nodes = topology.size
-    total_of = _total_fn(model, rule, topology)
-
     if mode == "exhaustive":
         if n_nodes > EXHAUSTIVE_LIMIT:
             raise InfeasibleError(
                 f"exhaustive enumeration refused for N={n_nodes} > "
                 f"{EXHAUSTIVE_LIMIT}; use sampled mode"
             )
-        best_min = best_max = None
-        argmin = argmax = None
-        acc = 0
-        n_perms = 0
-        for perm in itertools.permutations(range(n_nodes)):
-            t = total_of(perm)
-            acc += t
-            n_perms += 1
-            if best_min is None or t < best_min:
-                best_min, argmin = t, perm
-            if best_max is None or t > best_max:
-                best_max, argmax = t, perm
-        return ScheduleStats(
-            mean_total=acc / n_perms,
-            min_total=best_min,
-            max_total=best_max,
-            argmin=argmin,
-            argmax=argmax,
-            sample_count=n_perms,
-            exhaustive=True,
-        )
+        return _enumerate(model, rule, topology)
 
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -199,6 +257,7 @@ def schedule_stats(
     if seed is None:
         raise ValueError("sampled mode needs an explicit seed")
 
+    total_of = _total_fn(model, rule, topology)
     perms = _sampled_perms(n_nodes, count, seed)
     if workers > 1:
         chunk = max(1, -(-len(perms) // workers))
@@ -208,45 +267,21 @@ def schedule_stats(
     else:
         totals = [total_of(p) for p in perms]
 
-    i_min = min(range(len(totals)), key=lambda i: (totals[i], i))
-    i_max = min(range(len(totals)), key=lambda i: (-totals[i], i))
-    return ScheduleStats(
-        mean_total=fmean(totals),
-        min_total=totals[i_min],
-        max_total=totals[i_max],
-        argmin=perms[i_min],
-        argmax=perms[i_max],
-        sample_count=len(perms),
-        exhaustive=False,
-    )
+    lo, hi = min(totals), max(totals)
+    argmin, argmax = perms[totals.index(lo)], perms[totals.index(hi)]
+    return ScheduleStats(fmean(totals), lo, hi, argmin, argmax, len(perms), exhaustive=False)
 
 
-def _greedy_prim_order(w: list[list[int]], start: int) -> tuple[tuple[int, ...], int]:
-    """Prim-style order from `start`: always attach the cheapest node next.
-
-    Ties broken toward the lowest node id. Returns (order, attachment cost).
-    """
-    n_nodes = len(w)
-    in_order = [False] * n_nodes
-    in_order[start] = True
-    attach = list(w[start])  # cheapest link from v into the scheduled set
-    order = [start]
-    cost = 0
-    for _ in range(n_nodes - 1):
-        best_v = -1
-        for v in range(n_nodes):
-            if in_order[v]:
-                continue
-            if best_v < 0 or attach[v] < attach[best_v]:
-                best_v = v
-        cost += attach[best_v]
-        order.append(best_v)
-        in_order[best_v] = True
-        row = w[best_v]
-        for v in range(n_nodes):
-            if not in_order[v] and row[v] < attach[v]:
-                attach[v] = row[v]
-    return tuple(order), cost
+def _prim_order(model: ModelSpec, topology: Topology, start: int) -> BitReport:
+    """Prim order from `start` with its MIN-rule budgets: always poll the
+    node whose link is cheapest, ties toward the lowest id."""
+    kernel = _Attach(model, ConditioningRule.MIN, topology)
+    per_node = []
+    u = start
+    while kernel.pending:
+        per_node.append((u, kernel.poll(u)[0]))
+        u = min(kernel.pending, key=kernel.link.__getitem__, default=-1)
+    return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
 
 
 def optimize(
@@ -262,55 +297,46 @@ def optimize(
 ) -> tuple[tuple[int, ...], BitReport]:
     """Search for a schedule optimizing total bits.
 
-    brute_force is exact (N <= EXHAUSTIVE_LIMIT). greedy_prim tries every
-    start node and keeps the best Prim order; it is exact for the MIN rule
-    with objective "minimize" and refused for other rules unless `force`
-    is set (then it runs as a heuristic). random_restart keeps the best of
-    `count` seeded random permutations.
+    brute_force is exact (N <= EXHAUSTIVE_LIMIT). greedy_prim is exact for
+    the MIN rule with objective "minimize": every Prim order totals n plus
+    the MST weight, so it runs from node 0 alone. For other rules or the
+    other objective it is refused unless `force` is set; then it runs as a
+    heuristic that tries every start node and keeps the best Prim order.
+    random_restart keeps the best of `count` seeded random permutations.
+    Among equal totals the first schedule tried wins.
     """
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"unknown objective {objective!r}")
     n_nodes = topology.size
-    total_of = _total_fn(model, rule, topology)
-    better = (lambda a, b: a < b) if objective == "minimize" else (lambda a, b: a > b)
-
     if strategy == "brute_force":
         if n_nodes > EXHAUSTIVE_LIMIT:
             raise InfeasibleError(
                 f"brute force refused for N={n_nodes} > {EXHAUSTIVE_LIMIT}"
             )
-        best_perm = None
-        best_total = None
-        for perm in itertools.permutations(range(n_nodes)):
-            t = total_of(perm)
-            if best_total is None or better(t, best_total):
-                best_perm, best_total = perm, t
-    elif strategy == "greedy_prim":
-        if (rule is not ConditioningRule.MIN or objective != "minimize") and not force:
+        stats = _enumerate(model, rule, topology)
+        best = stats.argmin if objective == "minimize" else stats.argmax
+        return best, evaluate(model, rule, topology, best)
+    if strategy == "greedy_prim":
+        if rule is ConditioningRule.MIN and objective == "minimize":
+            report = _prim_order(model, topology, 0)
+            return tuple(u for u, _ in report.per_node), report
+        if not force:
             raise ValueError(
                 "greedy_prim is only exact for the min rule with objective "
                 "minimize; pass force=True to run it as a heuristic"
             )
-        w = budget_matrix(model, topology)
-        best_perm = None
-        best_total = None
-        for start in range(n_nodes):
-            order, _ = _greedy_prim_order(w, start)
-            t = total_of(order)
-            if best_total is None or better(t, best_total):
-                best_perm, best_total = order, t
+        candidates = [
+            tuple(u for u, _ in _prim_order(model, topology, start).per_node)
+            for start in range(n_nodes)
+        ]
     elif strategy == "random_restart":
         if count is None or count < 1:
             raise ValueError("random_restart needs count >= 1")
         if seed is None:
             raise ValueError("random_restart needs an explicit seed")
-        best_perm = None
-        best_total = None
-        for perm in _sampled_perms(n_nodes, count, seed):
-            t = total_of(perm)
-            if best_total is None or better(t, best_total):
-                best_perm, best_total = perm, t
+        candidates = _sampled_perms(n_nodes, count, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    return best_perm, evaluate(model, rule, topology, best_perm)
+    pick = min if objective == "minimize" else max  # both keep the first extreme
+    best = pick(candidates, key=_total_fn(model, rule, topology))
+    return best, evaluate(model, rule, topology, best)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codec import Reading, decode, encode
-from .correlation import ConditioningRule, ModelSpec, conditioned_bits
-from .schedule import BitReport, _check_permutation
+# conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
+from .correlation import ConditioningRule, ModelSpec, conditioned_bits  # noqa: F401
+from .schedule import BitReport, _walk
 from .topology import Topology
 
 
@@ -48,6 +49,8 @@ def generate_field(
     topology: Topology, n: int, smoothness: float, seed: int
 ) -> SensorField:
     """Deterministic correlated field over the topology's nodes."""
+    if not math.isfinite(smoothness):
+        raise ValueError(f"smoothness must be finite, got {smoothness!r}")
     if smoothness < 0:
         raise ValueError("smoothness must be >= 0")
     if n < 1:
@@ -62,12 +65,32 @@ def generate_field(
     assigned = [0]
     for v in rest:
         nearest = min(assigned, key=lambda u: (topology.distance(v, u), u))
-        spread = math.ceil(smoothness * topology.distance(v, nearest))
+        reach = smoothness * topology.distance(v, nearest)
+        if reach == math.inf:
+            raise ValueError(f"smoothness {smoothness!r} overflows the field spread")
+        spread = math.ceil(reach)
         value = readings[nearest] + rng.randint(-spread, spread)
         readings[v] = max(0, min(value, top))
         assigned.append(v)
     return SensorField(
         readings=tuple(readings), width=n, smoothness=smoothness, seed=seed
+    )
+
+
+def _decode_all(report: BitReport, refs: Sequence[int], field: SensorField) -> GatherResult:
+    """Reconstruct every reading along a walked schedule."""
+    n = field.width
+    recon = list(field.readings)  # the first node sends all n bits: exact
+    for k, ((node, bits), ref) in enumerate(zip(report.per_node, refs)):
+        if k:
+            truth = Reading(field.readings[node], n)
+            recon[node] = decode(Reading(recon[ref], n), encode(truth, bits)).value
+    errors = [abs(a - b) for a, b in zip(recon, field.readings)]
+    return GatherResult(
+        bit_report=report,
+        reconstructed=tuple(recon),
+        exact_count=errors.count(0),
+        max_abs_error=max(errors),
     )
 
 
@@ -85,30 +108,7 @@ def gather(
         )
     if field.width != model.n:
         raise ValueError(f"field width {field.width} != model n {model.n}")
-    order = _check_permutation(schedule, topology.size)
-    n = model.n
-    recon: dict[int, int] = {}
-    per_node = []
-    total = 0
-    for k, node in enumerate(order):
-        bits = conditioned_bits(model, rule, topology, node, order[:k])
-        per_node.append((node, bits))
-        total += bits
-        truth = Reading(field.readings[node], n)
-        if k == 0:
-            recon[node] = truth.value  # full n bits, always exact
-            continue
-        ref_node = min(order[:k], key=lambda u: (topology.distance(node, u), u))
-        reference = Reading(recon[ref_node], n)
-        recon[node] = decode(reference, encode(truth, bits)).value
-    reconstructed = tuple(recon[v] for v in range(topology.size))
-    errors = [abs(a - b) for a, b in zip(reconstructed, field.readings)]
-    return GatherResult(
-        bit_report=BitReport(per_node=tuple(per_node), total=total),
-        reconstructed=reconstructed,
-        exact_count=sum(1 for e in errors if e == 0),
-        max_abs_error=max(errors),
-    )
+    return _decode_all(*_walk(model, rule, topology, schedule), field)
 
 
 def fidelity_sweep(
@@ -119,23 +119,21 @@ def fidelity_sweep(
     smoothness_values: Iterable[float],
     seeds: Iterable[int],
 ) -> list[tuple[float, int, int, int, int]]:
-    """(L, seed, total_bits, exact_count, max_abs_error) per combination."""
+    """(L, seed, total_bits, exact_count, max_abs_error) per combination.
+
+    Budgets and references do not depend on the data, so the schedule is
+    walked once and every field is decoded against that walk.
+    """
     l_values = list(smoothness_values)
     seed_values = list(seeds)
     if not l_values or not seed_values:
         raise ValueError("sweep needs at least one smoothness value and one seed")
+    report, refs = _walk(model, rule, topology, schedule)
     rows = []
     for smoothness in l_values:
         for seed in seed_values:
-            field = generate_field(topology, model.n, smoothness, seed)
-            result = gather(model, rule, topology, schedule, field)
+            result = _decode_all(report, refs, generate_field(topology, model.n, smoothness, seed))
             rows.append(
-                (
-                    smoothness,
-                    seed,
-                    result.bit_report.total,
-                    result.exact_count,
-                    result.max_abs_error,
-                )
+                (smoothness, seed, report.total, result.exact_count, result.max_abs_error)
             )
     return rows

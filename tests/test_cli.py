@@ -213,3 +213,26 @@ def test_header_records_resolved_config(capsys, topo_line3):
     assert header.startswith("# bitgather evaluate ")
     for key in ("model=1", "n=5", "alpha=1.0", "beta=1.0", "rule=min", "order=0,1,2"):
         assert key in header
+
+
+@pytest.mark.parametrize(
+    "argv, code, expect",
+    [
+        # d**400 overflows for the pairs ~10 apart: their budgets saturate at n
+        (["bits", "--beta", "400"], 0, "0,5,0\n5,0,5\n0,5,0\n"),
+        (["simulate", "--smoothness", "inf"], 2, "smoothness"),
+        (["simulate", "--smoothness", "1e308"], 2, "smoothness"),
+        # alpha * (sum of exp(+d**2)) overflows: additive budgets clamp to 0
+        (["evaluate", "--model", "2", "--rule", "additive", "--alpha", "1e308",
+          "--beta", "-1", "--order", "0,1,2"], 0, "# total=5\n"),
+        (["bits", "--alpha", "inf"], 2, "alpha1 must be finite"),
+        (["bits", "--model", "2", "--beta", "nan"], 2, "beta2 must be finite"),
+    ],
+)
+def test_non_finite_and_overflowing_parameters(capsys, tmp_path, argv, code, expect):
+    path = tmp_path / "far.csv"
+    path.write_text("id,x,y\n0,0,0\n1,10,0\n2,0.5,0.5\n")
+    assert main(argv + ["--topology", str(path)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert expect in (captured.out if code == 0 else captured.err)

@@ -72,6 +72,24 @@ class TestPairwise:
         with pytest.raises(ValueError):
             GaussianDecayModel(n=5, alpha=-1.0, beta=1.0)
 
+    def test_non_finite_parameters_rejected_by_name(self):
+        for cls, k in ((PowerLawModel, "1"), (GaussianDecayModel, "2")):
+            for name in ("alpha", "beta"):
+                for bad in (math.inf, -math.inf, math.nan):
+                    params = {"n": 5, "alpha": 1.0, "beta": 1.0, name: bad}
+                    with pytest.raises(ValueError, match=f"{name}{k} must be finite"):
+                        cls(**params)
+
+    def test_overflow_saturates_to_the_clamp(self):
+        # d**beta and exp(-beta * d**2) overflow: the exact budgets are n and 0
+        assert pairwise_bits(PowerLawModel(n=5, alpha=1.0, beta=400.0), 10.0) == 5
+        assert pairwise_bits(PowerLawModel(n=5, alpha=1.0, beta=-400.0), 0.01) == 5
+        assert pairwise_bits(PowerLawModel(n=5, alpha=1e308, beta=2.0), 1e3) == 5
+        assert pairwise_bits(GaussianDecayModel(n=5, alpha=1.0, beta=-1000.0), 10.0) == 0
+        topo = Topology.from_positions([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
+        m = GaussianDecayModel(n=5, alpha=1e308, beta=-1.0)
+        assert conditioned_bits(m, ADD, topo, 1, {0, 2}) == 0
+
     def test_symmetry_1000_draws(self):
         # budgets depend on distance only, so d_ij and d_ji agree exactly
         rng = random.Random(2)
