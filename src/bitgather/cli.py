@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 input/output error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -180,15 +182,11 @@ def _emit(lines: list[str], out: str | None) -> None:
 def _cmd_bits(cfg: dict[str, Any]) -> list[str]:
     model = _build_model(cfg)
     topo = load_topology(cfg["topology"])
-    lines = _header("bits", cfg)
-    for i in range(topo.size):
-        lines.append(
-            ",".join(
-                str(pairwise_bits(model, topo.distance(i, j)))
-                for j in range(topo.size)
-            )
-        )
-    return lines
+    rows: list[list[int]] = []  # the upper triangle is computed, the rest mirrored
+    for i, drow in enumerate(topo.distances):
+        rows.append([*map(itemgetter(i), rows), *map(model.budget, drow[i:])])
+    text = {b: str(b) for b in set().union(*rows)}  # only the budgets that occur
+    return _header("bits", cfg) + [",".join(map(text.__getitem__, row)) for row in rows]
 
 
 def _cmd_sweep(cfg: dict[str, Any]) -> list[str]:
@@ -322,6 +320,7 @@ _FLAG_HELP = {
 }
 
 
+@functools.cache  # built on first use, then reused: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitgather",

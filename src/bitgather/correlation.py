@@ -11,6 +11,8 @@ Both depend on distance only, so the pairwise budget is symmetric by
 construction. Conditioning on a set of already-transmitted nodes uses one
 of three rules: nearest prior node (MIN), farthest prior node (MAX), or a
 summed exponential term (ADDITIVE, Gaussian-decay parameters only).
+Each model binds one budget closure at construction, model.budget(d): the
+only copy of its formula, shared by pairwise_bits and the hot loops.
 """
 
 from __future__ import annotations
@@ -41,11 +43,22 @@ class _Checked:
         k = self._subscript
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > 2**53:  # budgets, sums and the mean total use float arithmetic
+            raise ValueError("n must be at most 2**53")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not math.isfinite(value):
                 raise ValueError(f"{name}{k} must be finite, got {value!r}")
         if not self.alpha > 0:
             raise ValueError(f"alpha{k} must be positive")
+        vars(self).update(self._bind())  # frozen: set the closures directly
+
+    def __reduce__(self):  # closures do not pickle; construction rebuilds them
+        return type(self), (self.n, self.alpha, self.beta)
+
+
+def _bad_distance(d: float) -> ValueError:
+    need = "non-negative" if math.isfinite(d) else "finite"
+    return ValueError(f"distance must be {need}, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,22 @@ class PowerLawModel(_Checked):
     beta: float
     _subscript: ClassVar[str] = "1"
 
+    def _bind(self):
+        n, alpha, beta = self.n, self.alpha, self.beta
+
+        def budget(d: float) -> int:
+            if not 0.0 <= d < math.inf:
+                raise _bad_distance(d)
+            if d == 0 and beta < 0:
+                raise ValueError("d = 0 with negative exponent is singular")
+            try:
+                raw = alpha * guarded_ceil(d**beta)
+            except OverflowError:  # d**beta beyond the float range: the staircase tops out
+                raw = math.inf
+            return clamped_ceil(raw, n)
+
+        return dict(budget=budget)
+
 
 @dataclass(frozen=True)
 class GaussianDecayModel(_Checked):
@@ -66,6 +95,25 @@ class GaussianDecayModel(_Checked):
     alpha: float
     beta: float
     _subscript: ClassVar[str] = "2"
+
+    def _bind(self):
+        n, alpha, neg_beta = self.n, self.alpha, -self.beta
+
+        def decay_term(d: float) -> float:  # saturates to inf where it overflows (beta < 0)
+            try:
+                return math.exp(neg_beta * d * d)
+            except OverflowError:
+                return math.inf
+
+        def decay_bits(s: float) -> int:  # for a summed decay term s
+            return clamped_ceil(n * (1.0 - alpha * s), n)
+
+        def budget(d: float) -> int:
+            if not 0.0 <= d < math.inf:
+                raise _bad_distance(d)
+            return decay_bits(decay_term(d))
+
+        return dict(budget=budget, decay_term=decay_term, decay_bits=decay_bits)
 
 
 ModelSpec = Union[PowerLawModel, GaussianDecayModel]
@@ -86,38 +134,13 @@ def clamped_ceil(raw: float, n: int) -> int:
     return n if raw >= n else 0 if raw <= 0 else guarded_ceil(raw)
 
 
-def decay_term(model: GaussianDecayModel, d: float) -> float:
-    """exp(-beta * d**2), saturating to inf where it overflows (beta < 0)."""
-    try:
-        return math.exp(-model.beta * d * d)
-    except OverflowError:
-        return math.inf
-
-
-def decay_bits(model: GaussianDecayModel, s: float) -> int:
-    """Budget ceil(n * (1 - alpha * s)) for a summed decay term s."""
-    return clamped_ceil(model.n * (1.0 - model.alpha * s), model.n)
-
-
 def pairwise_bits(model: ModelSpec, d: float) -> int:
     """Bits a node must transmit given one other node's data, at distance d.
 
     Always in [0, n]. Raises on non-finite or negative d, and on the
     singular 0**beta case for negative power-law exponents.
     """
-    if not math.isfinite(d):
-        raise ValueError(f"distance must be finite, got {d!r}")
-    if d < 0:
-        raise ValueError(f"distance must be non-negative, got {d!r}")
-    if isinstance(model, GaussianDecayModel):
-        return decay_bits(model, decay_term(model, d))
-    if d == 0 and model.beta < 0:
-        raise ValueError("d = 0 with negative exponent is singular")
-    try:
-        raw = model.alpha * guarded_ceil(d**model.beta)
-    except OverflowError:  # d**beta beyond the float range: the staircase tops out
-        raw = math.inf
-    return clamped_ceil(raw, model.n)
+    return model.budget(d)
 
 
 def conditioned_bits(
@@ -142,8 +165,8 @@ def conditioned_bits(
 
     if rule is ConditioningRule.ADDITIVE:
         require_decay(model)
-        s = sum(decay_term(model, topology.distance(i, j)) for j in prior_set)
-        return decay_bits(model, s)
+        s = sum(model.decay_term(topology.distance(i, j)) for j in prior_set)
+        return model.decay_bits(s)
 
     budgets = [pairwise_bits(model, topology.distance(i, j)) for j in prior_set]
     return min(budgets) if rule is ConditioningRule.MIN else max(budgets)

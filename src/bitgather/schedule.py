@@ -25,18 +25,16 @@ import operator
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import islice
 from statistics import fmean
 from typing import Callable, Sequence
 
-# conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
+# conditioned_bits, pairwise_bits: unused here, bound for bench/tracer.py to patch.
 from .correlation import (  # noqa: F401
     ConditioningRule,
     ModelSpec,
     conditioned_bits,
-    decay_bits,
-    decay_term,
     pairwise_bits,
     require_decay,
 )
@@ -83,7 +81,7 @@ class _Attach:
     sum of their decay terms in polling order (ADDITIVE); cost(link) is the
     node's budget, fold_cost(terms) the same from the terms themselves.
     poll(u) merges u's term into every unpolled link, computing terms on
-    demand, and tracks each node's nearest polled node by (distance, id).
+    demand.
     """
 
     def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
@@ -91,18 +89,17 @@ class _Attach:
         self.distances = topology.distances
         if rule is ConditioningRule.ADDITIVE:
             require_decay(model)
-            self.term = partial(decay_term, model)
+            self.term = model.decay_term
             self.merge = operator.add
-            self.cost = partial(decay_bits, model)
-            self.fold_cost = lambda terms: decay_bits(model, reduce(operator.add, terms))
+            self.cost = model.decay_bits
+            self.fold_cost = lambda terms: model.decay_bits(reduce(operator.add, terms))
             empty = 0.0
         else:
-            self.term = partial(pairwise_bits, model)
+            self.term = model.budget
             self.merge = self.fold_cost = min if rule is ConditioningRule.MIN else max
             self.cost = int  # the link is the budget
             empty = model.n if rule is ConditioningRule.MIN else 0
         self.link = [empty] * topology.size
-        self.near = [(math.inf, -1)] * topology.size
         self.pending = list(range(topology.size))  # unpolled, in id order
 
     def row(self, u: int) -> list:
@@ -110,28 +107,15 @@ class _Attach:
         term = self.term
         return [term(d) if v != u else 0 for v, d in enumerate(self.distances[u])]
 
-    def poll(self, u: int) -> tuple[int, int]:
-        """Poll u; returns its budget and its reference node (-1 if first)."""
-        pending, link, near = self.pending, self.link, self.near
+    def poll(self, u: int) -> int:
+        """Poll u; returns its budget."""
+        pending, link = self.pending, self.link
         bits = self.n if len(pending) == len(link) else self.cost(link[u])
         pending.remove(u)
         drow, term, merge = self.distances[u], self.term, self.merge
         for v in pending:
-            d = drow[v]
-            link[v] = merge(link[v], term(d))
-            if d <= near[v][0] and (d, u) < near[v]:
-                near[v] = (d, u)
-        return bits, near[u][1]
-
-
-def _walk(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
-) -> tuple[BitReport, list[int]]:
-    """Budgets of one polling order, and each node's reference node."""
-    kernel = _Attach(model, rule, topology)
-    order = _check_permutation(schedule, topology.size)
-    bits, refs = zip(*map(kernel.poll, order))
-    return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits)), list(refs)
+            link[v] = merge(link[v], term(drow[v]))
+        return bits
 
 
 def evaluate(
@@ -141,15 +125,16 @@ def evaluate(
     schedule: Sequence[int],
 ) -> BitReport:
     """Per-node budgets and total bits for one polling order."""
-    return _walk(model, rule, topology, schedule)[0]
+    kernel = _Attach(model, rule, topology)
+    order = _check_permutation(schedule, topology.size)
+    bits = list(map(kernel.poll, order))
+    return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
 
 
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     """Pairwise budgets for every node pair; symmetric, zero-safe diagonal."""
-    return [
-        [pairwise_bits(model, d) if i != j else 0 for j, d in enumerate(row)]
-        for i, row in enumerate(topology.distances)
-    ]
+    kernel = _Attach(model, ConditioningRule.MIN, topology)
+    return [kernel.row(u) for u in range(topology.size)]
 
 
 def _total_fn(
@@ -279,7 +264,7 @@ def _prim_order(model: ModelSpec, topology: Topology, start: int) -> BitReport:
     per_node = []
     u = start
     while kernel.pending:
-        per_node.append((u, kernel.poll(u)[0]))
+        per_node.append((u, kernel.poll(u)))
         u = min(kernel.pending, key=kernel.link.__getitem__, default=-1)
     return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
 

@@ -5,7 +5,8 @@ the rest in increasing distance from node 0: each node gets a value within
 +/- ceil(L * d) of its nearest already-assigned node, where d is that
 distance and L tunes smoothness (L = 0 gives a constant field). This gives
 a Lipschitz-style bound tying data deltas to distance, the same premise
-the budget models encode.
+the budget models encode. The order and the links depend on the layout
+alone, so every field draws along one cached plan (Topology.field_plan).
 
 A gather run walks a schedule, budgets each node against the already
 polled set, encodes the low bits, and decodes against the reconstructed
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 from .codec import Reading, decode, encode
 # conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
 from .correlation import ConditioningRule, ModelSpec, conditioned_bits  # noqa: F401
-from .schedule import BitReport, _walk
+from .schedule import BitReport, evaluate
 from .topology import Topology
 
 
@@ -57,31 +58,25 @@ def generate_field(
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     top = (1 << n) - 1
-    n_nodes = topology.size
-    readings: list[int | None] = [None] * n_nodes
+    readings = [0] * topology.size
     readings[0] = rng.randint(0, top)
-    # assignment order: increasing distance from the seed node, ties by id
-    rest = sorted(range(1, n_nodes), key=lambda v: (topology.distance(0, v), v))
-    assigned = [0]
-    for v in rest:
-        nearest = min(assigned, key=lambda u: (topology.distance(v, u), u))
-        reach = smoothness * topology.distance(v, nearest)
+    for v, nearest, d in topology.field_plan:
+        reach = smoothness * d
         if reach == math.inf:
             raise ValueError(f"smoothness {smoothness!r} overflows the field spread")
         spread = math.ceil(reach)
         value = readings[nearest] + rng.randint(-spread, spread)
         readings[v] = max(0, min(value, top))
-        assigned.append(v)
     return SensorField(
         readings=tuple(readings), width=n, smoothness=smoothness, seed=seed
     )
 
 
-def _decode_all(report: BitReport, refs: Sequence[int], field: SensorField) -> GatherResult:
-    """Reconstruct every reading along a walked schedule."""
+def _decode_all(report: BitReport, links: Sequence, field: SensorField) -> GatherResult:
+    """Reconstruct every reading along a walked schedule and its nearest links."""
     n = field.width
     recon = list(field.readings)  # the first node sends all n bits: exact
-    for k, ((node, bits), ref) in enumerate(zip(report.per_node, refs)):
+    for k, ((node, bits), (_, ref)) in enumerate(zip(report.per_node, links)):
         if k:
             truth = Reading(field.readings[node], n)
             recon[node] = decode(Reading(recon[ref], n), encode(truth, bits)).value
@@ -108,7 +103,8 @@ def gather(
         )
     if field.width != model.n:
         raise ValueError(f"field width {field.width} != model n {model.n}")
-    return _decode_all(*_walk(model, rule, topology, schedule), field)
+    report = evaluate(model, rule, topology, schedule)  # checks the schedule
+    return _decode_all(report, topology.nearest_links(schedule), field)
 
 
 def fidelity_sweep(
@@ -128,11 +124,12 @@ def fidelity_sweep(
     seed_values = list(seeds)
     if not l_values or not seed_values:
         raise ValueError("sweep needs at least one smoothness value and one seed")
-    report, refs = _walk(model, rule, topology, schedule)
+    report = evaluate(model, rule, topology, schedule)  # checks the schedule
+    links = topology.nearest_links(schedule)
     rows = []
     for smoothness in l_values:
         for seed in seed_values:
-            result = _decode_all(report, refs, generate_field(topology, model.n, smoothness, seed))
+            result = _decode_all(report, links, generate_field(topology, model.n, smoothness, seed))
             rows.append(
                 (smoothness, seed, report.total, result.exact_count, result.max_abs_error)
             )

@@ -1,9 +1,12 @@
-"""Node placement and pairwise Euclidean distances."""
+"""Node placement and pairwise Euclidean distances: each pair computed once
+and mirrored, overflowing distances rejected, the field plan cached."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,7 +20,7 @@ class Topology:
     """Immutable 2-D node layout with a precomputed distance matrix.
 
     positions[i] is the (x, y) coordinate of node i; distances is the full
-    symmetric matrix of Euclidean distances. Safe for concurrent reads.
+    symmetric matrix of finite Euclidean distances. Safe for concurrent reads.
     """
 
     positions: tuple[tuple[float, float], ...]
@@ -35,9 +38,13 @@ class Topology:
         for i, (x, y) in enumerate(pos):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise TopologyError(f"non-finite coordinate for node {i}")
-        rows = []
-        for xi, yi in pos:
-            rows.append(tuple(math.hypot(xi - xj, yi - yj) for xj, yj in pos))
+        rows: list[tuple[float, ...]] = []
+        for i, (xi, yi) in enumerate(pos):
+            tail = [math.hypot(xi - xj, yi - yj) for xj, yj in pos[i + 1 :]]
+            if math.inf in tail:
+                j = i + 1 + tail.index(math.inf)
+                raise TopologyError(f"distance between nodes {i} and {j} overflows the float range")
+            rows.append((*map(itemgetter(i), rows), 0.0, *tail))  # hypot is exactly symmetric
         return cls(positions=pos, distances=tuple(rows))
 
     def distance(self, i: int, j: int) -> float:
@@ -45,6 +52,24 @@ class Topology:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"node index out of range: ({i}, {j}) with N={n}")
         return self.distances[i][j]
+
+    def nearest_links(self, order: Sequence[int]) -> list[tuple[float, int]]:
+        """(d, u) for each node of the permutation `order`: its nearest earlier
+        node u by (distance, id), at d; (inf, -1) for the first."""
+        near = [(math.inf, -1)] * self.size
+        for k, v in enumerate(order):  # v's link is final: update the later ones
+            row = self.distances[v]
+            for w in order[k + 1 :]:
+                if row[w] <= near[w][0] and (row[w], v) < near[w]:
+                    near[w] = (row[w], v)
+        return [near[v] for v in order]
+
+    @cached_property
+    def field_plan(self) -> tuple[tuple[int, int, float], ...]:
+        """The field generator's plan, cached: (v, nearest, d) for each node but
+        0 in increasing distance from node 0 (ties by id), as nearest_links."""
+        order = [0, *sorted(range(1, self.size), key=self.distances[0].__getitem__)]  # stable
+        return tuple((v, u, d) for v, (d, u) in zip(order[1:], self.nearest_links(order)[1:]))
 
 
 def load_topology(source: str | Path | Iterable[str]) -> Topology:

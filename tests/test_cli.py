@@ -227,6 +227,8 @@ def test_header_records_resolved_config(capsys, topo_line3):
           "--beta", "-1", "--order", "0,1,2"], 0, "# total=5\n"),
         (["bits", "--alpha", "inf"], 2, "alpha1 must be finite"),
         (["bits", "--model", "2", "--beta", "nan"], 2, "beta2 must be finite"),
+        # n feeds float arithmetic (the Gaussian budget, the mean total)
+        (["stats", "--n", str(10**400)], 2, "n must be at most 2**53"),
     ],
 )
 def test_non_finite_and_overflowing_parameters(capsys, tmp_path, argv, code, expect):
@@ -236,3 +238,35 @@ def test_non_finite_and_overflowing_parameters(capsys, tmp_path, argv, code, exp
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert expect in (captured.out if code == 0 else captured.err)
+
+
+@pytest.mark.parametrize("rule", ["min", "max", "additive"])
+def test_overflowing_distance_exits_3_for_every_command(capsys, tmp_path, rule):
+    path = tmp_path / "far.csv"
+    path.write_text("id,x,y\n0,-1e308,0\n1,1e308,0\n")
+    ruled = [["evaluate", "--order", "0,1"], ["simulate"], ["stats"], ["optimize"]]
+    for argv in [["bits"]] + [cmd + ["--rule", rule] for cmd in ruled]:
+        assert main(argv + ["--topology", str(path), "--model", "2"]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: distance between nodes 0 and 1 overflows the float range\n"
+
+
+def test_main_repeats_exactly_across_runs(capsys, topo_line3):
+    """The parser is built once and reused: runs, failing ones included,
+    leave nothing behind that changes the next."""
+    ok = ["simulate", "--topology", topo_line3, "--smoothness", "1,4", "--seeds", "3"]
+    bad_value = ["evaluate", "--topology", topo_line3, "--order", "0,0,1"]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag by exiting
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    runs = [outcome(argv) for argv in (ok, bad_value, ["stats", "--bogus"], ok, bad_value)]
+    assert runs[0] == runs[3] and runs[0][0] == 0
+    assert runs[1] == runs[4] and runs[1][0] == 2
+    assert runs[2][0] == 2 and "unrecognized arguments: --bogus" in runs[2][2]

@@ -1,0 +1,204 @@
+"""Per-pair fast paths against their literal definitions.
+
+The budget closure is checked against the formulas written out here, the
+half-matrix topology against hypot on every ordered pair, the cached field
+plan against the generator that searched the assigned set for every node,
+and `bits` against a double loop over pairwise_bits.
+"""
+
+import contextlib
+import io
+import math
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bitgather import (
+    GaussianDecayModel,
+    PowerLawModel,
+    Topology,
+    TopologyError,
+    generate_field,
+    pairwise_bits,
+)
+from bitgather.cli import main
+
+SETTINGS = settings(max_examples=50, deadline=None)
+MAX_FLOAT = 1.7976931348623157e308
+EXTREMES = [0.0, 5e-324, 2.2e-308, 1e-160, 1.0, 1e160, 1e308, MAX_FLOAT]
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison covers what is raised
+        return type(exc), str(exc)
+
+
+def oracle_budget(model, d):
+    """The two budget formulas, written out: clamp to [0, n] the snapped
+    ceiling of alpha * ceil(d**beta) or of n * (1 - alpha * exp(-beta d^2)),
+    where a power or an exp that overflows counts as +inf."""
+    if math.isnan(d) or math.isinf(d):
+        raise ValueError(f"distance must be finite, got {d!r}")
+    if d < 0:
+        raise ValueError(f"distance must be non-negative, got {d!r}")
+
+    def snapped_ceil(x):
+        return round(x) if abs(x - round(x)) <= 1e-9 else math.ceil(x)
+
+    if isinstance(model, PowerLawModel):
+        if d == 0 and model.beta < 0:
+            raise ValueError("d = 0 with negative exponent is singular")
+        try:
+            raw = model.alpha * snapped_ceil(d**model.beta)
+        except OverflowError:
+            raw = math.inf
+    else:
+        try:
+            s = math.exp(-model.beta * d * d)
+        except OverflowError:
+            s = math.inf
+        raw = model.n * (1 - model.alpha * s)
+    if math.isinf(raw):
+        return model.n if raw > 0 else 0
+    return min(model.n, max(0, snapped_ceil(raw)))
+
+
+def signed(values):
+    return st.sampled_from([v for x in values for v in (x, -x)])
+
+
+@st.composite
+def models(draw):
+    cls = draw(st.sampled_from([PowerLawModel, GaussianDecayModel]))
+    n = draw(st.one_of(st.integers(1, 64), st.sampled_from([10**9, 2**53])))
+    alpha = draw(st.one_of(st.sampled_from(EXTREMES[1:]), st.floats(5e-324, MAX_FLOAT)))
+    beta = draw(st.one_of(signed(EXTREMES), st.floats(-MAX_FLOAT, MAX_FLOAT)))
+    return cls(n=n, alpha=alpha, beta=beta)
+
+
+SPECIAL_DISTANCES = [v for x in EXTREMES + [math.inf] for v in (x, -x)] + [math.nan]
+
+
+@SETTINGS
+@given(models(), st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(0.0, 20.0)))
+def test_budget_closure_matches_the_formula(model, drawn):
+    for d in SPECIAL_DISTANCES + [drawn]:
+        expected = outcome(oracle_budget, model, d)
+        assert outcome(model.budget, d) == expected
+        assert outcome(pairwise_bits, model, d) == expected
+
+
+def test_models_pickle_and_rebuild_their_closure():
+    for model in (PowerLawModel(n=5, alpha=1.0, beta=1.0), GaussianDecayModel(7, 1.0, 0.5)):
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model
+        assert [copy.budget(d) for d in (0.5, 2.0, 9.0)] == [model.budget(d) for d in (0.5, 2.0, 9.0)]
+
+
+# Few distinct points make duplicates; the extremes make overflowing pairs.
+coordinates = st.one_of(st.integers(-3, 3).map(float), signed([1e308, MAX_FLOAT]), st.floats(-1e6, 1e6))
+layouts = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+)
+
+
+@SETTINGS
+@given(layouts)
+def test_from_positions_is_exactly_symmetric(points):
+    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+    hypot = {
+        (i, j): math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
+        for i in range(len(points))
+        for j in range(len(points))
+    }
+    overflowing = [(i, j) for i, j in pairs if math.isinf(hypot[i, j])]
+    if overflowing:
+        i, j = overflowing[0]
+        with pytest.raises(TopologyError, match=f"nodes {i} and {j} overflows"):
+            Topology.from_positions(points)
+        return
+    rows = Topology.from_positions(points).distances
+    for (i, j), d in hypot.items():
+        assert rows[i][j] == d
+        assert math.copysign(1.0, rows[i][j]) == math.copysign(1.0, d)
+
+
+def oracle_plan(topology):
+    """(v, nearest, d) as the field generator found them: assign in
+    increasing distance from node 0, each node searching the assigned set."""
+    rest = sorted(range(1, topology.size), key=lambda v: (topology.distance(0, v), v))
+    assigned, plan = [0], []
+    for v in rest:
+        nearest = min(assigned, key=lambda u: (topology.distance(v, u), u))
+        plan.append((v, nearest, topology.distance(v, nearest)))
+        assigned.append(v)
+    return tuple(plan)
+
+
+def oracle_field(topology, n, smoothness, seed):
+    """The field generator's draws along the oracle plan."""
+    rng = random.Random(seed)
+    top = (1 << n) - 1
+    readings = [None] * topology.size
+    readings[0] = rng.randint(0, top)
+    for v, nearest, d in oracle_plan(topology):
+        reach = smoothness * d
+        if reach == math.inf:
+            raise ValueError(f"smoothness {smoothness!r} overflows the field spread")
+        spread = math.ceil(reach)
+        readings[v] = max(0, min(readings[nearest] + rng.randint(-spread, spread), top))
+    return tuple(readings)
+
+
+grid = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+
+
+@SETTINGS
+@given(
+    grid,
+    st.integers(1, 16),
+    st.one_of(st.floats(0.0, 8.0), st.sampled_from([0.0, 1e307, 1e308])),
+    st.integers(0, 10**6),
+)
+def test_field_plan_matches_the_assigned_set_search(points, n, smoothness, seed):
+    topo = Topology.from_positions(points)
+    assert topo.field_plan == oracle_plan(topo)
+    expected = outcome(oracle_field, topo, n, smoothness, seed)
+    got = outcome(lambda: generate_field(topo, n, smoothness, seed).readings)
+    assert got == expected
+
+
+@SETTINGS
+@given(grid.map(lambda pts: [(x / 2, y / 3) for x, y in pts]), models())
+def test_bits_matches_a_double_loop(tmp_path_factory, points, model):
+    path = tmp_path_factory.getbasetemp() / "bits.csv"
+    path.write_text("id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(points)))
+    topo = Topology.from_positions(points)
+    expected = outcome(
+        lambda: [
+            ",".join(str(pairwise_bits(model, topo.distance(i, j))) for j in range(topo.size))
+            for i in range(topo.size)
+        ]
+    )
+    model_flag = "1" if isinstance(model, PowerLawModel) else "2"
+    argv = ["bits", "--topology", str(path), "--model", model_flag,
+            "--n", str(model.n), f"--alpha={model.alpha!r}", f"--beta={model.beta!r}"]
+    out, code = _run(argv)
+    if isinstance(expected, tuple):  # the loop raised: the CLI reports it
+        assert code == 2
+    else:
+        assert code == 0
+        assert [ln for ln in out.splitlines() if not ln.startswith("#")] == expected
+
+
+def _run(argv):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return buf.getvalue(), code
