@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -25,7 +25,7 @@ from .correlation import (
     PowerLawModel,
     pairwise_bits,
 )
-from .schedule import InfeasibleError, evaluate, optimize, schedule_stats
+from .schedule import InfeasibleError, budget_matrix, evaluate, optimize, schedule_stats
 from .simulator import fidelity_sweep
 from .topology import TopologyError, load_topology
 
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
+SWEEP_ROW_LIMIT = 10**6
 
 
 class ConfigError(ValueError):
@@ -59,7 +60,7 @@ def _bool(text: Any) -> bool:
     return str(text).lower() in ("1", "true", "yes", "on")
 
 
-# (name, converter, default); default None with no config value means required
+# (name, converter, default); default None means required
 _COMMON_MODEL = [
     ("model", int, 1),
     ("n", int, 5),
@@ -101,7 +102,6 @@ _OPTIONS: dict[str, list[tuple[str, Callable[[Any], Any], Any]]] = {
         ("workers", int, 1),
     ],
 }
-_REQUIRED = {"topology", "order"}  # `order` only where its default is None
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -134,7 +134,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict[str, Any]:
             resolved[name] = cli_value
         elif name in cfg:
             resolved[name] = conv(cfg[name])
-        elif default is None and name in _REQUIRED:
+        elif default is None:
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
         else:
             resolved[name] = default
@@ -181,26 +181,31 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 def _cmd_bits(cfg: dict[str, Any]) -> list[str]:
     model = _build_model(cfg)
-    topo = load_topology(cfg["topology"])
-    rows: list[list[int]] = []  # the upper triangle is computed, the rest mirrored
-    for i, drow in enumerate(topo.distances):
-        rows.append([*map(itemgetter(i), rows), *map(model.budget, drow[i:])])
+    rows = budget_matrix(model, load_topology(cfg["topology"]))
     text = {b: str(b) for b in set().union(*rows)}  # only the budgets that occur
     return _header("bits", cfg) + [",".join(map(text.__getitem__, row)) for row in rows]
 
 
 def _cmd_sweep(cfg: dict[str, Any]) -> list[str]:
     model = _build_model(cfg)
-    if cfg["d_step"] <= 0:
-        raise ConfigError("d_step must be positive")
+    d_min, d_max, d_step = cfg["d_min"], cfg["d_max"], cfg["d_step"]
+    for name in ("d_min", "d_max", "d_step"):
+        if not math.isfinite(cfg[name]):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {cfg[name]!r}")
+    if d_step <= 0:
+        raise ConfigError("--d-step must be positive")
+    # rows - 1, up to rounding; may be +-inf when the span overflows
+    steps = (d_max + 1e-12 - d_min) / d_step
+    if steps >= SWEEP_ROW_LIMIT:
+        raise InfeasibleError(f"sweep refused: more than {SWEEP_ROW_LIMIT} rows")
     lines = _header("sweep", cfg) + ["d\tbudget"]
-    k = 0
-    while True:
-        d = cfg["d_min"] + k * cfg["d_step"]
-        if d > cfg["d_max"] + 1e-12:
+    # capped, because d_min + k * d_step stops growing where d_step is below
+    # d_min's precision
+    for k in range(int(max(steps, 0.0)) + 2):
+        d = d_min + k * d_step
+        if d > d_max + 1e-12:
             break
         lines.append(f"{d:.6g}\t{pairwise_bits(model, d)}")
-        k += 1
     return lines
 
 
@@ -256,16 +261,8 @@ def _cmd_stats(cfg: dict[str, Any]) -> list[str]:
     model = _build_model(cfg)
     rule = _build_rule(cfg)
     topo = load_topology(cfg["topology"])
-    if cfg["mode"] not in ("exhaustive", "sampled"):
-        raise ConfigError(f"mode must be exhaustive or sampled, got {cfg['mode']!r}")
     stats = schedule_stats(
-        model,
-        rule,
-        topo,
-        cfg["mode"],
-        count=cfg["samples"],
-        seed=cfg["seed"],
-        workers=cfg["workers"],
+        model, rule, topo, cfg["mode"], count=cfg["samples"], seed=cfg["seed"]
     )
     lines = _header("stats", cfg) + ["metric,value"]
     lines.append(f"mean_total,{stats.mean_total!r}")
@@ -309,14 +306,14 @@ _FLAG_HELP = {
     "seed": "seed for sampled/randomized search",
     "mode": "exhaustive or sampled",
     "samples": "number of sampled schedules",
-    "workers": "parallel evaluation workers (output independent of this)",
+    "workers": "accepted and ignored: sampled stats run serially",
     "objective": "minimize or maximize",
     "strategy": "brute_force, greedy_prim, or random_restart",
     "restarts": "restarts for random_restart",
     "force_greedy": "run greedy_prim as a heuristic outside its exact regime",
-    "d_min": "sweep start distance",
-    "d_max": "sweep end distance",
-    "d_step": "sweep step (must be positive)",
+    "d_min": "sweep start distance (finite)",
+    "d_max": "sweep end distance (finite)",
+    "d_step": f"sweep step (finite, positive; at most {SWEEP_ROW_LIMIT} rows)",
 }
 
 
@@ -352,18 +349,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve(args.command, args)
         lines = _COMMANDS[args.command](cfg)
         _emit(lines, args.out)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, TopologyError):
-            print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, InfeasibleError, OSError) as exc:  # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (TopologyError, OSError)):
             return EXIT_IO
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_CONFIG
     return EXIT_OK
 
 

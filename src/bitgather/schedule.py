@@ -15,7 +15,7 @@ unrelated random permutations folds each prefix of a term matrix instead.
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
-sampled results are bit-reproducible across platforms and worker counts.
+sampled results are bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
@@ -102,10 +101,13 @@ class _Attach:
         self.link = [empty] * topology.size
         self.pending = list(range(topology.size))  # unpolled, in id order
 
-    def row(self, u: int) -> list:
-        """u's term to every node; 0 on the diagonal, which is never read."""
-        term = self.term
-        return [term(d) if v != u else 0 for v, d in enumerate(self.distances[u])]
+    def rows(self) -> list[list]:
+        """Every pair's term, computed once per unordered pair and mirrored;
+        0 on the diagonal."""
+        rows: list[list] = []
+        for i, drow in enumerate(self.distances):
+            rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.term, drow[i + 1 :])])
+        return rows
 
     def poll(self, u: int) -> int:
         """Poll u; returns its budget."""
@@ -132,9 +134,8 @@ def evaluate(
 
 
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
-    """Pairwise budgets for every node pair; symmetric, zero-safe diagonal."""
-    kernel = _Attach(model, ConditioningRule.MIN, topology)
-    return [kernel.row(u) for u in range(topology.size)]
+    """Pairwise budgets for every node pair; symmetric, 0 on the diagonal."""
+    return _Attach(model, ConditioningRule.MIN, topology).rows()
 
 
 def _total_fn(
@@ -143,7 +144,7 @@ def _total_fn(
     """Total bits of one permutation, equal to evaluate().total; folding
     each node's prefix beats an O(N) link update per unrelated permutation."""
     kernel = _Attach(model, rule, topology)
-    rows = [kernel.row(u) for u in range(topology.size)]
+    rows = kernel.rows()
     n, fold_cost = kernel.n, kernel.fold_cost
 
     def total(order: Sequence[int]) -> int:
@@ -162,7 +163,7 @@ def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> 
     lexicographic order (argmin and argmax are the first extremes) that
     computes each prefix's links once for every permutation extending it."""
     kernel = _Attach(model, rule, topology)
-    rows = [kernel.row(u) for u in range(topology.size)]
+    rows = kernel.rows()
     merge, cost = kernel.merge, kernel.cost
     acc = count = 0
     lo, hi = math.inf, -math.inf
@@ -218,13 +219,11 @@ def schedule_stats(
     *,
     count: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
 ) -> ScheduleStats:
     """Min / mean / max total bits over schedules.
 
     mode="exhaustive" enumerates all N! permutations (N <= EXHAUSTIVE_LIMIT);
-    mode="sampled" draws `count` uniform permutations from `seed`. Results do
-    not depend on `workers`.
+    mode="sampled" draws `count` uniform permutations from `seed`.
     """
     n_nodes = topology.size
     if mode == "exhaustive":
@@ -236,7 +235,7 @@ def schedule_stats(
         return _enumerate(model, rule, topology)
 
     if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
     if count is None or count < 1:
         raise ValueError("sampled mode needs count >= 1")
     if seed is None:
@@ -244,13 +243,7 @@ def schedule_stats(
 
     total_of = _total_fn(model, rule, topology)
     perms = _sampled_perms(n_nodes, count, seed)
-    if workers > 1:
-        chunk = max(1, -(-len(perms) // workers))
-        parts = [perms[i : i + chunk] for i in range(0, len(perms), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            totals = [t for part in ex.map(lambda c: [total_of(p) for p in c], parts) for t in part]
-    else:
-        totals = [total_of(p) for p in perms]
+    totals = [total_of(p) for p in perms]
 
     lo, hi = min(totals), max(totals)
     argmin, argmax = perms[totals.index(lo)], perms[totals.index(hi)]

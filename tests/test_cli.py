@@ -73,6 +73,27 @@ def test_sweep_rejects_bad_step(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code, expect",
+    [
+        (["--d-max", "inf"], 2, "--d-max must be finite"),
+        (["--d-min", "nan"], 2, "--d-min must be finite"),
+        (["--d-step", "nan"], 2, "--d-step must be finite"),
+        (["--d-step", "inf"], 2, "--d-step must be finite"),
+        (["--d-max", "1e9"], 4, "more than 1000000 rows"),
+        (["--d-step", "5e-324"], 4, "more than 1000000 rows"),
+        (["--d-min=-1e308", "--d-max=1e308"], 4, "more than 1000000 rows"),  # span overflows
+        # d_min + k * d_step never grows past d_max: the row count ends the loop
+        (["--d-min", "1e300", "--d-max", "1e300", "--d-step", "1e-300"], 0,
+         "d\tbudget\n1e+300\t5\n"),
+    ],
+)
+def test_sweep_is_bounded(capsys, argv, code, expect):
+    assert main(["sweep", *argv]) == code
+    captured = capsys.readouterr()
+    assert expect in (captured.out if code == 0 else captured.err)
+
+
 def test_bad_alpha_exits_2(capsys, topo_345):
     code = main(["bits", "--topology", topo_345, "--model", "2", "--alpha", "0"])
     captured = capsys.readouterr()
@@ -229,6 +250,12 @@ def test_header_records_resolved_config(capsys, topo_line3):
         (["bits", "--model", "2", "--beta", "nan"], 2, "beta2 must be finite"),
         # n feeds float arithmetic (the Gaussian budget, the mean total)
         (["stats", "--n", str(10**400)], 2, "n must be at most 2**53"),
+        # the diagonal is 0, not budget(0), which is singular for beta < 0
+        (["bits", "--beta", "-0.5"], 0, "\n0,1,2\n1,0,1\n2,1,0\n"),
+        (["stats", "--mode", "bogus"], 2, "mode must be exhaustive or sampled, got 'bogus'"),
+        (["optimize", "--strategy", "bogus"], 2, "unknown strategy 'bogus'"),
+        (["evaluate", "--order", "0,1,2", "--out", "/nonexistent/out.csv"], 3,
+         "No such file or directory"),
     ],
 )
 def test_non_finite_and_overflowing_parameters(capsys, tmp_path, argv, code, expect):

@@ -50,6 +50,8 @@ def invocations(draw):
     elif command == "stats":
         argv += [flag("mode", draw(st.sampled_from(["sampled", "exhaustive"]))),
                  flag("samples", draw(st.integers(-1, 30)))]
+    elif command == "sweep":
+        argv += [flag(name, draw(reals)) for name in ("d-min", "d-max", "d-step")]
     return argv, points
 
 

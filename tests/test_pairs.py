@@ -3,7 +3,7 @@
 The budget closure is checked against the formulas written out here, the
 half-matrix topology against hypot on every ordered pair, the cached field
 plan against the generator that searched the assigned set for every node,
-and `bits` against a double loop over pairwise_bits.
+and `bits` against a double loop over pairwise_bits, 0 on the diagonal.
 """
 
 import contextlib
@@ -182,7 +182,8 @@ def test_bits_matches_a_double_loop(tmp_path_factory, points, model):
     topo = Topology.from_positions(points)
     expected = outcome(
         lambda: [
-            ",".join(str(pairwise_bits(model, topo.distance(i, j))) for j in range(topo.size))
+            ",".join(str(pairwise_bits(model, topo.distance(i, j)) if i != j else 0)
+                     for j in range(topo.size))
             for i in range(topo.size)
         ]
     )

@@ -96,14 +96,6 @@ class TestStats:
         b = schedule_stats(unit_staircase, MIN, topo, "sampled", count=1000, seed=42)
         assert a == b
 
-    def test_workers_do_not_change_results(self, unit_staircase):
-        topo = random_topology(random.Random(10), 6)
-        one = schedule_stats(unit_staircase, MIN, topo, "sampled", count=500, seed=7)
-        many = schedule_stats(
-            unit_staircase, MIN, topo, "sampled", count=500, seed=7, workers=4
-        )
-        assert one == many
-
     def test_sampled_brackets_exhaustive(self, collinear3, unit_staircase):
         full = schedule_stats(unit_staircase, MIN, collinear3, "exhaustive")
         sampled = schedule_stats(
