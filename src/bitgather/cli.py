@@ -34,6 +34,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 SWEEP_ROW_LIMIT = 10**6
+SIMULATE_WIDTH_LIMIT = 2**16  # simulate holds every n-bit reading in memory
 
 
 class ConfigError(ValueError):
@@ -199,13 +200,16 @@ def _cmd_sweep(cfg: dict[str, Any]) -> list[str]:
     if steps >= SWEEP_ROW_LIMIT:
         raise InfeasibleError(f"sweep refused: more than {SWEEP_ROW_LIMIT} rows")
     lines = _header("sweep", cfg) + ["d\tbudget"]
-    # capped, because d_min + k * d_step stops growing where d_step is below
-    # d_min's precision
+    # capped, and rows whose distance did not grow are skipped, because
+    # d_min + k * d_step can stall where d_step is below d_min's precision
+    last = -math.inf
     for k in range(int(max(steps, 0.0)) + 2):
         d = d_min + k * d_step
         if d > d_max + 1e-12:
             break
-        lines.append(f"{d:.6g}\t{pairwise_bits(model, d)}")
+        if d > last:
+            lines.append(f"{d:.6g}\t{pairwise_bits(model, d)}")
+            last = d
     return lines
 
 
@@ -245,6 +249,8 @@ def _cmd_optimize(cfg: dict[str, Any]) -> list[str]:
 def _cmd_simulate(cfg: dict[str, Any]) -> list[str]:
     model = _build_model(cfg)
     rule = _build_rule(cfg)
+    if model.n > SIMULATE_WIDTH_LIMIT:
+        raise InfeasibleError(f"simulate refused: n above {SIMULATE_WIDTH_LIMIT} bits per reading")
     topo = load_topology(cfg["topology"])
     order = cfg["order"]
     if order == "identity":
@@ -296,7 +302,7 @@ _HELP = {
 _FLAG_HELP = {
     "topology": "path to id,x,y placement file",
     "model": "1 = power-law staircase, 2 = Gaussian decay",
-    "n": "bits per reading",
+    "n": f"bits per reading (at most 2**53; simulate: at most {SIMULATE_WIDTH_LIMIT})",
     "alpha": "model scale parameter (alpha1 or alpha2)",
     "beta": "model exponent parameter (beta1 or beta2)",
     "rule": "conditioning rule: min, max, or additive",

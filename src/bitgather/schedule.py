@@ -10,8 +10,9 @@ spanning tree, and every Prim order achieves the MST.
 
 One kernel, _Attach, keeps each unpolled node's link into the polled set
 and updates it in O(N) per poll. evaluate, gather, greedy_prim and the
-exhaustive walks (which share each prefix's links) all run on it; scoring
-unrelated random permutations folds each prefix of a term matrix instead.
+exhaustive walks (which share each prefix's links) all run on it. Sampled
+permutations are scored one by one: under MIN and MAX a node's budget is its
+first polled partner in a row ranked best first; ADDITIVE folds its prefix.
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -78,9 +79,8 @@ class _Attach:
 
     A link is the min or max pairwise budget to the polled nodes, or the
     sum of their decay terms in polling order (ADDITIVE); cost(link) is the
-    node's budget, fold_cost(terms) the same from the terms themselves.
-    poll(u) merges u's term into every unpolled link, computing terms on
-    demand.
+    node's budget. poll(u) merges u's term into every unpolled link,
+    computing terms on demand.
     """
 
     def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
@@ -91,11 +91,10 @@ class _Attach:
             self.term = model.decay_term
             self.merge = operator.add
             self.cost = model.decay_bits
-            self.fold_cost = lambda terms: model.decay_bits(reduce(operator.add, terms))
             empty = 0.0
         else:
             self.term = model.budget
-            self.merge = self.fold_cost = min if rule is ConditioningRule.MIN else max
+            self.merge = min if rule is ConditioningRule.MIN else max
             self.cost = int  # the link is the budget
             empty = model.n if rule is ConditioningRule.MIN else 0
         self.link = [empty] * topology.size
@@ -141,21 +140,35 @@ def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
 def _total_fn(
     model: ModelSpec, rule: ConditioningRule, topology: Topology
 ) -> Callable[[Sequence[int]], int]:
-    """Total bits of one permutation, equal to evaluate().total; folding
-    each node's prefix beats an O(N) link update per unrelated permutation."""
+    """Total bits of one permutation, equal to evaluate().total: a ranked scan,
+    about H_N probes per node, or under ADDITIVE a fold in polling order."""
     kernel = _Attach(model, rule, topology)
     rows = kernel.rows()
-    n, fold_cost = kernel.n, kernel.fold_cost
+    n, merge, cost = kernel.n, kernel.merge, kernel.cost
+    if rule is ConditioningRule.ADDITIVE:
+        # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
+        return lambda order: n + sum(
+            cost(reduce(merge, map(rows[order[k]].__getitem__, islice(order, k))))
+            for k in range(1, len(order))
+        )
+    ids = list(range(len(rows)))  # shared, so the ranked lists hold the same ints
+    down = rule is ConditioningRule.MAX
+    ranked = [sorted(ids[:v] + ids[v + 1 :], key=r.__getitem__, reverse=down) for v, r in enumerate(rows)]
+    pos = ids[:]  # pos[u]: u's position in the order being scored
 
-    def total(order: Sequence[int]) -> int:
+    def scanned(order: Sequence[int]) -> int:
+        for k, v in enumerate(order):
+            pos[v] = k
         t = n
         for k in range(1, len(order)):
-            # islice, not order[:k]: CPython 3.11 never reuses the 20-item
-            # tuples it caches, so slicing would hold ~0.4 MB per process
-            t += fold_cost(map(rows[order[k]].__getitem__, islice(order, k)))
+            v = order[k]
+            for u in ranked[v]:
+                if pos[u] < k:
+                    t += rows[v][u]
+                    break
         return t
 
-    return total
+    return scanned
 
 
 def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> ScheduleStats:
@@ -201,14 +214,22 @@ def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> 
     return ScheduleStats(acc / count, lo, hi, argmin, argmax, count, exhaustive=True)
 
 
-def _sampled_perms(n_nodes: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
-    base = list(range(n_nodes))
-    perms = []
+def _sample(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, count: int, seed: int
+) -> ScheduleStats:
+    """Statistics over `count` seeded shuffles, each scored as it is drawn."""
+    total_of = _total_fn(model, rule, topology)
+    rng, order = random.Random(seed), list(range(topology.size))
+    totals = []
+    lo, hi, argmin, argmax = math.inf, -math.inf, (), ()
     for _ in range(count):
-        rng.shuffle(base)
-        perms.append(tuple(base))
-    return perms
+        rng.shuffle(order)
+        totals.append(t := total_of(order))
+        if t < lo:
+            lo, argmin = t, tuple(order)
+        if t > hi:
+            hi, argmax = t, tuple(order)
+    return ScheduleStats(fmean(totals), lo, hi, argmin, argmax, count, exhaustive=False)
 
 
 def schedule_stats(
@@ -241,13 +262,7 @@ def schedule_stats(
     if seed is None:
         raise ValueError("sampled mode needs an explicit seed")
 
-    total_of = _total_fn(model, rule, topology)
-    perms = _sampled_perms(n_nodes, count, seed)
-    totals = [total_of(p) for p in perms]
-
-    lo, hi = min(totals), max(totals)
-    argmin, argmax = perms[totals.index(lo)], perms[totals.index(hi)]
-    return ScheduleStats(fmean(totals), lo, hi, argmin, argmax, len(perms), exhaustive=False)
+    return _sample(model, rule, topology, count, seed)
 
 
 def _prim_order(model: ModelSpec, topology: Topology, start: int) -> BitReport:
@@ -292,9 +307,7 @@ def optimize(
                 f"brute force refused for N={n_nodes} > {EXHAUSTIVE_LIMIT}"
             )
         stats = _enumerate(model, rule, topology)
-        best = stats.argmin if objective == "minimize" else stats.argmax
-        return best, evaluate(model, rule, topology, best)
-    if strategy == "greedy_prim":
+    elif strategy == "greedy_prim":
         if rule is ConditioningRule.MIN and objective == "minimize":
             report = _prim_order(model, topology, 0)
             return tuple(u for u, _ in report.per_node), report
@@ -307,14 +320,16 @@ def optimize(
             tuple(u for u, _ in _prim_order(model, topology, start).per_node)
             for start in range(n_nodes)
         ]
+        pick = min if objective == "minimize" else max  # both keep the first extreme
+        best = pick(candidates, key=_total_fn(model, rule, topology))
+        return best, evaluate(model, rule, topology, best)
     elif strategy == "random_restart":
         if count is None or count < 1:
             raise ValueError("random_restart needs count >= 1")
         if seed is None:
             raise ValueError("random_restart needs an explicit seed")
-        candidates = _sampled_perms(n_nodes, count, seed)
+        stats = _sample(model, rule, topology, count, seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    pick = min if objective == "minimize" else max  # both keep the first extreme
-    best = pick(candidates, key=_total_fn(model, rule, topology))
+    best = stats.argmin if objective == "minimize" else stats.argmax
     return best, evaluate(model, rule, topology, best)

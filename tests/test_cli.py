@@ -83,7 +83,8 @@ def test_sweep_rejects_bad_step(capsys):
         (["--d-max", "1e9"], 4, "more than 1000000 rows"),
         (["--d-step", "5e-324"], 4, "more than 1000000 rows"),
         (["--d-min=-1e308", "--d-max=1e308"], 4, "more than 1000000 rows"),  # span overflows
-        # d_min + k * d_step never grows past d_max: the row count ends the loop
+        # d_min + k * d_step never grows past d_max: the row count ends the
+        # loop, and the rows that repeat the first distance are dropped
         (["--d-min", "1e300", "--d-max", "1e300", "--d-step", "1e-300"], 0,
          "d\tbudget\n1e+300\t5\n"),
     ],
@@ -91,7 +92,10 @@ def test_sweep_rejects_bad_step(capsys):
 def test_sweep_is_bounded(capsys, argv, code, expect):
     assert main(["sweep", *argv]) == code
     captured = capsys.readouterr()
-    assert expect in (captured.out if code == 0 else captured.err)
+    if code == 0:  # everything below the header line, exactly
+        assert captured.out.split("\n", 1)[1] == expect
+    else:
+        assert expect in captured.err
 
 
 def test_bad_alpha_exits_2(capsys, topo_345):
@@ -256,6 +260,9 @@ def test_header_records_resolved_config(capsys, topo_line3):
         (["optimize", "--strategy", "bogus"], 2, "unknown strategy 'bogus'"),
         (["evaluate", "--order", "0,1,2", "--out", "/nonexistent/out.csv"], 3,
          "No such file or directory"),
+        # simulate holds n-bit readings: n is bounded by SIMULATE_WIDTH_LIMIT
+        (["simulate", "--n", str(2**16), "--smoothness", "1"], 0, "\n1\t0\t"),
+        (["simulate", "--n", str(2**16 + 1)], 4, "simulate refused: n above 65536"),
     ],
 )
 def test_non_finite_and_overflowing_parameters(capsys, tmp_path, argv, code, expect):

@@ -21,7 +21,9 @@ reals = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-widths = st.one_of(st.integers(-1, 40), st.sampled_from([10**9, 2**53, 2**53 + 1, 10**400]))
+widths = st.one_of(
+    st.integers(-1, 40), st.sampled_from([2**16, 2**16 + 1, 10**9, 2**53, 2**53 + 1, 10**400])
+)
 coordinates = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([1e308, -1e308]), st.floats(-1e3, 1e3))
 placements = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=6)
 
@@ -35,9 +37,7 @@ def flag(name, value):
 def invocations(draw):
     """(argv, placement) for one command; the topology path is added later."""
     command = draw(st.sampled_from(["bits", "evaluate", "simulate", "stats", "sweep"]))
-    # simulate holds n-bit readings, whose memory grows with n: keep n small
-    n = draw(st.integers(-1, 64) if command == "simulate" else widths)
-    argv = [command, flag("model", draw(st.sampled_from([1, 2]))), flag("n", n),
+    argv = [command, flag("model", draw(st.sampled_from([1, 2]))), flag("n", draw(widths)),
             flag("alpha", draw(reals)), flag("beta", draw(reals))]
     points = draw(placements)
     if command in ("evaluate", "simulate", "stats"):

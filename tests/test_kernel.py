@@ -3,10 +3,13 @@
 Every fast path in schedule.py and simulator.py is compared with the slow
 path built on conditioned_bits: itertools.permutations for enumeration,
 per-position conditioned budgets for totals, and a gather that searches
-the polled prefix for its reference node.
+the polled prefix for its reference node. Sampled statistics are compared
+with the same seeded shuffles, all held and each scored by evaluate.
 """
 
 import itertools
+import random
+from statistics import fmean
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,13 +43,19 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def instances(draw, min_nodes=1, max_nodes=6, rules=(MIN, MAX, ADD)):
+def instances(
+    draw,
+    min_nodes=1,
+    max_nodes=6,
+    rules=(MIN, MAX, ADD),
+    widths=st.integers(1, 12),
+    coord=st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 6.0)),
+):
     """(model, rule, topology): both model families and every rule valid for
     the family, on a small square so that budgets vary across pairs. Grid
     coordinates make tied distances and budgets common."""
-    coord = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 6.0))
     positions = draw(st.lists(st.tuples(coord, coord), min_size=min_nodes, max_size=max_nodes))
-    n = draw(st.integers(1, 12))
+    n = draw(widths)
     alpha = draw(st.floats(0.1, 3.0))
     if draw(st.booleans()):
         # beta > 0 keeps coincident nodes away from the singular 0**beta
@@ -78,6 +87,18 @@ def oracle_stats(model, rule, topo):
         sample_count=len(scored),
         exhaustive=True,
     )
+
+
+def oracle_sampled(model, rule, topo, count, seed):
+    """The same seeded shuffles, all held, each scored by evaluate."""
+    rng, base, perms = random.Random(seed), list(range(topo.size)), []
+    for _ in range(count):
+        rng.shuffle(base)
+        perms.append(tuple(base))
+    totals = [evaluate(model, rule, topo, p).total for p in perms]
+    lo, hi = min(totals), max(totals)
+    argmin, argmax = perms[totals.index(lo)], perms[totals.index(hi)]
+    return ScheduleStats(fmean(totals), lo, hi, argmin, argmax, count, exhaustive=False)
 
 
 def oracle_prim(weights, start):
@@ -136,6 +157,38 @@ def test_single_order_paths_match_direct_budgets(instance, rng):
     assert report.per_node == tuple(zip(order, budgets))
     assert report.total == sum(budgets)
     assert _total_fn(model, rule, topo)(order) == sum(budgets)
+
+
+@SETTINGS
+@given(instances(max_nodes=8), st.integers(1, 40), st.integers(0, 2**32))
+def test_sampled_paths_match_scored_shuffles(instance, count, seed):
+    model, rule, topo = instance
+    expected = oracle_sampled(model, rule, topo, count, seed)
+    assert schedule_stats(model, rule, topo, "sampled", count=count, seed=seed) == expected
+    for objective, best in (("minimize", expected.argmin), ("maximize", expected.argmax)):
+        order, report = optimize(
+            model, rule, topo, objective=objective, strategy="random_restart", count=count, seed=seed
+        )
+        assert order == best
+        assert report == evaluate(model, rule, topo, best)
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        instances(max_nodes=8, widths=st.integers(1, 3)),  # few budget levels: ties everywhere
+        instances(max_nodes=8, widths=st.just(2**40)),  # many budget levels
+        instances(max_nodes=8, coord=st.integers(0, 1).map(float)),  # repeated points, d = 0
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_total_fn_matches_evaluate(instance, rng):
+    model, rule, topo = instance
+    total_of = _total_fn(model, rule, topo)  # one scorer for several orders
+    order = list(range(topo.size))
+    for _ in range(5):
+        rng.shuffle(order)
+        assert total_of(order) == evaluate(model, rule, topo, order).total
 
 
 @SETTINGS
