@@ -140,8 +140,8 @@ def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
 def _total_fn(
     model: ModelSpec, rule: ConditioningRule, topology: Topology
 ) -> Callable[[Sequence[int]], int]:
-    """Total bits of one permutation, equal to evaluate().total: a ranked scan,
-    about H_N probes per node, or under ADDITIVE a fold in polling order."""
+    """Total bits of one permutation, equal to evaluate().total: a ranked scan
+    (about H_N probes per node on a random order), or under ADDITIVE a fold."""
     kernel = _Attach(model, rule, topology)
     rows = kernel.rows()
     n, merge, cost = kernel.n, kernel.merge, kernel.cost
@@ -220,8 +220,7 @@ def _sample(
     """Statistics over `count` seeded shuffles, each scored as it is drawn."""
     total_of = _total_fn(model, rule, topology)
     rng, order = random.Random(seed), list(range(topology.size))
-    totals = []
-    lo, hi, argmin, argmax = math.inf, -math.inf, (), ()
+    totals, lo, hi, argmin, argmax = [], math.inf, -math.inf, (), ()
     for _ in range(count):
         rng.shuffle(order)
         totals.append(t := total_of(order))

@@ -1,15 +1,8 @@
-import os
 import random
 
 import pytest
-from hypothesis import settings
 
 from bitgather import PowerLawModel, Topology
-
-# HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a failure
-# seen in CI reproduces locally; without it each run explores new examples.
-settings.register_profile("ci", derandomize=True, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
