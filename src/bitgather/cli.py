@@ -202,14 +202,17 @@ def _cmd_sweep(cfg: dict[str, Any]) -> list[str]:
     lines = _header("sweep", cfg) + ["d\tbudget"]
     # capped, and rows whose distance did not grow are skipped, because
     # d_min + k * d_step can stall where d_step is below d_min's precision
-    last = -math.inf
+    last, last_text = -math.inf, ""
     for k in range(int(max(steps, 0.0)) + 2):
         d = d_min + k * d_step
         if d > d_max + 1e-12:
             break
         if d > last:
-            lines.append(f"{d:.6g}\t{pairwise_bits(model, d)}")
-            last = d
+            text = f"{d:.6g}"
+            # a distance that .6g cannot tell from the row before prints in full
+            shown = repr(d) if text == last_text else text
+            lines.append(f"{shown}\t{pairwise_bits(model, d)}")
+            last, last_text = d, text
     return lines
 
 

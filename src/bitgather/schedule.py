@@ -3,16 +3,23 @@
 A schedule is a permutation of node ids: position k is the k-th node
 polled. The first node always transmits all n bits; every later node's
 budget is conditioned on the set already polled, so the total depends on
-the order. Under the MIN rule the minimum total over all schedules equals
-n plus the weight of the minimum spanning tree of the complete graph with
-pairwise budgets as edge weights: any schedule's attachment edges form a
-spanning tree, and every Prim order achieves the MST.
+the order. Any schedule's attachment edges (each node to the polled
+partner that sets its budget) form a spanning tree of the complete graph
+with pairwise budgets as edge weights. So under the MIN rule the minimum
+total over all schedules is n plus the minimum spanning tree weight, and
+under the MAX rule the maximum total is n plus the maximum spanning tree
+weight; a Prim order (cheapest link first under MIN, dearest under MAX)
+attains each.
 
 One kernel, _Attach, keeps each unpolled node's link into the polled set
-and updates it in O(N) per poll. evaluate, gather, greedy_prim and the
-exhaustive walks (which share each prefix's links) all run on it. Sampled
-permutations are scored one by one: under MIN and MAX a node's budget is its
-first polled partner in a row ranked best first; ADDITIVE folds its prefix.
+and updates it in O(N) per poll. evaluate, gather, greedy_prim, the
+exhaustive walk and the brute-force search (which share each prefix's
+links) all run on it. The search is a lexicographic depth-first walk that
+skips every prefix whose optimistic bound cannot beat the best total found
+so far; for the two spanning-tree pairs the bound is exact. Sampled
+permutations are scored one by one: under MIN and MAX a node's budget is
+its first polled partner in a row ranked best first; ADDITIVE folds its
+prefix.
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -25,6 +32,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from statistics import fmean
@@ -40,8 +48,14 @@ from .correlation import (  # noqa: F401
 )
 from .topology import Topology
 
-# 10! is ~3.6M evaluations; beyond that exhaustive enumeration is refused.
+# Exhaustive stats score every permutation, and 10! is ~3.6M of them;
+# beyond that stats --mode exhaustive is refused.
 EXHAUSTIVE_LIMIT = 10
+# Work units the brute-force search may spend: each visited prefix costs
+# (unpolled nodes) * N, which covers its O(N) link update and its O(N**2)
+# bound. The whole search tree of 10 nodes costs 62,353,000 units, so every
+# input the exhaustive limit accepts is searched to the end.
+SEARCH_WORK_LIMIT = 10**8
 
 
 class InfeasibleError(RuntimeError):
@@ -264,16 +278,166 @@ def schedule_stats(
     return _sample(model, rule, topology, count, seed)
 
 
-def _prim_order(model: ModelSpec, topology: Topology, start: int) -> BitReport:
-    """Prim order from `start` with its MIN-rule budgets: always poll the
-    node whose link is cheapest, ties toward the lowest id."""
-    kernel = _Attach(model, ConditioningRule.MIN, topology)
+# (rule, objective) pairs whose optimum is n plus a spanning tree's weight
+_SPANNING = {(ConditioningRule.MIN, "minimize"), (ConditioningRule.MAX, "maximize")}
+
+
+def _prim_order(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, start: int
+) -> BitReport:
+    """Prim order from `start` with its budgets under `rule` (MIN or MAX):
+    always poll the node whose link is cheapest under MIN, dearest under
+    MAX, ties toward the lowest id."""
+    kernel = _Attach(model, rule, topology)
+    pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
     per_node = []
     u = start
     while kernel.pending:
         per_node.append((u, kernel.poll(u)))
-        u = min(kernel.pending, key=kernel.link.__getitem__, default=-1)
+        u = pick(kernel.pending, key=kernel.link.__getitem__, default=-1)
     return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
+
+
+def _additive_floors(cost: Callable[[float], int], rows: list[list]) -> list[int]:
+    """A lower bound on each node's ADDITIVE budget in any schedule.
+
+    A node's link is a float sum of non-negative decay terms (possibly inf),
+    added in polling order. Each addition of non-negative floats rounds up
+    by at most a factor 1 + 2**-53 (one with a subnormal result is exact),
+    so after k additions the link is at most the exact sum of all the
+    node's terms times (1 + 2**-53)**k <= 1 + k * 2**-52. That bound is
+    rounded up to a float, or is inf. cost is non-increasing in the link
+    (each step of decay_bits and clamped_ceil is monotone under rounding),
+    so the cost of the bound is at most the node's budget.
+    """
+    floors = []
+    for v, row in enumerate(rows):
+        terms = row[:v] + row[v + 1 :]
+        if math.inf in terms:
+            top = math.inf
+        else:
+            exact = sum(map(Fraction, terms)) * (1 + Fraction(len(terms), 2**52))
+            try:
+                top = float(exact)
+            except OverflowError:
+                top = math.inf
+            if top < exact:
+                top = math.nextafter(top, math.inf)
+        floors.append(cost(top))
+    return floors
+
+
+def _search(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, objective: str
+) -> tuple[int, ...]:
+    """The lexicographically first optimal schedule, by branch and bound.
+
+    A depth-first walk in lexicographic order, sharing each prefix's links
+    like _enumerate, that enters a prefix only if its optimistic bound
+    (a lower bound on its completions' totals when minimizing, an upper
+    bound when maximizing) beats the best total so far, or ties it while
+    that best is still the Prim order's and not a leaf of the walk. So the
+    first optimal leaf in lexicographic order is the one kept. Raises
+    InfeasibleError once the walk has spent SEARCH_WORK_LIMIT work units.
+    """
+    size = topology.size
+    # the walk reaches a leaf through prefixes with N, N - 1, ..., 2 nodes
+    # left, so it costs at least this much
+    if size * (size * (size + 1) // 2 - 1) > SEARCH_WORK_LIMIT:
+        raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
+    kernel = _Attach(model, rule, topology)
+    rows = kernel.rows()
+    merge, cost = kernel.merge, kernel.cost
+    minimize = objective == "minimize"
+    better = operator.lt if minimize else operator.gt
+
+    # the incumbent: the rule's Prim order from node 0, optimal for _SPANNING
+    prim_rule = ConditioningRule.MAX if rule is ConditioningRule.MAX else ConditioningRule.MIN
+    prim = _prim_order(model, prim_rule, topology, 0)
+    if rule is ConditioningRule.ADDITIVE:  # score it under the rule searched
+        prim = evaluate(model, rule, topology, [u for u, _ in prim.per_node])
+    best, found = prim.total, None
+    path: list[int] = []
+    work = 0
+
+    def admits(bound) -> bool:
+        return better(bound, best) or (bound == best and found is None)
+
+    def leaf(total: int, tail: tuple[int, ...]) -> None:
+        nonlocal best, found
+        if admits(total):
+            best, found = total, (*path, *tail)
+
+    if (rule, objective) in _SPANNING:
+        pick, hop_of = (min, max) if minimize else (max, min)
+
+        def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
+            # Exact. The best completion of a prefix is total plus the min
+            # (max) spanning tree of the unpolled nodes and one node for the
+            # prefix, whose edge to v is link[v]. Polling v next forces that
+            # edge into the tree: the tree's weight changes by link[v] minus
+            # the heaviest (lightest) edge on its path from the prefix to v.
+            key, hop = link[:], link[:]
+            out, weight = list(rest), 0
+            while out:
+                u = pick(out, key=key.__getitem__)
+                out.remove(u)
+                weight += key[u]
+                row, h = rows[u], hop[u]
+                for v in out:
+                    if better(row[v], key[v]):
+                        key[v], hop[v] = row[v], hop_of(h, row[v])
+            return [total + weight + link[v] - hop[v] for v in rest]
+
+    elif rule is ConditioningRule.ADDITIVE and minimize:
+        floors = _additive_floors(cost, rows)
+
+        def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
+            others = sum(map(floors.__getitem__, rest))
+            return [total + cost(link[v]) + others - floors[v] for v in rest]
+
+    else:
+
+        def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
+            # A link only moves one way as nodes are polled: a MIN link falls,
+            # a MAX link rises, and an ADDITIVE sum of non-negative terms
+            # rises (adding one never rounds below the sum before it). So
+            # once v is polled, each other node's cost is at least its budget
+            # (MIN, ADDITIVE: maximize) or at most it (MAX: minimize).
+            out = []
+            for i, v in enumerate(rest):
+                row, others = rows[v], rest[:i] + rest[i + 1 :]
+                moved = map(merge, map(link.__getitem__, others), map(row.__getitem__, others))
+                out.append(total + cost(link[v]) + sum(map(cost, moved)))
+            return out
+
+    def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
+        nonlocal work
+        work += len(rest) * size
+        if work > SEARCH_WORK_LIMIT:
+            raise InfeasibleError(
+                f"brute force refused for N={size}: "
+                f"the search exceeded {SEARCH_WORK_LIMIT} work units"
+            )
+        if len(rest) == 2:  # both orders of the last two nodes, no link update
+            a, b = rest
+            leaf(total + cost(link[a]) + cost(merge(link[b], rows[a][b])), rest)
+            leaf(total + cost(link[b]) + cost(merge(link[a], rows[b][a])), (b, a))
+            return
+        if len(rest) == 1:  # N = 1
+            leaf(total + cost(link[rest[0]]), rest)
+            return
+        for i, (v, bound) in enumerate(zip(rest, bounds(total, link, rest))):
+            if admits(bound):
+                path.append(v)
+                child = list(map(merge, link, rows[v]))
+                visit(total + cost(link[v]), child, rest[:i] + rest[i + 1 :])
+                path.pop()
+
+    # every empty link is equal; offset the total so that the first node pays n
+    visit(kernel.n - cost(kernel.link[0]), kernel.link, tuple(range(size)))
+    del visit  # it holds itself through its closure: free the walk's state now
+    return found
 
 
 def optimize(
@@ -289,11 +453,16 @@ def optimize(
 ) -> tuple[tuple[int, ...], BitReport]:
     """Search for a schedule optimizing total bits.
 
-    brute_force is exact (N <= EXHAUSTIVE_LIMIT). greedy_prim is exact for
-    the MIN rule with objective "minimize": every Prim order totals n plus
-    the MST weight, so it runs from node 0 alone. For other rules or the
-    other objective it is refused unless `force` is set; then it runs as a
-    heuristic that tries every start node and keeps the best Prim order.
+    brute_force is exact and returns the lexicographically first optimal
+    schedule. It is a branch-and-bound walk whose bound is exact for the
+    MIN rule minimized and the MAX rule maximized, so those run in about
+    O(N**3); it raises InfeasibleError once its work passes
+    SEARCH_WORK_LIMIT, which no input of up to EXHAUSTIVE_LIMIT nodes
+    reaches. greedy_prim is exact for the MIN rule with objective
+    "minimize" and the MAX rule with "maximize": the Prim order from node
+    0 totals n plus the min (max) spanning tree weight. For other pairs it
+    is refused unless `force` is set; then it runs as a heuristic that
+    tries every start node and keeps the best MIN-rule Prim order.
     random_restart keeps the best of `count` seeded random permutations.
     Among equal totals the first schedule tried wins.
     """
@@ -301,34 +470,31 @@ def optimize(
         raise ValueError(f"unknown objective {objective!r}")
     n_nodes = topology.size
     if strategy == "brute_force":
-        if n_nodes > EXHAUSTIVE_LIMIT:
-            raise InfeasibleError(
-                f"brute force refused for N={n_nodes} > {EXHAUSTIVE_LIMIT}"
-            )
-        stats = _enumerate(model, rule, topology)
-    elif strategy == "greedy_prim":
-        if rule is ConditioningRule.MIN and objective == "minimize":
-            report = _prim_order(model, topology, 0)
+        best = _search(model, rule, topology, objective)
+        return best, evaluate(model, rule, topology, best)
+    if strategy == "greedy_prim":
+        if (rule, objective) in _SPANNING:
+            report = _prim_order(model, rule, topology, 0)
             return tuple(u for u, _ in report.per_node), report
         if not force:
             raise ValueError(
-                "greedy_prim is only exact for the min rule with objective "
-                "minimize; pass force=True to run it as a heuristic"
+                "greedy_prim is only exact for the min rule with objective minimize "
+                "and the max rule with objective maximize; pass force=True to run "
+                "it as a heuristic"
             )
         candidates = [
-            tuple(u for u, _ in _prim_order(model, topology, start).per_node)
+            tuple(u for u, _ in _prim_order(model, ConditioningRule.MIN, topology, start).per_node)
             for start in range(n_nodes)
         ]
         pick = min if objective == "minimize" else max  # both keep the first extreme
         best = pick(candidates, key=_total_fn(model, rule, topology))
         return best, evaluate(model, rule, topology, best)
-    elif strategy == "random_restart":
+    if strategy == "random_restart":
         if count is None or count < 1:
             raise ValueError("random_restart needs count >= 1")
         if seed is None:
             raise ValueError("random_restart needs an explicit seed")
         stats = _sample(model, rule, topology, count, seed)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    best = stats.argmin if objective == "minimize" else stats.argmax
-    return best, evaluate(model, rule, topology, best)
+        best = stats.argmin if objective == "minimize" else stats.argmax
+        return best, evaluate(model, rule, topology, best)
+    raise ValueError(f"unknown strategy {strategy!r}")

@@ -87,6 +87,10 @@ def test_sweep_rejects_bad_step(capsys):
         # loop, and the rows that repeat the first distance are dropped
         (["--d-min", "1e300", "--d-max", "1e300", "--d-step", "1e-300"], 0,
          "d\tbudget\n1e+300\t5\n"),
+        # every float from 1e16 to 1e16 + 100 (ulp 2) once; .6g shows each
+        # as 1e+16, so all but the first print in full
+        (["--d-min", "1e16", "--d-max", "1.00000000000001e16", "--d-step", "0.6"], 0,
+         "d\tbudget\n1e+16\t5\n" + "".join(f"{1e16 + 2 * k!r}\t5\n" for k in range(1, 51))),
     ],
 )
 def test_sweep_is_bounded(capsys, argv, code, expect):
@@ -129,6 +133,16 @@ def test_exhaustive_too_large_exits_4(capsys, tmp_path):
         capsys, ["stats", "--topology", str(path), "--mode", "exhaustive"]
     )
     assert code == 4
+
+
+def test_brute_force_past_work_limit_exits_4(capsys, tmp_path):
+    # 585 nodes: one root-to-leaf path of the search alone costs more than the limit
+    path = tmp_path / "big.csv"
+    path.write_text("id,x,y\n" + "\n".join(f"{i},{i},0" for i in range(585)) + "\n")
+    code = main(["optimize", "--topology", str(path), "--strategy", "brute_force"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "brute force refused for N=585" in captured.err
 
 
 def test_evaluate_collinear(capsys, topo_line3):

@@ -7,10 +7,14 @@ the polled prefix for its reference node. Sampled statistics are compared
 with the same seeded shuffles, all held and each scored by evaluate.
 """
 
+import functools
 import itertools
+import operator
 import random
+from fractions import Fraction
 from statistics import fmean
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +37,7 @@ from bitgather import (
     pairwise_bits,
     schedule_stats,
 )
-from bitgather.schedule import _total_fn
+from bitgather.schedule import _additive_floors, _total_fn
 
 from conftest import mst_weight
 
@@ -72,8 +76,10 @@ def oracle_budgets(model, rule, topo, order):
 
 
 def oracle_stats(model, rule, topo):
+    # conditioned_bits depends on the polled set only, so each (node, set) is scored once
+    budget = functools.cache(lambda v, prior: conditioned_bits(model, rule, topo, v, prior))
     scored = [
-        (sum(oracle_budgets(model, rule, topo, perm)), perm)
+        (sum(budget(v, frozenset(perm[:k])) for k, v in enumerate(perm)), perm)
         for perm in itertools.permutations(range(topo.size))
     ]
     totals = [t for t, _ in scored]
@@ -110,6 +116,17 @@ def oracle_prim(weights, start):
     return tuple(order)
 
 
+def spanning_optimum(model, rule, topo):
+    """n plus the min spanning tree weight under MIN, the max under MAX."""
+    weights = [
+        [pairwise_bits(model, topo.distance(i, j)) if i != j else 0 for j in range(topo.size)]
+        for i in range(topo.size)
+    ]
+    if rule is MIN:
+        return model.n + mst_weight(weights)
+    return model.n - mst_weight([[-w for w in row] for row in weights])
+
+
 def oracle_gather(model, rule, topo, order, field):
     """(total, exact_count, max_abs_error) of the direct gather."""
     n = model.n
@@ -135,7 +152,13 @@ def test_exhaustive_stats_match_enumeration(instance):
 
 
 @SETTINGS
-@given(instances(), st.sampled_from(["minimize", "maximize"]))
+@given(
+    st.one_of(
+        instances(max_nodes=7),
+        instances(max_nodes=7, coord=st.integers(0, 2).map(float)),  # tied budgets, d = 0
+    ),
+    st.sampled_from(["minimize", "maximize"]),
+)
 def test_brute_force_matches_enumeration(instance, objective):
     model, rule, topo = instance
     expected = oracle_stats(model, rule, topo)
@@ -205,6 +228,60 @@ def test_single_start_prim_equals_all_starts_and_mst(instance):
     assert order == all_starts[totals.index(min(totals))]
     assert report.total == model.n + mst_weight(weights) == min(totals)
     assert report.per_node == tuple(zip(order, oracle_budgets(model, MIN, topo, order)))
+
+
+@pytest.mark.parametrize(
+    "model, rule, objective, positions",
+    [
+        # the first optimal second node hangs in the prefix's spanning tree
+        # below other unpolled nodes, and the extreme edge on its tree path is
+        # not the last one: a bound that read only the last edge would skip it
+        (PowerLawModel(8, 1.0, 1.0), MIN, "minimize", [(5, 2), (2, 6), (2, 4), (5, 5), (2, 1)]),
+        (PowerLawModel(8, 1.0, 1.0), MAX, "maximize", [(1, 5), (4, 6), (5, 5), (2, 0), (6, 1)]),
+        # every budget is n, so every ADDITIVE floor is met exactly: a floor
+        # one bit too high would prune every schedule
+        (GaussianDecayModel(6, 1.5, 3.0), ADD, "minimize", [(0, 2), (1, 2), (0, 0)]),
+    ],
+)
+def test_brute_force_where_bounds_are_tight(model, rule, objective, positions):
+    topo = Topology.from_positions(positions)
+    expected = oracle_stats(model, rule, topo)
+    order, _ = optimize(model, rule, topo, objective=objective, strategy="brute_force")
+    assert order == (expected.argmin if objective == "minimize" else expected.argmax)
+
+
+def test_additive_floor_covers_every_polling_order():
+    # summed in the order a, c, b these terms round one ulp above the exact
+    # sum of all three rounded up, and at n = 2**40 an ulp is a whole bit
+    terms = [0.3415763282153053, 0.31522513914241207, 0.28963258630651645]
+    model = GaussianDecayModel(n=2**40, alpha=1.0, beta=1.0)
+    rows = [[0, *terms]] + [[t, 0, 0, 0] for t in terms]
+    links = [functools.reduce(operator.add, order, 0.0) for order in itertools.permutations(terms)]
+    lowest = min(map(model.decay_bits, links))
+    assert _additive_floors(model.decay_bits, rows)[0] <= lowest
+    exact = sum(map(Fraction, terms))
+    assert float(exact) >= exact and model.decay_bits(float(exact)) > lowest
+
+
+@SETTINGS
+@given(instances(max_nodes=8, rules=(MAX,)))
+def test_greedy_prim_is_exact_for_max_maximize(instance):
+    model, _, topo = instance
+    order, report = optimize(model, MAX, topo, objective="maximize", strategy="greedy_prim")
+    _, brute = optimize(model, MAX, topo, objective="maximize", strategy="brute_force")
+    assert report.total == brute.total == spanning_optimum(model, MAX, topo)
+    assert report.per_node == tuple(zip(order, oracle_budgets(model, MAX, topo, order)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(min_nodes=11, max_nodes=40, rules=(MIN, MAX)))
+def test_spanning_pairs_searched_past_the_old_limit(instance):
+    model, rule, topo = instance
+    objective = "minimize" if rule is MIN else "maximize"
+    order, report = optimize(model, rule, topo, objective=objective, strategy="brute_force")
+    assert sorted(order) == list(range(topo.size))
+    assert report == evaluate(model, rule, topo, order)
+    assert report.total == spanning_optimum(model, rule, topo)
 
 
 @SETTINGS

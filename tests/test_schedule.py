@@ -13,6 +13,7 @@ from bitgather import (
     optimize,
     schedule_stats,
 )
+from bitgather import schedule
 from bitgather.schedule import _total_fn
 
 from conftest import mst_weight, random_topology
@@ -168,10 +169,18 @@ class TestOptimize:
         _, brute = optimize(unit_staircase, MIN, topo, strategy="brute_force")
         assert a[1].total >= brute.total
 
-    def test_brute_force_guard(self, unit_staircase):
+    def test_brute_force_guard(self, unit_staircase, monkeypatch):
         topo = random_topology(random.Random(16), 11)
-        with pytest.raises(InfeasibleError):
+        one_path = 11 * (11 * 12 // 2 - 1)  # the work of one root-to-leaf path
+        monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", one_path - 1)
+        with pytest.raises(InfeasibleError, match="work limit"):
             optimize(unit_staircase, MIN, topo, strategy="brute_force")
+        # the exact bound walks a single path, so it fits a limit of one path
+        monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", one_path)
+        _, report = optimize(unit_staircase, MIN, topo, strategy="brute_force")
+        assert report.total == unit_staircase.n + mst_weight(budget_matrix(unit_staircase, topo))
+        with pytest.raises(InfeasibleError, match="exceeded"):
+            optimize(unit_staircase, MIN, topo, objective="maximize", strategy="brute_force")
 
     def test_unknown_inputs_rejected(self, collinear3, unit_staircase):
         with pytest.raises(ValueError):
