@@ -42,23 +42,20 @@ class ConfigError(ValueError):
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+    return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+    return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _bool(text: Any) -> bool:
-    if isinstance(text, bool):
-        return text
-    return str(text).lower() in ("1", "true", "yes", "on")
+def _bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
 
 
 # (name, converter, default); default None means required
@@ -134,7 +131,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict[str, Any]:
         if cli_value is not None:
             resolved[name] = cli_value
         elif name in cfg:
-            resolved[name] = conv(cfg[name])
+            try:
+                resolved[name] = conv(cfg[name])
+            except ValueError as exc:  # a converter's, naming the text it refused
+                raise ConfigError(f"config key {name}: {exc}") from None
         elif default is None:
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
         else:

@@ -12,11 +12,13 @@ weight; a Prim order (cheapest link first under MIN, dearest under MAX)
 attains each.
 
 One kernel, _Attach, keeps each unpolled node's link into the polled set
-and updates it in O(N) per poll. evaluate, gather, greedy_prim, the
-exhaustive walk and the brute-force search (which share each prefix's
-links) all run on it. The search is a lexicographic depth-first walk that
-skips every prefix whose optimistic bound cannot beat the best total found
-so far; for the two spanning-tree pairs the bound is exact. Sampled
+and updates it in O(N) per poll; evaluate, gather and greedy_prim run on
+it. Exhaustive statistics and the brute-force search share one
+lexicographic depth-first walk over polling prefixes, _walk, that builds
+each prefix's links once for every schedule extending it. The statistics
+visit every leaf; the search skips every prefix whose optimistic bound
+cannot beat the best total found so far, and for the two spanning-tree
+pairs the bound is exact. Sampled
 permutations are scored one by one: under MIN and MAX a node's budget is
 its first polled partner in a row ranked best first; ADDITIVE folds its
 prefix.
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 # conditioned_bits, pairwise_bits: unused here, bound for bench/tracer.py to patch.
 from .correlation import (  # noqa: F401
@@ -59,7 +61,9 @@ SEARCH_WORK_LIMIT = 10**8
 
 
 class InfeasibleError(RuntimeError):
-    """Request would require enumerating too many permutations."""
+    """Request exceeds a size or work limit: too many permutations to
+    enumerate, too much brute-force search, or too many sweep rows or
+    simulated bits."""
 
 
 @dataclass(frozen=True)
@@ -185,19 +189,49 @@ def _total_fn(
     return scanned
 
 
-def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> ScheduleStats:
-    """Exact statistics over all permutations: a depth-first walk in
-    lexicographic order (argmin and argmax are the first extremes) that
-    computes each prefix's links once for every permutation extending it."""
-    kernel = _Attach(model, rule, topology)
-    rows = kernel.rows()
+def _walk(kernel: _Attach, rows: list[list], leaf: Callable, children: Callable) -> None:
+    """Depth-first walk over polling prefixes in lexicographic order.
+
+    Each prefix carries its total so far and every unpolled node's link
+    into it, built once and shared by every schedule extending it.
+    children(total, link, rest) yields, in increasing order, the positions
+    in `rest` of the nodes to poll next; leaf(total, path, tail) receives
+    each complete schedule, path followed by tail, with its total.
+    """
     merge, cost = kernel.merge, kernel.cost
+    path: list[int] = []
+
+    def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
+        if len(rest) == 2:  # both orders of the last two nodes, no link update
+            a, b = rest
+            leaf(total + cost(link[a]) + cost(merge(link[b], rows[a][b])), path, rest)
+            leaf(total + cost(link[b]) + cost(merge(link[a], rows[b][a])), path, (b, a))
+            return
+        if len(rest) == 1:  # N = 1
+            leaf(total + cost(link[rest[0]]), path, rest)
+            return
+        for i in children(total, link, rest):
+            v = rest[i]
+            path.append(v)
+            visit(total + cost(link[v]), list(map(merge, link, rows[v])), rest[:i] + rest[i + 1 :])
+            path.pop()
+
+    try:
+        # every empty link is equal; offset the total so that the first node pays n
+        visit(kernel.n - cost(kernel.link[0]), kernel.link, tuple(range(len(rows))))
+    finally:
+        del visit  # it holds itself through its closure: free the walk's state now
+
+
+def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> ScheduleStats:
+    """Exact statistics over all permutations, walked in lexicographic
+    order, so argmin and argmax are the first extremes."""
+    kernel = _Attach(model, rule, topology)
     acc = count = 0
     lo, hi = math.inf, -math.inf
     argmin = argmax = ()
-    path: list[int] = []
 
-    def leaf(t: int, tail: tuple[int, ...]) -> None:
+    def leaf(t: int, path: list[int], tail: tuple[int, ...]) -> None:
         nonlocal acc, count, lo, hi, argmin, argmax
         acc += t
         count += 1
@@ -206,32 +240,19 @@ def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> 
         if t > hi:
             hi, argmax = t, (*path, *tail)
 
-    def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
-        if len(rest) == 2:  # both orders of the last two nodes, no link update
-            a, b = rest
-            leaf(total + cost(link[a]) + cost(merge(link[b], rows[a][b])), rest)
-            leaf(total + cost(link[b]) + cost(merge(link[a], rows[b][a])), (b, a))
-            return
-        if len(rest) < 2:
-            leaf(total + sum(cost(link[v]) for v in rest), rest)
-            return
-        for i, v in enumerate(rest):
-            path.append(v)
-            visit(total + cost(link[v]), list(map(merge, link, rows[v])), rest[:i] + rest[i + 1 :])
-            path.pop()
-
-    everyone = tuple(range(topology.size))
-    for i, first in enumerate(everyone):
-        path.append(first)
-        visit(kernel.n, list(map(merge, kernel.link, rows[first])), everyone[:i] + everyone[i + 1 :])
-        path.pop()
+    _walk(kernel, kernel.rows(), leaf, lambda total, link, rest: range(len(rest)))
     return ScheduleStats(acc / count, lo, hi, argmin, argmax, count, exhaustive=True)
 
 
 def _sample(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology, count: int, seed: int
+    model: ModelSpec, rule: ConditioningRule, topology: Topology,
+    count: int | None, seed: int | None,
 ) -> ScheduleStats:
     """Statistics over `count` seeded shuffles, each scored as it is drawn."""
+    if count is None or count < 1:
+        raise ValueError("sampling needs count >= 1")
+    if seed is None:
+        raise ValueError("sampling needs an explicit seed")
     total_of = _total_fn(model, rule, topology)
     rng, order = random.Random(seed), list(range(topology.size))
     totals, lo, hi, argmin, argmax = [], math.inf, -math.inf, (), ()
@@ -270,11 +291,6 @@ def schedule_stats(
 
     if mode != "sampled":
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
-    if count is None or count < 1:
-        raise ValueError("sampled mode needs count >= 1")
-    if seed is None:
-        raise ValueError("sampled mode needs an explicit seed")
-
     return _sample(model, rule, topology, count, seed)
 
 
@@ -332,8 +348,7 @@ def _search(
 ) -> tuple[int, ...]:
     """The lexicographically first optimal schedule, by branch and bound.
 
-    A depth-first walk in lexicographic order, sharing each prefix's links
-    like _enumerate, that enters a prefix only if its optimistic bound
+    A _walk that enters a prefix only if its optimistic bound
     (a lower bound on its completions' totals when minimizing, an upper
     bound when maximizing) beats the best total so far, or ties it while
     that best is still the Prim order's and not a leaf of the walk. So the
@@ -357,13 +372,12 @@ def _search(
     if rule is ConditioningRule.ADDITIVE:  # score it under the rule searched
         prim = evaluate(model, rule, topology, [u for u, _ in prim.per_node])
     best, found = prim.total, None
-    path: list[int] = []
-    work = 0
+    work = size * size  # the root's visit
 
     def admits(bound) -> bool:
         return better(bound, best) or (bound == best and found is None)
 
-    def leaf(total: int, tail: tuple[int, ...]) -> None:
+    def leaf(total: int, path: list[int], tail: tuple[int, ...]) -> None:
         nonlocal best, found
         if admits(total):
             best, found = total, (*path, *tail)
@@ -411,32 +425,21 @@ def _search(
                 out.append(total + cost(link[v]) + sum(map(cost, moved)))
             return out
 
-    def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
+    def children(total: int, link: list, rest: tuple[int, ...]) -> Iterator[int]:
+        # each bound is tested when the walk reaches its child, so a better
+        # total found under an earlier sibling prunes the later ones
         nonlocal work
-        work += len(rest) * size
-        if work > SEARCH_WORK_LIMIT:
-            raise InfeasibleError(
-                f"brute force refused for N={size}: "
-                f"the search exceeded {SEARCH_WORK_LIMIT} work units"
-            )
-        if len(rest) == 2:  # both orders of the last two nodes, no link update
-            a, b = rest
-            leaf(total + cost(link[a]) + cost(merge(link[b], rows[a][b])), rest)
-            leaf(total + cost(link[b]) + cost(merge(link[a], rows[b][a])), (b, a))
-            return
-        if len(rest) == 1:  # N = 1
-            leaf(total + cost(link[rest[0]]), rest)
-            return
-        for i, (v, bound) in enumerate(zip(rest, bounds(total, link, rest))):
+        for i, bound in enumerate(bounds(total, link, rest)):
             if admits(bound):
-                path.append(v)
-                child = list(map(merge, link, rows[v]))
-                visit(total + cost(link[v]), child, rest[:i] + rest[i + 1 :])
-                path.pop()
+                work += (len(rest) - 1) * size
+                if work > SEARCH_WORK_LIMIT:
+                    raise InfeasibleError(
+                        f"brute force refused for N={size}: "
+                        f"the search exceeded {SEARCH_WORK_LIMIT} work units"
+                    )
+                yield i
 
-    # every empty link is equal; offset the total so that the first node pays n
-    visit(kernel.n - cost(kernel.link[0]), kernel.link, tuple(range(size)))
-    del visit  # it holds itself through its closure: free the walk's state now
+    _walk(kernel, rows, leaf, children)
     return found
 
 
@@ -490,10 +493,6 @@ def optimize(
         best = pick(candidates, key=_total_fn(model, rule, topology))
         return best, evaluate(model, rule, topology, best)
     if strategy == "random_restart":
-        if count is None or count < 1:
-            raise ValueError("random_restart needs count >= 1")
-        if seed is None:
-            raise ValueError("random_restart needs an explicit seed")
         stats = _sample(model, rule, topology, count, seed)
         best = stats.argmin if objective == "minimize" else stats.argmax
         return best, evaluate(model, rule, topology, best)

@@ -246,6 +246,28 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "rule, value, code",
+    [
+        ("min", "ture", 2),  # a typo is refused, not read as false
+        ("max", "YES", 0),  # case-insensitive; max/minimize needs the flag set
+        ("max", "Off", 2),  # read as false: greedy_prim then refuses max/minimize
+    ],
+)
+def test_config_boolean_words(capsys, topo_line3, tmp_path, rule, value, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"topology={topo_line3}\nrule={rule}\nstrategy=greedy_prim\nforce_greedy={value}\n")
+    assert main(["optimize", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    if value == "ture":
+        assert err == (
+            "error: config key force_greedy: "
+            "expected 1/true/yes/on or 0/false/no/off, got 'ture'\n"
+        )
+    elif code == 2:
+        assert "pass force=True" in err
+
+
 def test_header_records_resolved_config(capsys, topo_line3):
     _, out = run(capsys, ["evaluate", "--topology", topo_line3, "--order", "0,1,2"])
     header = out.splitlines()[0]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from bitgather import (
     Topology,
     budget_matrix,
     evaluate,
+    fidelity_sweep,
     optimize,
     schedule_stats,
 )
@@ -187,3 +189,75 @@ class TestOptimize:
             optimize(unit_staircase, MIN, collinear3, objective="fastest")
         with pytest.raises(ValueError):
             optimize(unit_staircase, MIN, collinear3, strategy="anneal")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, topo: schedule_stats(m, MIN, topo, "sampled", count=0, seed=1),
+        lambda m, topo: schedule_stats(m, MIN, topo, "sampled", count=None, seed=1),
+        lambda m, topo: schedule_stats(m, MIN, topo, "sampled", count=5, seed=None),
+        lambda m, topo: optimize(m, MIN, topo, strategy="random_restart", count=0, seed=1),
+        lambda m, topo: optimize(m, MIN, topo, strategy="random_restart", count=None, seed=1),
+        lambda m, topo: optimize(m, MIN, topo, strategy="random_restart", count=5, seed=None),
+    ],
+    ids=[f"{caller}-{case}" for caller in ("stats", "restart") for case in ("zero", "none", "seed")],
+)
+def test_sampling_refusals(collinear3, unit_staircase, call):
+    with pytest.raises(ValueError, match=r"^sampling needs (count >= 1|an explicit seed)$"):
+        call(unit_staircase, collinear3)
+
+
+_GAUSS = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
+
+
+def _assert_no_new_cycle(call) -> None:
+    """The second call leaves nothing for the cyclic collector (the first
+    may fill caches)."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, topo: schedule_stats(m, MIN, topo, "exhaustive"),
+        lambda m, topo: schedule_stats(_GAUSS, ADD, topo, "exhaustive"),
+        lambda m, topo: schedule_stats(m, MAX, topo, "sampled", count=50, seed=0),
+        lambda m, topo: optimize(m, MIN, topo, strategy="brute_force"),
+        lambda m, topo: optimize(m, MIN, topo, objective="maximize", strategy="brute_force"),
+        lambda m, topo: optimize(_GAUSS, ADD, topo, strategy="brute_force"),
+        lambda m, topo: optimize(m, MIN, topo, strategy="greedy_prim"),
+        lambda m, topo: optimize(m, MAX, topo, strategy="greedy_prim", force=True),
+        lambda m, topo: optimize(m, MIN, topo, strategy="random_restart", count=50, seed=0),
+        lambda m, topo: evaluate(m, MIN, topo, range(topo.size)),
+        lambda m, topo: fidelity_sweep(m, MIN, topo, range(topo.size), [0.5, 2.0], [1, 2]),
+    ],
+    ids=[
+        "exhaustive", "exhaustive-additive", "sampled", "brute", "brute-max", "brute-additive",
+        "prim", "prim-forced", "restart", "evaluate", "fidelity_sweep",
+    ],
+)
+def test_leaves_no_reference_cycle(unit_staircase, call):
+    topo = random_topology(random.Random(21), 6)
+    _assert_no_new_cycle(lambda: call(unit_staircase, topo))
+
+
+def test_refused_search_leaves_no_reference_cycle(unit_staircase, monkeypatch):
+    topo = random_topology(random.Random(21), 6)
+    monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", 500)
+
+    def refused():
+        try:
+            optimize(unit_staircase, MIN, topo, objective="maximize", strategy="brute_force")
+        except InfeasibleError:
+            return
+        raise AssertionError("the search was not refused")
+
+    _assert_no_new_cycle(refused)
