@@ -1,10 +1,14 @@
 """Command-line front end: reproducible, scriptable runs.
 
-Subcommands: bits, sweep, evaluate, optimize, simulate, stats. Options can
-come from a flat key=value config file (--config); command-line flags win.
-Every run prints its fully resolved configuration as comment lines, so any
-output file documents how to regenerate itself. All randomness flows from
-explicit seeds; nothing reads the clock.
+Subcommands: bits, sweep, evaluate, optimize, simulate, stats. One table,
+_COMMANDS, declares each: its handler, its help line and its option rows
+(name, converter, default, help); the parser and the config reader read only
+that. Options can come from a flat key=value config file (--config);
+command-line flags win. main then builds the model (and the rule, if the
+command takes one), calls the handler and puts the fully resolved
+configuration above its output as a comment line, so any output file
+documents how to regenerate itself. All randomness flows from explicit
+seeds; nothing reads the clock.
 
 Exit codes: 0 success, 2 configuration error, 3 input/output error,
 4 infeasible request (e.g. exhaustive enumeration on a large topology).
@@ -41,12 +45,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def _list_of(conv: Callable[[str], Any], what: str) -> Callable[[str], list]:
+    def parse(text: str) -> list:
+        try:
+            return [conv(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:  # argparse shows this message, not the function name
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "numbers")
 
 
 def _bool(text: str) -> bool:
@@ -58,48 +70,18 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
 
 
-# (name, converter, default); default None means required
-_COMMON_MODEL = [
-    ("model", int, 1),
-    ("n", int, 5),
-    ("alpha", float, 1.0),
-    ("beta", float, 1.0),
+# (name, converter, default, help); default None means required
+_Option = tuple[str, Callable[[str], Any], Any, str]
+_TOPOLOGY: _Option = ("topology", str, None, "path to id,x,y placement file")
+_MODEL: list[_Option] = [
+    ("model", int, 1, "1 = power-law staircase, 2 = Gaussian decay"),
+    ("n", int, 5, f"bits per reading (at most 2**53; simulate: at most {SIMULATE_WIDTH_LIMIT})"),
+    ("alpha", float, 1.0, "model scale parameter (alpha1 or alpha2)"),
+    ("beta", float, 1.0, "model exponent parameter (beta1 or beta2)"),
 ]
-_OPTIONS: dict[str, list[tuple[str, Callable[[Any], Any], Any]]] = {
-    "bits": [("topology", str, None)] + _COMMON_MODEL,
-    "sweep": _COMMON_MODEL
-    + [("d_min", float, 0.0), ("d_max", float, 8.0), ("d_step", float, 0.1)],
-    "evaluate": [("topology", str, None)]
-    + _COMMON_MODEL
-    + [("rule", str, "min"), ("order", _int_list, None)],
-    "optimize": [("topology", str, None)]
-    + _COMMON_MODEL
-    + [
-        ("rule", str, "min"),
-        ("objective", str, "minimize"),
-        ("strategy", str, "brute_force"),
-        ("restarts", int, 100),
-        ("seed", int, 0),
-        ("force_greedy", _bool, False),
-    ],
-    "simulate": [("topology", str, None)]
-    + _COMMON_MODEL
-    + [
-        ("rule", str, "min"),
-        ("order", _int_list, "identity"),
-        ("smoothness", _float_list, [0.0]),
-        ("seeds", _int_list, [0]),
-    ],
-    "stats": [("topology", str, None)]
-    + _COMMON_MODEL
-    + [
-        ("rule", str, "min"),
-        ("mode", str, "sampled"),
-        ("samples", int, 1000),
-        ("seed", int, 0),
-        ("workers", int, 1),
-    ],
-}
+_RULE: _Option = ("rule", str, "min", "conditioning rule: min, max, or additive")
+_RULED = [_TOPOLOGY, *_MODEL, _RULE]  # how every command that takes --rule begins
+_SEED: _Option = ("seed", int, 0, "seed for sampled/randomized search")
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -121,19 +103,20 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict[str, Any]:
     """Merge CLI flags over config-file values over defaults."""
+    options = _COMMANDS[command][2]
     cfg = _read_config(args.config) if args.config else {}
-    unknown = set(cfg) - {name for name, _, _ in _OPTIONS[command]}
+    unknown = set(cfg) - {name for name, *_ in options}
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     resolved = {}
-    for name, conv, default in _OPTIONS[command]:
+    for name, conv, default, _help in options:
         cli_value = getattr(args, name)
         if cli_value is not None:
             resolved[name] = cli_value
         elif name in cfg:
             try:
                 resolved[name] = conv(cfg[name])
-            except ValueError as exc:  # a converter's, naming the text it refused
+            except (ValueError, argparse.ArgumentTypeError) as exc:  # naming the text it refused
                 raise ConfigError(f"config key {name}: {exc}") from None
         elif default is None:
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
@@ -167,9 +150,8 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _header(command: str, cfg: dict[str, Any]) -> list[str]:
-    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in cfg.items())
-    return [f"# bitgather {command} {pairs}"]
+def _header(command: str, cfg: dict[str, Any]) -> str:
+    return f"# bitgather {command} " + " ".join(f"{k}={_fmt(v)}" for k, v in cfg.items())
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -180,15 +162,13 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_bits(cfg: dict[str, Any]) -> list[str]:
-    model = _build_model(cfg)
+def _cmd_bits(cfg: dict[str, Any], model) -> list[str]:
     rows = budget_matrix(model, load_topology(cfg["topology"]))
     text = {b: str(b) for b in set().union(*rows)}  # only the budgets that occur
-    return _header("bits", cfg) + [",".join(map(text.__getitem__, row)) for row in rows]
+    return [",".join(map(text.__getitem__, row)) for row in rows]
 
 
-def _cmd_sweep(cfg: dict[str, Any]) -> list[str]:
-    model = _build_model(cfg)
+def _cmd_sweep(cfg: dict[str, Any], model) -> list[str]:
     d_min, d_max, d_step = cfg["d_min"], cfg["d_max"], cfg["d_step"]
     for name in ("d_min", "d_max", "d_step"):
         if not math.isfinite(cfg[name]):
@@ -199,7 +179,7 @@ def _cmd_sweep(cfg: dict[str, Any]) -> list[str]:
     steps = (d_max + 1e-12 - d_min) / d_step
     if steps >= SWEEP_ROW_LIMIT:
         raise InfeasibleError(f"sweep refused: more than {SWEEP_ROW_LIMIT} rows")
-    lines = _header("sweep", cfg) + ["d\tbudget"]
+    lines = ["d\tbudget"]
     # capped, and rows whose distance did not grow are skipped, because
     # d_min + k * d_step can stall where d_step is below d_min's precision
     last, last_text = -math.inf, ""
@@ -224,17 +204,12 @@ def _report_lines(order: Sequence[int], report) -> list[str]:
     return lines
 
 
-def _cmd_evaluate(cfg: dict[str, Any]) -> list[str]:
-    model = _build_model(cfg)
-    rule = _build_rule(cfg)
-    topo = load_topology(cfg["topology"])
-    report = evaluate(model, rule, topo, cfg["order"])
-    return _header("evaluate", cfg) + _report_lines(cfg["order"], report)
+def _cmd_evaluate(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
+    report = evaluate(model, rule, load_topology(cfg["topology"]), cfg["order"])
+    return _report_lines(cfg["order"], report)
 
 
-def _cmd_optimize(cfg: dict[str, Any]) -> list[str]:
-    model = _build_model(cfg)
-    rule = _build_rule(cfg)
+def _cmd_optimize(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
     topo = load_topology(cfg["topology"])
     order, report = optimize(
         model,
@@ -246,34 +221,28 @@ def _cmd_optimize(cfg: dict[str, Any]) -> list[str]:
         seed=cfg["seed"],
         force=cfg["force_greedy"],
     )
-    return _header("optimize", cfg) + _report_lines(order, report)
+    return _report_lines(order, report)
 
 
-def _cmd_simulate(cfg: dict[str, Any]) -> list[str]:
-    model = _build_model(cfg)
-    rule = _build_rule(cfg)
+def _cmd_simulate(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
     if model.n > SIMULATE_WIDTH_LIMIT:
         raise InfeasibleError(f"simulate refused: n above {SIMULATE_WIDTH_LIMIT} bits per reading")
     topo = load_topology(cfg["topology"])
-    order = cfg["order"]
-    if order == "identity":
-        order = list(range(topo.size))
-        cfg = dict(cfg, order=order)
-    rows = fidelity_sweep(model, rule, topo, order, cfg["smoothness"], cfg["seeds"])
-    lines = _header("simulate", cfg) + ["L\tseed\ttotal_bits\texact_count\tmax_abs_error"]
+    if cfg["order"] == "identity":  # in place, so the header echoes the full order
+        cfg["order"] = list(range(topo.size))
+    rows = fidelity_sweep(model, rule, topo, cfg["order"], cfg["smoothness"], cfg["seeds"])
+    lines = ["L\tseed\ttotal_bits\texact_count\tmax_abs_error"]
     for smoothness, seed, total, exact, err in rows:
         lines.append(f"{smoothness:.6g}\t{seed}\t{total}\t{exact}\t{err}")
     return lines
 
 
-def _cmd_stats(cfg: dict[str, Any]) -> list[str]:
-    model = _build_model(cfg)
-    rule = _build_rule(cfg)
+def _cmd_stats(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
     topo = load_topology(cfg["topology"])
     stats = schedule_stats(
         model, rule, topo, cfg["mode"], count=cfg["samples"], seed=cfg["seed"]
     )
-    lines = _header("stats", cfg) + ["metric,value"]
+    lines = ["metric,value"]
     lines.append(f"mean_total,{stats.mean_total!r}")
     lines.append(f"min_total,{stats.min_total}")
     lines.append(f"max_total,{stats.max_total}")
@@ -284,45 +253,40 @@ def _cmd_stats(cfg: dict[str, Any]) -> list[str]:
     return lines
 
 
-_COMMANDS = {
-    "bits": _cmd_bits,
-    "sweep": _cmd_sweep,
-    "evaluate": _cmd_evaluate,
-    "optimize": _cmd_optimize,
-    "simulate": _cmd_simulate,
-    "stats": _cmd_stats,
-}
-
-_HELP = {
-    "bits": "pairwise budget matrix (CSV) for a topology",
-    "sweep": "distance-vs-budget table (TSV) for plotting the model curve",
-    "evaluate": "per-node budgets and total bits for one polling order",
-    "optimize": "search for a best polling order",
-    "simulate": "generate fields, gather, and report fidelity (TSV)",
-    "stats": "min/mean/max total bits over schedules",
-}
-
-_FLAG_HELP = {
-    "topology": "path to id,x,y placement file",
-    "model": "1 = power-law staircase, 2 = Gaussian decay",
-    "n": f"bits per reading (at most 2**53; simulate: at most {SIMULATE_WIDTH_LIMIT})",
-    "alpha": "model scale parameter (alpha1 or alpha2)",
-    "beta": "model exponent parameter (beta1 or beta2)",
-    "rule": "conditioning rule: min, max, or additive",
-    "order": "comma-separated polling order, e.g. 0,2,1",
-    "smoothness": "comma-separated field smoothness values (L)",
-    "seeds": "comma-separated field seeds",
-    "seed": "seed for sampled/randomized search",
-    "mode": "exhaustive or sampled",
-    "samples": "number of sampled schedules",
-    "workers": "accepted and ignored: sampled stats run serially",
-    "objective": "minimize or maximize",
-    "strategy": "brute_force, greedy_prim, or random_restart",
-    "restarts": "restarts for random_restart",
-    "force_greedy": "run greedy_prim as a heuristic outside its exact regime",
-    "d_min": "sweep start distance (finite)",
-    "d_max": "sweep end distance (finite)",
-    "d_step": f"sweep step (finite, positive; at most {SWEEP_ROW_LIMIT} rows)",
+# command -> (handler, help line, options in the order the header echoes them)
+_COMMANDS: dict[str, tuple[Callable[..., list[str]], str, list[_Option]]] = {
+    "bits": (_cmd_bits, "pairwise budget matrix (CSV) for a topology", [_TOPOLOGY, *_MODEL]),
+    "sweep": (_cmd_sweep, "distance-vs-budget table (TSV) for plotting the model curve", [
+        *_MODEL,
+        ("d_min", float, 0.0, "sweep start distance (finite)"),
+        ("d_max", float, 8.0, "sweep end distance (finite)"),
+        ("d_step", float, 0.1, f"sweep step (finite, positive; at most {SWEEP_ROW_LIMIT} rows)"),
+    ]),
+    "evaluate": (_cmd_evaluate, "per-node budgets and total bits for one polling order", [
+        *_RULED,
+        ("order", _int_list, None, "comma-separated polling order, e.g. 0,2,1"),
+    ]),
+    "optimize": (_cmd_optimize, "search for a best polling order", [
+        *_RULED,
+        ("objective", str, "minimize", "minimize or maximize"),
+        ("strategy", str, "brute_force", "brute_force, greedy_prim, or random_restart"),
+        ("restarts", int, 100, "restarts for random_restart"),
+        _SEED,
+        ("force_greedy", _bool, False, "run greedy_prim as a heuristic outside its exact regime"),
+    ]),
+    "simulate": (_cmd_simulate, "generate fields, gather, and report fidelity (TSV)", [
+        *_RULED,
+        ("order", _int_list, "identity", "comma-separated polling order, e.g. 0,2,1"),
+        ("smoothness", _float_list, [0.0], "comma-separated field smoothness values (L)"),
+        ("seeds", _int_list, [0], "comma-separated field seeds"),
+    ]),
+    "stats": (_cmd_stats, "min/mean/max total bits over schedules", [
+        *_RULED,
+        ("mode", str, "sampled", "exhaustive or sampled"),
+        ("samples", int, 1000, "number of sampled schedules"),
+        _SEED,
+        ("workers", int, 1, "accepted and ignored: sampled stats run serially"),
+    ]),
 }
 
 
@@ -334,21 +298,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "for correlated sensor fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in _OPTIONS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+    for command, (_handler, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        for name, conv, _default in options:
+        for name, conv, _default, help_text in options:
+            # a boolean flag takes no value; every flag defaults to None, "not given"
+            how = {"action": "store_const", "const": True} if conv is _bool else {"type": conv}
             flag = "--" + name.replace("_", "-")
-            if conv is _bool:
-                p.add_argument(
-                    flag, dest=name, action="store_const", const=True, default=None,
-                    help=_FLAG_HELP.get(name),
-                )
-            else:
-                p.add_argument(
-                    flag, dest=name, type=conv, default=None, help=_FLAG_HELP.get(name)
-                )
+            p.add_argument(flag, dest=name, default=None, help=help_text, **how)
     return parser
 
 
@@ -356,8 +314,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args.command, args)
-        lines = _COMMANDS[args.command](cfg)
-        _emit(lines, args.out)
+        model = _build_model(cfg)
+        built = (model, _build_rule(cfg)) if "rule" in cfg else (model,)
+        lines = _COMMANDS[args.command][0](cfg, *built)
+        _emit([_header(args.command, cfg), *lines], args.out)
     except (ValueError, InfeasibleError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (TopologyError, OSError)):

@@ -64,15 +64,10 @@ def decode(reference: Reading, codeword: Codeword) -> Reading:
         return Reading(value=codeword.payload, width=n)
     step = 1 << b
     k_max = (1 << (n - b)) - 1
-    k = (reference.value - codeword.payload) // step  # floor
-    best = None
-    for cand_k in (k, k + 1):
-        cand_k = max(0, min(cand_k, k_max))
-        cand = codeword.payload + cand_k * step
-        dist = abs(cand - reference.value)
-        if best is None or dist < best[0] or (dist == best[0] and cand < best[1]):
-            best = (dist, cand)
-    return Reading(value=best[1], width=n)
+    # candidates are payload + k * step; the distance is convex in k, so the
+    # nearest k (rounded half down) clamped to [0, k_max] is the nearest candidate
+    k = max(0, min((reference.value - codeword.payload + (step >> 1) - 1) // step, k_max))
+    return Reading(value=codeword.payload + k * step, width=n)
 
 
 def correctness_radius(bits: int) -> int:

@@ -294,6 +294,8 @@ def test_header_records_resolved_config(capsys, topo_line3):
         (["bits", "--beta", "-0.5"], 0, "\n0,1,2\n1,0,1\n2,1,0\n"),
         (["stats", "--mode", "bogus"], 2, "mode must be exhaustive or sampled, got 'bogus'"),
         (["optimize", "--strategy", "bogus"], 2, "unknown strategy 'bogus'"),
+        (["evaluate", "--rule", "bogus", "--order", "0,1,2"], 2,
+         "error: rule must be min, max, or additive, got 'bogus'\n"),
         (["evaluate", "--order", "0,1,2", "--out", "/nonexistent/out.csv"], 3,
          "No such file or directory"),
         # simulate holds n-bit readings: n is bounded by SIMULATE_WIDTH_LIMIT
@@ -340,3 +342,59 @@ def test_main_repeats_exactly_across_runs(capsys, topo_line3):
     assert runs[0] == runs[3] and runs[0][0] == 0
     assert runs[1] == runs[4] and runs[1][0] == 2
     assert runs[2][0] == 2 and "unrecognized arguments: --bogus" in runs[2][2]
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["evaluate", "--order", "0,a"], "--order: expected comma-separated integers, got '0,a'"),
+        (["simulate", "--seeds", "1,x"], "--seeds: expected comma-separated integers, got '1,x'"),
+        (["simulate", "--smoothness", "1,x"],
+         "--smoothness: expected comma-separated numbers, got '1,x'"),
+    ],
+)
+def test_bad_list_flag_names_the_flag(capsys, topo_line3, argv, expect):
+    with pytest.raises(SystemExit) as exc:  # argparse rejects a flag by exiting
+        main(argv + ["--topology", topo_line3])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {expect}\n" in err
+    assert "_int_list" not in err and "_float_list" not in err
+
+
+def test_bad_list_config_value_names_the_key(capsys, topo_line3, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"topology={topo_line3}\norder=0,a\n")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key order: expected comma-separated integers, got '0,a'\n"
+    )
+
+
+def test_unreadable_config_exits_2(capsys, tmp_path):
+    missing = tmp_path / "absent.cfg"
+    assert main(["sweep", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {missing}: ")
+
+
+def test_config_line_without_equals_exits_2(capsys, tmp_path):
+    # the comment and the blank line are skipped: the error names line 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nrule\n")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: expected key=value, got 'rule'\n"
+
+
+@pytest.mark.parametrize(
+    "record, expect",
+    [
+        ("a,0,0", "line 2: id 'a' is not an integer"),
+        ("0,zz,0", "line 2: non-numeric coordinate"),
+        ("-1,0,0", "line 2: negative id -1"),
+    ],
+)
+def test_bad_topology_record_exits_3(capsys, tmp_path, record, expect):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,x,y\n{record}\n")
+    assert main(["bits", "--topology", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {expect}\n"

@@ -119,3 +119,16 @@ def test_reading_and_codeword_validation():
         Codeword(2, 1)
     with pytest.raises(ValueError):
         Codeword(1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_decode_is_nearest_codeword_exhaustive(n):
+    """Every reference, payload and budget, within the correctness radius and
+    beyond it: the nearest n-bit value with the payload's low bits, ties
+    toward the smaller."""
+    for bits in range(n + 1):
+        for payload in range(1 << bits):
+            candidates = range(payload, 1 << n, 1 << bits)
+            for reference in range(1 << n):
+                want = min(candidates, key=lambda c: (abs(c - reference), c))
+                assert decode(Reading(reference, n), Codeword(payload, bits)).value == want

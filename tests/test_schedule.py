@@ -117,6 +117,28 @@ class TestStats:
             assert stats.max_total == report.total
 
 
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # exp(29**2) and exp(30**2) overflow: every term with node 1 is inf
+        [(0, 0), (30, 0), (1, 0)],
+        # each term is finite (about exp(709)), but node 0's exact sum overflows
+        [(0, 0), (26.627, 0), (26.627, 0.01), (26.627, -0.01)],
+        # the same with that node last, so a floor above 0 for it prunes every leaf
+        [(26.627, 0), (26.627, 0.01), (26.627, -0.01), (0, 0)],
+    ],
+)
+def test_additive_brute_force_matches_exhaustive_at_overflow(points):
+    """The ADDITIVE minimize floors hold where a node's terms overflow; a
+    floor above a budget would prune every leaf."""
+    m = GaussianDecayModel(n=8, alpha=1.0, beta=-1.0)
+    topo = Topology.from_positions(points)
+    stats = schedule_stats(m, ADD, topo, "exhaustive")
+    order, report = optimize(m, ADD, topo, objective="minimize", strategy="brute_force")
+    assert (order, report.total) == (stats.argmin, stats.min_total)
+
+
 class TestOptimize:
     def test_collinear_minimum(self, collinear3, unit_staircase):
         _, report = optimize(unit_staircase, MIN, collinear3, strategy="brute_force")
