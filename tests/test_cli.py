@@ -294,13 +294,13 @@ def test_header_records_resolved_config(capsys, topo_line3):
         (["bits", "--beta", "-0.5"], 0, "\n0,1,2\n1,0,1\n2,1,0\n"),
         (["stats", "--mode", "bogus"], 2, "mode must be exhaustive or sampled, got 'bogus'"),
         (["optimize", "--strategy", "bogus"], 2, "unknown strategy 'bogus'"),
-        (["evaluate", "--rule", "bogus", "--order", "0,1,2"], 2,
-         "error: rule must be min, max, or additive, got 'bogus'\n"),
         (["evaluate", "--order", "0,1,2", "--out", "/nonexistent/out.csv"], 3,
          "No such file or directory"),
         # simulate holds n-bit readings: n is bounded by SIMULATE_WIDTH_LIMIT
         (["simulate", "--n", str(2**16), "--smoothness", "1"], 0, "\n1\t0\t"),
         (["simulate", "--n", str(2**16 + 1)], 4, "simulate refused: n above 65536"),
+        (["evaluate", "--rule", "bogus", "--order", "0,1,2"], 2,
+         "error: rule must be min, max, or additive, got 'bogus'\n"),
     ],
 )
 def test_non_finite_and_overflowing_parameters(capsys, tmp_path, argv, code, expect):
