@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import shlex
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -151,7 +152,9 @@ def _fmt(value: Any) -> str:
 
 
 def _header(command: str, cfg: dict[str, Any]) -> str:
-    return f"# bitgather {command} " + " ".join(f"{k}={_fmt(v)}" for k, v in cfg.items())
+    # shell-quoted, so a value with a space still reads back as one word
+    words = (f"{k}={shlex.quote(_fmt(v))}" for k, v in cfg.items())
+    return f"# bitgather {command} " + " ".join(words)
 
 
 def _emit(lines: list[str], out: str | None) -> None:

@@ -13,15 +13,17 @@ attains each.
 
 One kernel, _Attach, keeps each unpolled node's link into the polled set
 and updates it in O(N) per poll; evaluate, gather and greedy_prim run on
-it. Exhaustive statistics and the brute-force search share one
+it. Exhaustive ADDITIVE statistics and the brute-force search share one
 lexicographic depth-first walk over polling prefixes, _walk, that builds
 each prefix's links once for every schedule extending it. The statistics
 visit every leaf; the search skips every prefix whose optimistic bound
 cannot beat the best total found so far, and for the two spanning-tree
-pairs the bound is exact. Sampled
-permutations are scored one by one: under MIN and MAX a node's budget is
-its first polled partner in a row ranked best first; ADDITIVE folds its
-prefix.
+pairs the bound is exact. Under MIN and MAX a node's budget is its first
+polled partner in its row ranked best first. Sampled permutations are
+scored by that scan (ADDITIVE folds its prefix), and exhaustive MIN and
+MAX statistics walk no permutation: the mean sums each node's ranked
+budgets with the share of schedules in which each sets it, and the
+extremes are the brute-force search's optima.
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -50,8 +52,8 @@ from .correlation import (  # noqa: F401
 )
 from .topology import Topology
 
-# Exhaustive stats score every permutation, and 10! is ~3.6M of them;
-# beyond that stats --mode exhaustive is refused.
+# Exhaustive ADDITIVE stats score every permutation, and 10! is ~3.6M of
+# them; beyond that stats --mode exhaustive is refused under every rule.
 EXHAUSTIVE_LIMIT = 10
 # Work units the brute-force search may spend: each visited prefix costs
 # (unpolled nodes) * N, which covers its O(N) link update and its O(N**2)
@@ -225,7 +227,8 @@ def _walk(kernel: _Attach, rows: list[list], leaf: Callable, children: Callable)
 
 def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> ScheduleStats:
     """Exact statistics over all permutations, walked in lexicographic
-    order, so argmin and argmax are the first extremes."""
+    order, so argmin and argmax are the first extremes. Used for ADDITIVE,
+    whose link is a float sum taken in polling order."""
     kernel = _Attach(model, rule, topology)
     acc = count = 0
     lo, hi = math.inf, -math.inf
@@ -242,6 +245,24 @@ def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> 
 
     _walk(kernel, kernel.rows(), leaf, lambda total, link, rest: range(len(rest)))
     return ScheduleStats(acc / count, lo, hi, argmin, argmax, count, exhaustive=True)
+
+
+def _rank_total(model: ModelSpec, rule: ConditioningRule, topology: Topology, count: int) -> int:
+    """The exact sum of the totals of all `count` = N! schedules (MIN, MAX).
+
+    A node's budget is set by its first polled partner in its row ranked
+    best first. Its j-th ranked partner (from 0) is that partner when it
+    comes first, and the node second, among the node, that partner and the
+    j partners ranked above it: in count // ((j + 1) * (j + 2)) schedules,
+    an exact division since j + 1 and j + 2 are distinct and at most N.
+    Each node is polled first, for n bits, in count // N schedules.
+    """
+    down = rule is ConditioningRule.MAX
+    acc = model.n * count
+    for v, row in enumerate(_Attach(model, rule, topology).rows()):
+        ranked = sorted(row[:v] + row[v + 1 :], reverse=down)
+        acc += sum(b * (count // ((j + 1) * (j + 2))) for j, b in enumerate(ranked))
+    return acc
 
 
 def _sample(
@@ -277,7 +298,11 @@ def schedule_stats(
 ) -> ScheduleStats:
     """Min / mean / max total bits over schedules.
 
-    mode="exhaustive" enumerates all N! permutations (N <= EXHAUSTIVE_LIMIT);
+    mode="exhaustive" is exact over all N! permutations (N <=
+    EXHAUSTIVE_LIMIT), with argmin and argmax the lexicographically first
+    extremes. Under MIN and MAX no permutation is walked: the mean is a sum
+    over each node's ranked budgets and the extremes come from the
+    brute-force search. Under ADDITIVE every permutation is scored.
     mode="sampled" draws `count` uniform permutations from `seed`.
     """
     n_nodes = topology.size
@@ -287,7 +312,15 @@ def schedule_stats(
                 f"exhaustive enumeration refused for N={n_nodes} > "
                 f"{EXHAUSTIVE_LIMIT}; use sampled mode"
             )
-        return _enumerate(model, rule, topology)
+        if rule is ConditioningRule.ADDITIVE:
+            return _enumerate(model, rule, topology)
+        count = math.factorial(n_nodes)
+        mean = _rank_total(model, rule, topology, count) / count  # as the walk divides
+        argmin = _search(model, rule, topology, "minimize")
+        argmax = _search(model, rule, topology, "maximize")
+        lo = evaluate(model, rule, topology, argmin).total
+        hi = evaluate(model, rule, topology, argmax).total
+        return ScheduleStats(mean, lo, hi, argmin, argmax, count, exhaustive=True)
 
     if mode != "sampled":
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
@@ -427,17 +460,23 @@ def _search(
 
     def children(total: int, link: list, rest: tuple[int, ...]) -> Iterator[int]:
         # each bound is tested when the walk reaches its child, so a better
-        # total found under an earlier sibling prunes the later ones
-        nonlocal work
-        for i, bound in enumerate(bounds(total, link, rest)):
-            if admits(bound):
-                work += (len(rest) - 1) * size
-                if work > SEARCH_WORK_LIMIT:
-                    raise InfeasibleError(
-                        f"brute force refused for N={size}: "
-                        f"the search exceeded {SEARCH_WORK_LIMIT} work units"
-                    )
-                yield i
+        # total found under an earlier sibling prunes the later ones; a
+        # filter holds less per open prefix than a generator frame
+        child_bounds, step = bounds(total, link, rest), (len(rest) - 1) * size
+
+        def enters(i: int) -> bool:
+            nonlocal work
+            if not admits(child_bounds[i]):
+                return False
+            work += step
+            if work > SEARCH_WORK_LIMIT:
+                raise InfeasibleError(
+                    f"brute force refused for N={size}: "
+                    f"the search exceeded {SEARCH_WORK_LIMIT} work units"
+                )
+            return True
+
+        return filter(enters, range(len(rest)))
 
     _walk(kernel, rows, leaf, children)
     return found

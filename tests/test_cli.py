@@ -1,3 +1,5 @@
+import shlex
+
 import pytest
 
 from bitgather.cli import main
@@ -274,6 +276,15 @@ def test_header_records_resolved_config(capsys, topo_line3):
     assert header.startswith("# bitgather evaluate ")
     for key in ("model=1", "n=5", "alpha=1.0", "beta=1.0", "rule=min", "order=0,1,2"):
         assert key in header
+
+
+def test_header_quotes_a_path_with_a_space(capsys, tmp_path):
+    path = tmp_path / "my nodes.csv"
+    path.write_text("id,x,y\n0,0,0\n1,3,4\n")
+    _, out = run(capsys, ["bits", "--topology", str(path)])
+    words = shlex.split(out.splitlines()[0])
+    assert words[:3] == ["#", "bitgather", "bits"]
+    assert f"topology={path}" in words
 
 
 @pytest.mark.parametrize(

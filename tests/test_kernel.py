@@ -9,6 +9,7 @@ with the same seeded shuffles, all held and each scored by evaluate.
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -37,9 +38,9 @@ from bitgather import (
     pairwise_bits,
     schedule_stats,
 )
-from bitgather.schedule import _additive_floors, _total_fn
+from bitgather.schedule import EXHAUSTIVE_LIMIT, _additive_floors, _total_fn
 
-from conftest import mst_weight
+from conftest import mst_weight, random_topology
 
 MIN, MAX, ADD = ConditioningRule.MIN, ConditioningRule.MAX, ConditioningRule.ADDITIVE
 
@@ -127,6 +128,21 @@ def spanning_optimum(model, rule, topo):
     return model.n - mst_weight([[-w for w in row] for row in weights])
 
 
+def oracle_mean(model, rule, topo):
+    """Exact mean total over all N! schedules: each node's budget given each
+    set of others, weighted by the share of schedules in which exactly that
+    set is polled before it, |S|! (N - 1 - |S|)! / N!."""
+    size, mean = topo.size, Fraction(0)
+    for v in range(size):
+        others = [u for u in range(size) if u != v]
+        for k in range(size):
+            share = Fraction(math.factorial(k) * math.factorial(size - 1 - k), math.factorial(size))
+            mean += share * sum(
+                conditioned_bits(model, rule, topo, v, prior) for prior in itertools.combinations(others, k)
+            )
+    return mean
+
+
 def oracle_gather(model, rule, topo, order, field):
     """(total, exact_count, max_abs_error) of the direct gather."""
     n = model.n
@@ -145,10 +161,42 @@ def oracle_gather(model, rule, topo, order, field):
 
 
 @SETTINGS
-@given(instances())
+@given(
+    st.one_of(
+        instances(max_nodes=7),
+        instances(max_nodes=7, coord=st.integers(0, 2).map(float)),  # tied budgets, d = 0
+    )
+)
 def test_exhaustive_stats_match_enumeration(instance):
     model, rule, topo = instance
     assert schedule_stats(model, rule, topo, "exhaustive") == oracle_stats(model, rule, topo)
+
+
+_GRID = Topology.from_positions([(float(x % 4), float(x // 4)) for x in range(EXHAUSTIVE_LIMIT)])
+
+
+@pytest.mark.parametrize("rule", [MIN, MAX], ids=["min", "max"])
+@pytest.mark.parametrize(
+    "model, topo",
+    [
+        (PowerLawModel(8, 1.0, 1.0), random_topology(random.Random(10), EXHAUSTIVE_LIMIT)),
+        (GaussianDecayModel(12, 1.0, 0.5), _GRID),  # many tied distances
+        (GaussianDecayModel(2**40, 0.7, -0.5), _GRID),
+    ],
+    ids=["power-uniform", "gauss-grid", "gauss-grid-wide"],
+)
+def test_exhaustive_stats_at_the_limit(model, rule, topo):
+    """MIN and MAX stats at N = EXHAUSTIVE_LIMIT against oracles that do not
+    walk the 10! schedules."""
+    stats = schedule_stats(model, rule, topo, "exhaustive")
+    assert stats.sample_count == math.factorial(EXHAUSTIVE_LIMIT)
+    assert stats.mean_total == float(oracle_mean(model, rule, topo))
+    argmin, low = optimize(model, rule, topo, objective="minimize", strategy="brute_force")
+    argmax, high = optimize(model, rule, topo, objective="maximize", strategy="brute_force")
+    assert (stats.argmin, stats.min_total) == (argmin, low.total)
+    assert (stats.argmax, stats.max_total) == (argmax, high.total)
+    spanning = stats.min_total if rule is MIN else stats.max_total
+    assert spanning == spanning_optimum(model, rule, topo)
 
 
 @SETTINGS

@@ -107,6 +107,18 @@ class TestStats:
         assert full.min_total <= sampled.min_total
         assert sampled.max_total <= full.max_total
 
+    def test_exhaustive_min_max_do_not_walk_every_permutation(self, unit_staircase, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked every permutation")
+
+        monkeypatch.setattr(schedule, "_enumerate", walk)
+        topo = random_topology(random.Random(23), 7)
+        for rule in (MIN, MAX):
+            assert schedule_stats(unit_staircase, rule, topo, "exhaustive").sample_count == 5040
+        m = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
+        with pytest.raises(AssertionError, match="walked"):  # ADDITIVE has no closed form
+            schedule_stats(m, ADD, topo, "exhaustive")
+
     def test_exhaustive_max_matches_brute_force_maximize(self):
         rng = random.Random(12)
         for _ in range(10):
