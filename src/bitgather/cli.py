@@ -30,7 +30,7 @@ from .correlation import (
     PowerLawModel,
     pairwise_bits,
 )
-from .schedule import InfeasibleError, budget_matrix, evaluate, optimize, schedule_stats
+from .schedule import SAMPLE_LIMIT, InfeasibleError, budget_matrix, evaluate, optimize, schedule_stats
 from .simulator import fidelity_sweep
 from .topology import TopologyError, load_topology
 
@@ -273,7 +273,7 @@ _COMMANDS: dict[str, tuple[Callable[..., list[str]], str, list[_Option]]] = {
         *_RULED,
         ("objective", str, "minimize", "minimize or maximize"),
         ("strategy", str, "brute_force", "brute_force, greedy_prim, or random_restart"),
-        ("restarts", int, 100, "restarts for random_restart"),
+        ("restarts", int, 100, f"restarts for random_restart (at most {SAMPLE_LIMIT})"),
         _SEED,
         ("force_greedy", _bool, False, "run greedy_prim as a heuristic outside its exact regime"),
     ]),
@@ -286,7 +286,7 @@ _COMMANDS: dict[str, tuple[Callable[..., list[str]], str, list[_Option]]] = {
     "stats": (_cmd_stats, "min/mean/max total bits over schedules", [
         *_RULED,
         ("mode", str, "sampled", "exhaustive or sampled"),
-        ("samples", int, 1000, "number of sampled schedules"),
+        ("samples", int, 1000, f"number of sampled schedules (at most {SAMPLE_LIMIT})"),
         _SEED,
         ("workers", int, 1, "accepted and ignored: sampled stats run serially"),
     ]),

@@ -60,8 +60,6 @@ def decode(reference: Reading, codeword: Codeword) -> Reading:
         raise ValueError(f"codeword bits {b} exceed reference width {n}")
     if b == 0:
         return reference
-    if b == n:
-        return Reading(value=codeword.payload, width=n)
     step = 1 << b
     k_max = (1 << (n - b)) - 1
     # candidates are payload + k * step; the distance is convex in k, so the

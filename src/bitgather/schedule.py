@@ -12,18 +12,19 @@ weight; a Prim order (cheapest link first under MIN, dearest under MAX)
 attains each.
 
 One kernel, _Attach, keeps each unpolled node's link into the polled set
-and updates it in O(N) per poll; evaluate, gather and greedy_prim run on
-it. Exhaustive ADDITIVE statistics and the brute-force search share one
-lexicographic depth-first walk over polling prefixes, _walk, that builds
-each prefix's links once for every schedule extending it. The statistics
-visit every leaf; the search skips every prefix whose optimistic bound
-cannot beat the best total found so far, and for the two spanning-tree
-pairs the bound is exact. Under MIN and MAX a node's budget is its first
-polled partner in its row ranked best first. Sampled permutations are
-scored by that scan (ADDITIVE folds its prefix), and exhaustive MIN and
-MAX statistics walk no permutation: the mean sums each node's ranked
-budgets with the share of schedules in which each sets it, and the
-extremes are the brute-force search's optima.
+and updates it in O(N) per poll, and its pair table, built on first use;
+evaluate, gather and greedy_prim run on it. Exhaustive ADDITIVE statistics
+and the brute-force search share one lexicographic depth-first walk over
+polling prefixes, _walk, that builds each prefix's links once for every
+schedule extending it. The statistics visit every leaf; the search skips
+every prefix whose optimistic bound cannot beat the best total found so
+far, and for the two spanning-tree pairs the bound is exact: it gives the
+optimum at the root. Under MIN and MAX a node's budget is its first polled
+partner in its row ranked best first. Sampled permutations are scored by
+that scan (ADDITIVE folds its prefix), and exhaustive MIN and MAX
+statistics walk no permutation: the mean sums each node's ranked budgets
+with the share of schedules in which each sets it, and the extremes are
+the brute-force search's optima, all from one kernel's pair table.
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -37,7 +38,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
 from statistics import fmean
 from typing import Callable, Iterator, Sequence
@@ -60,12 +61,14 @@ EXHAUSTIVE_LIMIT = 10
 # bound. The whole search tree of 10 nodes costs 62,353,000 units, so every
 # input the exhaustive limit accepts is searched to the end.
 SEARCH_WORK_LIMIT = 10**8
+# Sampled schedules (stats, optimize --strategy random_restart); one total is kept per sample.
+SAMPLE_LIMIT = 10**6
 
 
 class InfeasibleError(RuntimeError):
     """Request exceeds a size or work limit: too many permutations to
-    enumerate, too much brute-force search, or too many sweep rows or
-    simulated bits."""
+    enumerate, too much brute-force search, too many sampled schedules,
+    or too many sweep rows or simulated bits."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,7 @@ class _Attach:
 
     def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
         self.n = model.n
+        self.rule = rule
         self.distances = topology.distances
         if rule is ConditioningRule.ADDITIVE:
             require_decay(model)
@@ -118,8 +122,10 @@ class _Attach:
             self.cost = int  # the link is the budget
             empty = model.n if rule is ConditioningRule.MIN else 0
         self.link = [empty] * topology.size
+        self.root_total = model.n - self.cost(empty)  # so the first node polled pays n
         self.pending = list(range(topology.size))  # unpolled, in id order
 
+    @cached_property
     def rows(self) -> list[list]:
         """Every pair's term, computed once per unordered pair and mirrored;
         0 on the diagonal."""
@@ -154,7 +160,7 @@ def evaluate(
 
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     """Pairwise budgets for every node pair; symmetric, 0 on the diagonal."""
-    return _Attach(model, ConditioningRule.MIN, topology).rows()
+    return _Attach(model, ConditioningRule.MIN, topology).rows
 
 
 def _total_fn(
@@ -163,7 +169,7 @@ def _total_fn(
     """Total bits of one permutation, equal to evaluate().total: a ranked scan
     (about H_N probes per node on a random order), or under ADDITIVE a fold."""
     kernel = _Attach(model, rule, topology)
-    rows = kernel.rows()
+    rows = kernel.rows
     n, merge, cost = kernel.n, kernel.merge, kernel.cost
     if rule is ConditioningRule.ADDITIVE:
         # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
@@ -191,7 +197,7 @@ def _total_fn(
     return scanned
 
 
-def _walk(kernel: _Attach, rows: list[list], leaf: Callable, children: Callable) -> None:
+def _walk(kernel: _Attach, leaf: Callable, children: Callable) -> None:
     """Depth-first walk over polling prefixes in lexicographic order.
 
     Each prefix carries its total so far and every unpolled node's link
@@ -200,7 +206,7 @@ def _walk(kernel: _Attach, rows: list[list], leaf: Callable, children: Callable)
     in `rest` of the nodes to poll next; leaf(total, path, tail) receives
     each complete schedule, path followed by tail, with its total.
     """
-    merge, cost = kernel.merge, kernel.cost
+    rows, merge, cost = kernel.rows, kernel.merge, kernel.cost
     path: list[int] = []
 
     def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
@@ -219,17 +225,15 @@ def _walk(kernel: _Attach, rows: list[list], leaf: Callable, children: Callable)
             path.pop()
 
     try:
-        # every empty link is equal; offset the total so that the first node pays n
-        visit(kernel.n - cost(kernel.link[0]), kernel.link, tuple(range(len(rows))))
+        visit(kernel.root_total, kernel.link, tuple(range(len(rows))))
     finally:
         del visit  # it holds itself through its closure: free the walk's state now
 
 
-def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> ScheduleStats:
+def _enumerate(kernel: _Attach) -> ScheduleStats:
     """Exact statistics over all permutations, walked in lexicographic
     order, so argmin and argmax are the first extremes. Used for ADDITIVE,
     whose link is a float sum taken in polling order."""
-    kernel = _Attach(model, rule, topology)
     acc = count = 0
     lo, hi = math.inf, -math.inf
     argmin = argmax = ()
@@ -243,11 +247,11 @@ def _enumerate(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> 
         if t > hi:
             hi, argmax = t, (*path, *tail)
 
-    _walk(kernel, kernel.rows(), leaf, lambda total, link, rest: range(len(rest)))
+    _walk(kernel, leaf, lambda total, link, rest: range(len(rest)))
     return ScheduleStats(acc / count, lo, hi, argmin, argmax, count, exhaustive=True)
 
 
-def _rank_total(model: ModelSpec, rule: ConditioningRule, topology: Topology, count: int) -> int:
+def _rank_total(kernel: _Attach, count: int) -> int:
     """The exact sum of the totals of all `count` = N! schedules (MIN, MAX).
 
     A node's budget is set by its first polled partner in its row ranked
@@ -257,9 +261,9 @@ def _rank_total(model: ModelSpec, rule: ConditioningRule, topology: Topology, co
     an exact division since j + 1 and j + 2 are distinct and at most N.
     Each node is polled first, for n bits, in count // N schedules.
     """
-    down = rule is ConditioningRule.MAX
-    acc = model.n * count
-    for v, row in enumerate(_Attach(model, rule, topology).rows()):
+    down = kernel.rule is ConditioningRule.MAX
+    acc = kernel.n * count
+    for v, row in enumerate(kernel.rows):
         ranked = sorted(row[:v] + row[v + 1 :], reverse=down)
         acc += sum(b * (count // ((j + 1) * (j + 2))) for j, b in enumerate(ranked))
     return acc
@@ -274,6 +278,8 @@ def _sample(
         raise ValueError("sampling needs count >= 1")
     if seed is None:
         raise ValueError("sampling needs an explicit seed")
+    if count > SAMPLE_LIMIT:
+        raise InfeasibleError(f"sampling refused: more than {SAMPLE_LIMIT} schedules")
     total_of = _total_fn(model, rule, topology)
     rng, order = random.Random(seed), list(range(topology.size))
     totals, lo, hi, argmin, argmax = [], math.inf, -math.inf, (), ()
@@ -312,14 +318,13 @@ def schedule_stats(
                 f"exhaustive enumeration refused for N={n_nodes} > "
                 f"{EXHAUSTIVE_LIMIT}; use sampled mode"
             )
+        kernel = _Attach(model, rule, topology)
         if rule is ConditioningRule.ADDITIVE:
-            return _enumerate(model, rule, topology)
+            return _enumerate(kernel)
         count = math.factorial(n_nodes)
-        mean = _rank_total(model, rule, topology, count) / count  # as the walk divides
-        argmin = _search(model, rule, topology, "minimize")
-        argmax = _search(model, rule, topology, "maximize")
-        lo = evaluate(model, rule, topology, argmin).total
-        hi = evaluate(model, rule, topology, argmax).total
+        mean = _rank_total(kernel, count) / count  # as the walk divides
+        argmin, lo = _search(kernel, "minimize")
+        argmax, hi = _search(kernel, "maximize")
         return ScheduleStats(mean, lo, hi, argmin, argmax, count, exhaustive=True)
 
     if mode != "sampled":
@@ -376,35 +381,27 @@ def _additive_floors(cost: Callable[[float], int], rows: list[list]) -> list[int
     return floors
 
 
-def _search(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology, objective: str
-) -> tuple[int, ...]:
-    """The lexicographically first optimal schedule, by branch and bound.
+def _search(kernel: _Attach, objective: str) -> tuple[tuple[int, ...], int]:
+    """The lexicographically first optimal schedule and its total, by
+    branch and bound.
 
     A _walk that enters a prefix only if its optimistic bound
     (a lower bound on its completions' totals when minimizing, an upper
     bound when maximizing) beats the best total so far, or ties it while
-    that best is still the Prim order's and not a leaf of the walk. So the
+    no leaf of the walk has been kept. The best starts unbounded, or for
+    the two _SPANNING pairs at the root's exact bound, the optimum. So the
     first optimal leaf in lexicographic order is the one kept. Raises
     InfeasibleError once the walk has spent SEARCH_WORK_LIMIT work units.
     """
-    size = topology.size
+    size, rule = len(kernel.link), kernel.rule
     # the walk reaches a leaf through prefixes with N, N - 1, ..., 2 nodes
     # left, so it costs at least this much
     if size * (size * (size + 1) // 2 - 1) > SEARCH_WORK_LIMIT:
         raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
-    kernel = _Attach(model, rule, topology)
-    rows = kernel.rows()
-    merge, cost = kernel.merge, kernel.cost
+    rows, merge, cost = kernel.rows, kernel.merge, kernel.cost
     minimize = objective == "minimize"
     better = operator.lt if minimize else operator.gt
-
-    # the incumbent: the rule's Prim order from node 0, optimal for _SPANNING
-    prim_rule = ConditioningRule.MAX if rule is ConditioningRule.MAX else ConditioningRule.MIN
-    prim = _prim_order(model, prim_rule, topology, 0)
-    if rule is ConditioningRule.ADDITIVE:  # score it under the rule searched
-        prim = evaluate(model, rule, topology, [u for u, _ in prim.per_node])
-    best, found = prim.total, None
+    best, found = math.inf if minimize else -math.inf, None
     work = size * size  # the root's visit
 
     def admits(bound) -> bool:
@@ -435,6 +432,8 @@ def _search(
                     if better(row[v], key[v]):
                         key[v], hop[v] = row[v], hop_of(h, row[v])
             return [total + weight + link[v] - hop[v] for v in rest]
+
+        best = pick(bounds(kernel.root_total, kernel.link, tuple(range(size))))
 
     elif rule is ConditioningRule.ADDITIVE and minimize:
         floors = _additive_floors(cost, rows)
@@ -478,8 +477,8 @@ def _search(
 
         return filter(enters, range(len(rest)))
 
-    _walk(kernel, rows, leaf, children)
-    return found
+    _walk(kernel, leaf, children)
+    return found, best
 
 
 def optimize(
@@ -512,7 +511,7 @@ def optimize(
         raise ValueError(f"unknown objective {objective!r}")
     n_nodes = topology.size
     if strategy == "brute_force":
-        best = _search(model, rule, topology, objective)
+        best, _ = _search(_Attach(model, rule, topology), objective)
         return best, evaluate(model, rule, topology, best)
     if strategy == "greedy_prim":
         if (rule, objective) in _SPANNING:

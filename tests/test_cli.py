@@ -312,6 +312,10 @@ def test_header_quotes_a_path_with_a_space(capsys, tmp_path):
         (["simulate", "--n", str(2**16 + 1)], 4, "simulate refused: n above 65536"),
         (["evaluate", "--rule", "bogus", "--order", "0,1,2"], 2,
          "error: rule must be min, max, or additive, got 'bogus'\n"),
+        # sampled schedules are bounded by SAMPLE_LIMIT, refused before any is drawn
+        (["stats", "--samples", str(10**6 + 1)], 4, "sampling refused: more than 1000000 schedules"),
+        (["optimize", "--strategy", "random_restart", "--restarts", str(10**6 + 1)], 4,
+         "sampling refused: more than 1000000 schedules"),
     ],
 )
 def test_non_finite_and_overflowing_parameters(capsys, tmp_path, argv, code, expect):

@@ -242,6 +242,36 @@ def test_sampling_refusals(collinear3, unit_staircase, call):
         call(unit_staircase, collinear3)
 
 
+def _count_budget_calls(model) -> list[float]:
+    """Wrap the model's pairwise budget; returns the distances it is asked for."""
+    calls, budget = [], model.budget
+
+    def counted(d: float) -> int:
+        calls.append(d)
+        return budget(d)
+
+    vars(model)["budget"] = counted  # frozen: set the closure directly, as the model does
+    return calls
+
+
+@pytest.mark.parametrize("rule", [MIN, MAX], ids=["min", "max"])
+def test_exhaustive_stats_compute_each_pair_budget_once(rule):
+    """The mean and both searches share one pair table."""
+    m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
+    calls = _count_budget_calls(m)
+    schedule_stats(m, rule, random_topology(random.Random(31), 8), "exhaustive")
+    assert len(calls) == 8 * 7 // 2
+
+
+def test_refused_brute_force_computes_no_budget():
+    m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
+    calls = _count_budget_calls(m)
+    topo = Topology.from_positions([(float(i), 0.0) for i in range(585)])
+    with pytest.raises(InfeasibleError, match="above the search's work limit"):
+        optimize(m, MIN, topo, strategy="brute_force")
+    assert calls == []
+
+
 _GAUSS = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
 
 
