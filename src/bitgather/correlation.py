@@ -10,7 +10,9 @@ Two model families are supported:
 Both depend on distance only, so the pairwise budget is symmetric by
 construction. Conditioning on a set of already-transmitted nodes uses one
 of three rules: nearest prior node (MIN), farthest prior node (MAX), or a
-summed exponential term (ADDITIVE, Gaussian-decay parameters only).
+summed exponential term (ADDITIVE, Gaussian-decay parameters only): the
+exact sum of the prior nodes' decay terms, rounded once, so their polling
+order does not matter.
 Each model binds one budget closure at construction, model.budget(d): the
 only copy of its formula, shared by pairwise_bits and the hot loops.
 """
@@ -143,6 +145,38 @@ def pairwise_bits(model: ModelSpec, d: float) -> int:
     return model.budget(d)
 
 
+# Every finite float is a whole number of 2**-1074 units, so sums of units are exact.
+_UNIT = 2**1074
+# An infinite term, in units: 2**1024, past the float range like every sum it joins.
+_INF_UNITS = 2**2098
+
+
+def to_units(term: float) -> int:
+    """A non-negative decay term as a whole number of 2**-1074 units."""
+    try:
+        p, q = term.as_integer_ratio()  # q is a power of two, at most 2**1074
+    except OverflowError:  # inf
+        return _INF_UNITS
+    return p << (1075 - q.bit_length())
+
+
+def from_units(units: int) -> float:
+    """A sum of units rounded once to a float; inf past the float range."""
+    try:
+        return units / _UNIT  # int / int is correctly rounded
+    except OverflowError:
+        return math.inf
+
+
+def decay_sum(terms: Iterable[float]) -> float:
+    """The exact sum of non-negative decay terms rounded once; inf past the float range."""
+    terms = [*terms]  # list() would not reuse CPython's cache of freed lists, and so fill it
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # fsum can overflow midway on a sum that rounds to the largest float
+        return from_units(sum(map(to_units, terms)))
+
+
 def conditioned_bits(
     model: ModelSpec,
     rule: ConditioningRule,
@@ -153,8 +187,9 @@ def conditioned_bits(
     """Bits node i must transmit given the nodes in `prior` already have.
 
     An empty prior set means i transmits everything (n bits). The ADDITIVE
-    rule requires Gaussian-decay parameters; MIN/MAX work with either model.
-    The tests use this direct definition as the oracle for schedule.py.
+    rule requires Gaussian-decay parameters and costs the decay_sum of the
+    prior nodes' terms; MIN/MAX work with either model. The tests use this
+    direct definition as the oracle for schedule.py.
     """
     prior_set = set(prior)
     if i in prior_set:
@@ -165,8 +200,8 @@ def conditioned_bits(
 
     if rule is ConditioningRule.ADDITIVE:
         require_decay(model)
-        s = sum(model.decay_term(topology.distance(i, j)) for j in prior_set)
-        return model.decay_bits(s)
+        terms = [model.decay_term(topology.distance(i, j)) for j in prior_set]
+        return model.decay_bits(decay_sum(terms))
 
     budgets = [pairwise_bits(model, topology.distance(i, j)) for j in prior_set]
     return min(budgets) if rule is ConditioningRule.MIN else max(budgets)

@@ -13,18 +13,17 @@ attains each.
 
 One kernel, _Attach, keeps each unpolled node's link into the polled set
 and updates it in O(N) per poll, and its pair table, built on first use;
-evaluate, gather and greedy_prim run on it. Exhaustive ADDITIVE statistics
-and the brute-force search share one lexicographic depth-first walk over
-polling prefixes, _walk, that builds each prefix's links once for every
-schedule extending it. The statistics visit every leaf; the search skips
-every prefix whose optimistic bound cannot beat the best total found so
-far, and for the two spanning-tree pairs the bound is exact: it gives the
-optimum at the root. Under MIN and MAX a node's budget is its first polled
-partner in its row ranked best first. Sampled permutations are scored by
-that scan (ADDITIVE folds its prefix), and exhaustive MIN and MAX
-statistics walk no permutation: the mean sums each node's ranked budgets
-with the share of schedules in which each sets it, and the extremes are
-the brute-force search's optima, all from one kernel's pair table.
+evaluate, gather and greedy_prim run on it. Under every rule a node's
+budget depends only on the set polled before it (ADDITIVE rounds the exact
+sum of its decay terms once), so exhaustive statistics make one backward
+pass over the 2**N polled sets (Held & Karp 1962), not the N! orders. The
+brute-force search is a lexicographic depth-first walk over polling
+prefixes, _walk, that builds each prefix's links once for every schedule
+extending it and skips every prefix whose optimistic bound cannot beat the
+best total so far; for the two spanning-tree pairs the bound is exact.
+Under MIN and MAX a node's budget is its first polled partner in its row
+ranked best first; sampled permutations are scored by that scan (ADDITIVE
+folds its prefix).
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -37,8 +36,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import islice
 from statistics import fmean
 from typing import Callable, Iterator, Sequence
@@ -48,13 +46,16 @@ from .correlation import (  # noqa: F401
     ConditioningRule,
     ModelSpec,
     conditioned_bits,
+    decay_sum,
+    from_units,
     pairwise_bits,
     require_decay,
+    to_units,
 )
 from .topology import Topology
 
-# Exhaustive ADDITIVE stats score every permutation, and 10! is ~3.6M of
-# them; beyond that stats --mode exhaustive is refused under every rule.
+# Exhaustive stats fold a budget for each node and polled set, 5120 at N = 10;
+# beyond that stats --mode exhaustive is refused under every rule.
 EXHAUSTIVE_LIMIT = 10
 # Work units the brute-force search may spend: each visited prefix costs
 # (unpolled nodes) * N, which covers its O(N) link update and its O(N**2)
@@ -100,10 +101,12 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
 class _Attach:
     """The attach recurrence: each node's link into the polled set.
 
-    A link is the min or max pairwise budget to the polled nodes, or the
-    sum of their decay terms in polling order (ADDITIVE); cost(link) is the
-    node's budget. poll(u) merges u's term into every unpolled link,
-    computing terms on demand.
+    A link is the min or max pairwise budget to the polled nodes, or under
+    ADDITIVE the exact sum of their decay terms as a whole number of
+    2**-1074 units (to_units); cost(link) is the node's budget. poll(u)
+    merges u's term into every unpolled link, computing terms on demand.
+    rows is the pair table of budgets or decay terms; fold(row entries)
+    is the budget given a whole polled set.
     """
 
     def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
@@ -112,13 +115,16 @@ class _Attach:
         self.distances = topology.distances
         if rule is ConditioningRule.ADDITIVE:
             require_decay(model)
-            self.term = model.decay_term
+            decay_term, decay_bits = model.decay_term, model.decay_bits
+            self.pair = decay_term
+            self.term = lambda d: to_units(decay_term(d))
             self.merge = operator.add
-            self.cost = model.decay_bits
-            empty = 0.0
+            self.cost = lambda link: decay_bits(from_units(link))
+            self.fold = lambda terms: decay_bits(decay_sum(terms))
+            empty = 0
         else:
-            self.term = model.budget
-            self.merge = min if rule is ConditioningRule.MIN else max
+            self.pair = self.term = model.budget
+            self.merge = self.fold = min if rule is ConditioningRule.MIN else max
             self.cost = int  # the link is the budget
             empty = model.n if rule is ConditioningRule.MIN else 0
         self.link = [empty] * topology.size
@@ -127,12 +133,19 @@ class _Attach:
 
     @cached_property
     def rows(self) -> list[list]:
-        """Every pair's term, computed once per unordered pair and mirrored;
-        0 on the diagonal."""
+        """Every pair's budget, or decay term under ADDITIVE, computed once
+        per unordered pair and mirrored; 0 on the diagonal."""
         rows: list[list] = []
         for i, drow in enumerate(self.distances):
-            rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.term, drow[i + 1 :])])
+            rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.pair, drow[i + 1 :])])
         return rows
+
+    @cached_property
+    def steps(self) -> list[list]:
+        """rows as the terms merged into links: whole units under ADDITIVE."""
+        if self.rule is not ConditioningRule.ADDITIVE:
+            return self.rows
+        return [list(map(to_units, row)) for row in self.rows]
 
     def poll(self, u: int) -> int:
         """Poll u; returns its budget."""
@@ -163,22 +176,24 @@ def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     return _Attach(model, ConditioningRule.MIN, topology).rows
 
 
-def _total_fn(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology
-) -> Callable[[Sequence[int]], int]:
-    """Total bits of one permutation, equal to evaluate().total: a ranked scan
-    (about H_N probes per node on a random order), or under ADDITIVE a fold."""
-    kernel = _Attach(model, rule, topology)
-    rows = kernel.rows
-    n, merge, cost = kernel.n, kernel.merge, kernel.cost
-    if rule is ConditioningRule.ADDITIVE:
+def _budgets(kernel: _Attach, order: Sequence[int]) -> Iterator[int]:
+    """Each node's budget in `order`, folded from the pair table."""
+    rows, fold = kernel.rows, kernel.fold
+    yield kernel.n
+    for k in range(1, len(order)):
         # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
-        return lambda order: n + sum(
-            cost(reduce(merge, map(rows[order[k]].__getitem__, islice(order, k))))
-            for k in range(1, len(order))
-        )
+        yield fold(map(rows[order[k]].__getitem__, islice(order, k)))
+
+
+def _total_fn(kernel: _Attach) -> Callable[[Sequence[int]], int]:
+    """Total bits of one permutation, equal to evaluate().total: a ranked scan
+    (about H_N probes per node on a random order), or under ADDITIVE a fold
+    of each node's prefix."""
+    if kernel.rule is ConditioningRule.ADDITIVE:
+        return lambda order: sum(_budgets(kernel, order))
+    rows, n = kernel.rows, kernel.n
     ids = list(range(len(rows)))  # shared, so the ranked lists hold the same ints
-    down = rule is ConditioningRule.MAX
+    down = kernel.rule is ConditioningRule.MAX
     ranked = [sorted(ids[:v] + ids[v + 1 :], key=r.__getitem__, reverse=down) for v, r in enumerate(rows)]
     pos = ids[:]  # pos[u]: u's position in the order being scored
 
@@ -206,7 +221,7 @@ def _walk(kernel: _Attach, leaf: Callable, children: Callable) -> None:
     in `rest` of the nodes to poll next; leaf(total, path, tail) receives
     each complete schedule, path followed by tail, with its total.
     """
-    rows, merge, cost = kernel.rows, kernel.merge, kernel.cost
+    rows, merge, cost = kernel.steps, kernel.merge, kernel.cost
     path: list[int] = []
 
     def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
@@ -230,43 +245,44 @@ def _walk(kernel: _Attach, leaf: Callable, children: Callable) -> None:
         del visit  # it holds itself through its closure: free the walk's state now
 
 
-def _enumerate(kernel: _Attach) -> ScheduleStats:
-    """Exact statistics over all permutations, walked in lexicographic
-    order, so argmin and argmax are the first extremes. Used for ADDITIVE,
-    whose link is a float sum taken in polling order."""
-    acc = count = 0
-    lo, hi = math.inf, -math.inf
-    argmin = argmax = ()
+def _exhaustive(kernel: _Attach) -> ScheduleStats:
+    """Exact statistics over all N! schedules from one backward pass over
+    the 2**N polled sets (Held & Karp 1962).
 
-    def leaf(t: int, path: list[int], tail: tuple[int, ...]) -> None:
-        nonlocal acc, count, lo, hi, argmin, argmax
-        acc += t
-        count += 1
-        if t < lo:
-            lo, argmin = t, (*path, *tail)
-        if t > hi:
-            hi, argmax = t, (*path, *tail)
-
-    _walk(kernel, leaf, lambda total, link, rest: range(len(rest)))
-    return ScheduleStats(acc / count, lo, hi, argmin, argmax, count, exhaustive=True)
-
-
-def _rank_total(kernel: _Attach, count: int) -> int:
-    """The exact sum of the totals of all `count` = N! schedules (MIN, MAX).
-
-    A node's budget is set by its first polled partner in its row ranked
-    best first. Its j-th ranked partner (from 0) is that partner when it
-    comes first, and the node second, among the node, that partner and the
-    j partners ranked above it: in count // ((j + 1) * (j + 2)) schedules,
-    an exact division since j + 1 and j + 2 are distinct and at most N.
-    Each node is polled first, for n bits, in count // N schedules.
+    A node's budget depends only on the set S polled before it, so the least
+    and greatest totals of the nodes after S are g(S) = best over v not in S
+    of budget(v | S) + g(S | {v}). v follows S in |S|! (N - 1 - |S|)!
+    schedules, which weights the exact integer sum of all totals. argmin and
+    argmax take the lowest optimal v forward from the empty set: the
+    lexicographically first extremes. Budgets are folded afresh from the
+    pair table, so the pass keeps two ints per set.
     """
-    down = kernel.rule is ConditioningRule.MAX
-    acc = kernel.n * count
-    for v, row in enumerate(kernel.rows):
-        ranked = sorted(row[:v] + row[v + 1 :], reverse=down)
-        acc += sum(b * (count // ((j + 1) * (j + 2))) for j, b in enumerate(ranked))
-    return acc
+    rows, fold, size = kernel.rows, kernel.fold, len(kernel.rows)
+    ids, full = range(size), (1 << size) - 1
+    weights = [math.factorial(k) * math.factorial(size - 1 - k) for k in ids]
+
+    def budgets(s: int) -> list[tuple[int, int]]:
+        """(v, budget(v | S)) for each node v outside the set S, in id order."""
+        members = [u for u in ids if s >> u & 1]
+        out = [v for v in ids if not s >> v & 1]
+        return [(v, fold(map(rows[v].__getitem__, members)) if s else kernel.n) for v in out]
+
+    lo, hi, acc = [0] * (full + 1), [0] * (full + 1), 0
+    for s in range(full - 1, -1, -1):  # every superset of s comes first
+        outs = budgets(s)
+        acc += sum(b for _, b in outs) * weights[size - len(outs)]
+        lo[s] = min(b + lo[s | 1 << v] for v, b in outs)
+        hi[s] = max(b + hi[s | 1 << v] for v, b in outs)
+
+    def first(g: list[int]) -> tuple[int, ...]:
+        s, order = 0, []
+        while s != full:
+            order.append(next(v for v, b in budgets(s) if b + g[s | 1 << v] == g[s]))
+            s |= 1 << order[-1]
+        return tuple(order)
+
+    count = math.factorial(size)
+    return ScheduleStats(acc / count, lo[0], hi[0], first(lo), first(hi), count, exhaustive=True)
 
 
 def _sample(
@@ -280,7 +296,7 @@ def _sample(
         raise ValueError("sampling needs an explicit seed")
     if count > SAMPLE_LIMIT:
         raise InfeasibleError(f"sampling refused: more than {SAMPLE_LIMIT} schedules")
-    total_of = _total_fn(model, rule, topology)
+    total_of = _total_fn(_Attach(model, rule, topology))
     rng, order = random.Random(seed), list(range(topology.size))
     totals, lo, hi, argmin, argmax = [], math.inf, -math.inf, (), ()
     for _ in range(count):
@@ -306,9 +322,10 @@ def schedule_stats(
 
     mode="exhaustive" is exact over all N! permutations (N <=
     EXHAUSTIVE_LIMIT), with argmin and argmax the lexicographically first
-    extremes. Under MIN and MAX no permutation is walked: the mean is a sum
-    over each node's ranked budgets and the extremes come from the
-    brute-force search. Under ADDITIVE every permutation is scored.
+    extremes. No permutation is walked: under every rule a node's budget
+    depends only on the set polled before it (ADDITIVE rounds the exact sum
+    of its decay terms once), so one backward pass over the 2**N polled
+    sets gives the minimum, the maximum and the exact mean.
     mode="sampled" draws `count` uniform permutations from `seed`.
     """
     n_nodes = topology.size
@@ -318,14 +335,7 @@ def schedule_stats(
                 f"exhaustive enumeration refused for N={n_nodes} > "
                 f"{EXHAUSTIVE_LIMIT}; use sampled mode"
             )
-        kernel = _Attach(model, rule, topology)
-        if rule is ConditioningRule.ADDITIVE:
-            return _enumerate(kernel)
-        count = math.factorial(n_nodes)
-        mean = _rank_total(kernel, count) / count  # as the walk divides
-        argmin, lo = _search(kernel, "minimize")
-        argmax, hi = _search(kernel, "maximize")
-        return ScheduleStats(mean, lo, hi, argmin, argmax, count, exhaustive=True)
+        return _exhaustive(_Attach(model, rule, topology))
 
     if mode != "sampled":
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
@@ -336,49 +346,37 @@ def schedule_stats(
 _SPANNING = {(ConditioningRule.MIN, "minimize"), (ConditioningRule.MAX, "maximize")}
 
 
-def _prim_order(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology, start: int
-) -> BitReport:
-    """Prim order from `start` with its budgets under `rule` (MIN or MAX):
+def _prim_order(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> BitReport:
+    """Prim order from node 0 with its budgets under `rule` (MIN or MAX):
     always poll the node whose link is cheapest under MIN, dearest under
     MAX, ties toward the lowest id."""
     kernel = _Attach(model, rule, topology)
     pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-    per_node = []
-    u = start
+    per_node, u = [], 0
     while kernel.pending:
         per_node.append((u, kernel.poll(u)))
         u = pick(kernel.pending, key=kernel.link.__getitem__, default=-1)
     return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
 
 
-def _additive_floors(cost: Callable[[float], int], rows: list[list]) -> list[int]:
-    """A lower bound on each node's ADDITIVE budget in any schedule.
+def _prim_from(table: list[list[int]], start: int) -> tuple[int, ...]:
+    """The MIN-rule Prim order from `start` over a table of pairwise budgets:
+    cheapest link first, ties toward the lowest id."""
+    link, order = table[start], [start]
+    pending = [v for v in range(len(table)) if v != start]
+    while pending:
+        u = min(pending, key=link.__getitem__)
+        pending.remove(u)
+        order.append(u)
+        link = list(map(min, link, table[u]))
+    return tuple(order)
 
-    A node's link is a float sum of non-negative decay terms (possibly inf),
-    added in polling order. Each addition of non-negative floats rounds up
-    by at most a factor 1 + 2**-53 (one with a subnormal result is exact),
-    so after k additions the link is at most the exact sum of all the
-    node's terms times (1 + 2**-53)**k <= 1 + k * 2**-52. That bound is
-    rounded up to a float, or is inf. cost is non-increasing in the link
-    (each step of decay_bits and clamped_ceil is monotone under rounding),
-    so the cost of the bound is at most the node's budget.
-    """
-    floors = []
-    for v, row in enumerate(rows):
-        terms = row[:v] + row[v + 1 :]
-        if math.inf in terms:
-            top = math.inf
-        else:
-            exact = sum(map(Fraction, terms)) * (1 + Fraction(len(terms), 2**52))
-            try:
-                top = float(exact)
-            except OverflowError:
-                top = math.inf
-            if top < exact:
-                top = math.nextafter(top, math.inf)
-        floors.append(cost(top))
-    return floors
+
+def _additive_floors(kernel: _Attach) -> list[int]:
+    """A lower bound on each node's ADDITIVE budget in any schedule: its
+    budget given every other node. The exact sum only rises as nodes are
+    polled, and cost does not rise with it (decay_bits is monotone)."""
+    return [kernel.fold(row[:v] + row[v + 1 :]) for v, row in enumerate(kernel.rows)]
 
 
 def _search(kernel: _Attach, objective: str) -> tuple[tuple[int, ...], int]:
@@ -398,7 +396,7 @@ def _search(kernel: _Attach, objective: str) -> tuple[tuple[int, ...], int]:
     # left, so it costs at least this much
     if size * (size * (size + 1) // 2 - 1) > SEARCH_WORK_LIMIT:
         raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
-    rows, merge, cost = kernel.rows, kernel.merge, kernel.cost
+    rows, merge, cost = kernel.steps, kernel.merge, kernel.cost
     minimize = objective == "minimize"
     better = operator.lt if minimize else operator.gt
     best, found = math.inf if minimize else -math.inf, None
@@ -436,7 +434,7 @@ def _search(kernel: _Attach, objective: str) -> tuple[tuple[int, ...], int]:
         best = pick(bounds(kernel.root_total, kernel.link, tuple(range(size))))
 
     elif rule is ConditioningRule.ADDITIVE and minimize:
-        floors = _additive_floors(cost, rows)
+        floors = _additive_floors(kernel)
 
         def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
             others = sum(map(floors.__getitem__, rest))
@@ -446,10 +444,9 @@ def _search(kernel: _Attach, objective: str) -> tuple[tuple[int, ...], int]:
 
         def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
             # A link only moves one way as nodes are polled: a MIN link falls,
-            # a MAX link rises, and an ADDITIVE sum of non-negative terms
-            # rises (adding one never rounds below the sum before it). So
-            # once v is polled, each other node's cost is at least its budget
-            # (MIN, ADDITIVE: maximize) or at most it (MAX: minimize).
+            # a MAX link rises, and an exact ADDITIVE sum of non-negative terms
+            # rises. So once v is polled, each other node's cost is at least
+            # its budget (MIN, ADDITIVE: maximize) or at most it (MAX: minimize).
             out = []
             for i, v in enumerate(rest):
                 row, others = rows[v], rest[:i] + rest[i + 1 :]
@@ -503,7 +500,8 @@ def optimize(
     "minimize" and the MAX rule with "maximize": the Prim order from node
     0 totals n plus the min (max) spanning tree weight. For other pairs it
     is refused unless `force` is set; then it runs as a heuristic that
-    tries every start node and keeps the best MIN-rule Prim order.
+    tries every start node and keeps the best MIN-rule Prim order, all on
+    one table of pairwise budgets.
     random_restart keeps the best of `count` seeded random permutations.
     Among equal totals the first schedule tried wins.
     """
@@ -515,7 +513,7 @@ def optimize(
         return best, evaluate(model, rule, topology, best)
     if strategy == "greedy_prim":
         if (rule, objective) in _SPANNING:
-            report = _prim_order(model, rule, topology, 0)
+            report = _prim_order(model, rule, topology)
             return tuple(u for u, _ in report.per_node), report
         if not force:
             raise ValueError(
@@ -523,13 +521,13 @@ def optimize(
                 "and the max rule with objective maximize; pass force=True to run "
                 "it as a heuristic"
             )
-        candidates = [
-            tuple(u for u, _ in _prim_order(model, ConditioningRule.MIN, topology, start).per_node)
-            for start in range(n_nodes)
-        ]
+        kernel = _Attach(model, rule, topology)  # under MIN and MAX its rows are the budgets
+        table = budget_matrix(model, topology) if rule is ConditioningRule.ADDITIVE else kernel.rows
+        candidates = [_prim_from(table, start) for start in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
-        best = pick(candidates, key=_total_fn(model, rule, topology))
-        return best, evaluate(model, rule, topology, best)
+        best = pick(candidates, key=_total_fn(kernel))
+        bits = list(_budgets(kernel, best))
+        return best, BitReport(per_node=tuple(zip(best, bits)), total=sum(bits))
     if strategy == "random_restart":
         stats = _sample(model, rule, topology, count, seed)
         best = stats.argmin if objective == "minimize" else stats.argmax

@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from statistics import fmean
 
@@ -38,7 +39,8 @@ from bitgather import (
     pairwise_bits,
     schedule_stats,
 )
-from bitgather.schedule import EXHAUSTIVE_LIMIT, _additive_floors, _total_fn
+from bitgather.correlation import decay_sum, from_units, to_units
+from bitgather.schedule import EXHAUSTIVE_LIMIT, _additive_floors, _Attach, _total_fn
 
 from conftest import mst_weight, random_topology
 
@@ -62,7 +64,7 @@ def instances(
     positions = draw(st.lists(st.tuples(coord, coord), min_size=min_nodes, max_size=max_nodes))
     n = draw(widths)
     alpha = draw(st.floats(0.1, 3.0))
-    if draw(st.booleans()):
+    if any(r is not ADD for r in rules) and draw(st.booleans()):
         # beta > 0 keeps coincident nodes away from the singular 0**beta
         model = PowerLawModel(n=n, alpha=alpha, beta=draw(st.floats(0.1, 2.5)))
         valid = [r for r in rules if r is not ADD]
@@ -165,6 +167,7 @@ def oracle_gather(model, rule, topo, order, field):
     st.one_of(
         instances(max_nodes=7),
         instances(max_nodes=7, coord=st.integers(0, 2).map(float)),  # tied budgets, d = 0
+        instances(max_nodes=7, rules=(ADD,), widths=st.just(2**53)),  # a bit per 2**-53 of sum
     )
 )
 def test_exhaustive_stats_match_enumeration(instance):
@@ -175,19 +178,28 @@ def test_exhaustive_stats_match_enumeration(instance):
 _GRID = Topology.from_positions([(float(x % 4), float(x // 4)) for x in range(EXHAUSTIVE_LIMIT)])
 
 
-@pytest.mark.parametrize("rule", [MIN, MAX], ids=["min", "max"])
+_UNIFORM = random_topology(random.Random(10), EXHAUSTIVE_LIMIT)
+_AT_LIMIT = [
+    ("power-uniform", PowerLawModel(8, 1.0, 1.0), _UNIFORM),
+    ("gauss-grid", GaussianDecayModel(12, 1.0, 0.5), _GRID),  # many tied distances
+    ("gauss-grid-wide", GaussianDecayModel(2**40, 0.7, -0.5), _GRID),
+    ("gauss-uniform-wide", GaussianDecayModel(2**53, 1.0, 0.05), _UNIFORM),
+]
+
+
 @pytest.mark.parametrize(
-    "model, topo",
+    "model, rule, topo",
     [
-        (PowerLawModel(8, 1.0, 1.0), random_topology(random.Random(10), EXHAUSTIVE_LIMIT)),
-        (GaussianDecayModel(12, 1.0, 0.5), _GRID),  # many tied distances
-        (GaussianDecayModel(2**40, 0.7, -0.5), _GRID),
+        pytest.param(model, rule, topo, id=f"{name}-{rule.value}")
+        for name, model, topo in _AT_LIMIT
+        for rule in (MIN, MAX, ADD)
+        if rule is not ADD or isinstance(model, GaussianDecayModel)
     ],
-    ids=["power-uniform", "gauss-grid", "gauss-grid-wide"],
 )
 def test_exhaustive_stats_at_the_limit(model, rule, topo):
-    """MIN and MAX stats at N = EXHAUSTIVE_LIMIT against oracles that do not
-    walk the 10! schedules."""
+    """Stats at N = EXHAUSTIVE_LIMIT against oracles that do not walk the
+    10! schedules: the mean summed over polled sets, the extremes from the
+    brute-force search."""
     stats = schedule_stats(model, rule, topo, "exhaustive")
     assert stats.sample_count == math.factorial(EXHAUSTIVE_LIMIT)
     assert stats.mean_total == float(oracle_mean(model, rule, topo))
@@ -195,8 +207,9 @@ def test_exhaustive_stats_at_the_limit(model, rule, topo):
     argmax, high = optimize(model, rule, topo, objective="maximize", strategy="brute_force")
     assert (stats.argmin, stats.min_total) == (argmin, low.total)
     assert (stats.argmax, stats.max_total) == (argmax, high.total)
-    spanning = stats.min_total if rule is MIN else stats.max_total
-    assert spanning == spanning_optimum(model, rule, topo)
+    if rule is not ADD:
+        spanning = stats.min_total if rule is MIN else stats.max_total
+        assert spanning == spanning_optimum(model, rule, topo)
 
 
 @SETTINGS
@@ -227,7 +240,7 @@ def test_single_order_paths_match_direct_budgets(instance, rng):
     report = evaluate(model, rule, topo, order)
     assert report.per_node == tuple(zip(order, budgets))
     assert report.total == sum(budgets)
-    assert _total_fn(model, rule, topo)(order) == sum(budgets)
+    assert _total_fn(_Attach(model, rule, topo))(order) == sum(budgets)
 
 
 @SETTINGS
@@ -255,7 +268,7 @@ def test_sampled_paths_match_scored_shuffles(instance, count, seed):
 )
 def test_total_fn_matches_evaluate(instance, rng):
     model, rule, topo = instance
-    total_of = _total_fn(model, rule, topo)  # one scorer for several orders
+    total_of = _total_fn(_Attach(model, rule, topo))  # one scorer for several orders
     order = list(range(topo.size))
     for _ in range(5):
         rng.shuffle(order)
@@ -298,17 +311,116 @@ def test_brute_force_where_bounds_are_tight(model, rule, objective, positions):
     assert order == (expected.argmin if objective == "minimize" else expected.argmax)
 
 
+def star(model, terms):
+    """A topology in which node 0's decay terms to nodes 1, 2, ... are `terms`
+    and every other pair's term is 0: the model now reads its terms from a
+    table keyed by distance."""
+    k = len(terms) + 1
+    table = {float(i): t for i, t in enumerate(terms, 1)} | {float(k): 0.0}
+    vars(model)["decay_term"] = table.__getitem__
+    rows = [[float(max(i, j) if 0 in (i, j) else k * (i != j)) for j in range(k)] for i in range(k)]
+    return Topology(positions=((0.0, 0.0),) * k, distances=tuple(map(tuple, rows)))
+
+
 def test_additive_floor_covers_every_polling_order():
-    # summed in the order a, c, b these terms round one ulp above the exact
-    # sum of all three rounded up, and at n = 2**40 an ulp is a whole bit
+    # summed as running floats in the order a, c, b these terms round one ulp
+    # above their exact sum, and at n = 2**40 an ulp is a whole bit
     terms = [0.3415763282153053, 0.31522513914241207, 0.28963258630651645]
     model = GaussianDecayModel(n=2**40, alpha=1.0, beta=1.0)
-    rows = [[0, *terms]] + [[t, 0, 0, 0] for t in terms]
-    links = [functools.reduce(operator.add, order, 0.0) for order in itertools.permutations(terms)]
-    lowest = min(map(model.decay_bits, links))
-    assert _additive_floors(model.decay_bits, rows)[0] <= lowest
-    exact = sum(map(Fraction, terms))
-    assert float(exact) >= exact and model.decay_bits(float(exact)) > lowest
+    sums = [functools.reduce(operator.add, order, 0.0) for order in itertools.permutations(terms)]
+    running = set(map(model.decay_bits, sums))
+    assert len(running) == 2
+    topo = star(model, terms)
+    exact = conditioned_bits(model, ADD, topo, 0, [1, 2, 3])
+    assert exact == model.decay_bits(math.fsum(terms)) and exact in running
+    for order in itertools.permutations([1, 2, 3]):
+        assert evaluate(model, ADD, topo, [*order, 0]).per_node[-1] == (0, exact)
+    assert _additive_floors(_Attach(model, ADD, topo))[0] == exact
+
+
+_TOP = sys.float_info.max  # (2**53 - 1) * 2**971; halfway to 2**1024 is _TOP + 2**970
+
+
+@pytest.mark.parametrize(
+    "terms, exact",
+    [
+        # fsum overflows midway in some orders, though the sum rounds to _TOP
+        ([_TOP - 2.0**972, 2.0**970 + 2.0**918, 2.0**972 - 2.0**919], _TOP),
+        ([_TOP, 2.0**970 - 2.0**918], _TOP),  # just below halfway
+        ([_TOP, 2.0**970], math.inf),  # halfway rounds to even: 2**1024
+        ([_TOP / 2, _TOP / 2], _TOP),
+        ([2.0**1023, 2.0**1023], math.inf),
+        ([_TOP, 5e-324, math.inf], math.inf),
+    ],
+)
+def test_unit_link_and_fsum_agree_at_the_float_range_edge(terms, exact):
+    # alpha so small that a sum of _TOP leaves bits over and inf leaves none
+    model = GaussianDecayModel(n=2**53, alpha=5e-324, beta=1.0)
+    assert model.decay_bits(_TOP) > 0 == model.decay_bits(math.inf)
+    topo = star(model, terms)
+    assert from_units(sum(map(to_units, terms))) == exact
+    budget = conditioned_bits(model, ADD, topo, 0, range(1, topo.size))
+    assert budget == model.decay_bits(exact)
+    for order in itertools.permutations(range(1, topo.size)):
+        assert decay_sum(terms[u - 1] for u in order) == exact
+        assert evaluate(model, ADD, topo, [*order, 0]).per_node[-1] == (0, budget)
+
+
+@SETTINGS
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.floats(0.0, _TOP),
+            st.sampled_from([0.0, 5e-324, 2.0**-1022, 2.0**970, _TOP, math.inf]),
+        ),
+        max_size=6,
+    )
+)
+def test_decay_sum_is_the_exact_sum_rounded_once(terms):
+    exact = sum(map(Fraction, filter(math.isfinite, terms)))
+    assert decay_sum(terms) == from_units(sum(map(to_units, terms)))
+    if math.inf not in terms and exact < Fraction(_TOP) + 2**970:  # below halfway to 2**1024
+        assert decay_sum(terms) == float(exact)  # Fraction rounds correctly
+    else:
+        assert decay_sum(terms) == math.inf
+
+
+@SETTINGS
+@given(
+    instances(min_nodes=2, max_nodes=6, rules=(ADD,), widths=st.sampled_from([12, 2**40, 2**53])),
+    st.data(),
+)
+def test_additive_budget_depends_on_the_polled_set_only(instance, data):
+    """Every polling order of a prior set gives one budget: conditioned_bits."""
+    model, _, topo = instance
+    v, *others = data.draw(st.permutations(range(topo.size)))
+    prior = others[: data.draw(st.integers(0, len(others)))]
+    rest = others[len(prior) :]
+    budget = conditioned_bits(model, ADD, topo, v, prior)
+    for order in itertools.permutations(prior):
+        assert evaluate(model, ADD, topo, [*order, v, *rest]).per_node[len(prior)] == (v, budget)
+
+
+@SETTINGS
+@given(
+    st.one_of(instances(max_nodes=8), instances(max_nodes=8, coord=st.integers(0, 2).map(float))),
+    st.sampled_from(["minimize", "maximize"]),
+)
+def test_forced_greedy_prim_keeps_the_best_min_rule_prim_order(instance, objective):
+    model, rule, topo = instance
+    if (rule, objective) in ((MIN, "minimize"), (MAX, "maximize")):
+        rule = ADD if isinstance(model, GaussianDecayModel) else MAX if rule is MIN else MIN
+    weights = [
+        [pairwise_bits(model, topo.distance(i, j)) if i != j else 0 for j in range(topo.size)]
+        for i in range(topo.size)
+    ]
+    starts = [oracle_prim(weights, start) for start in range(topo.size)]
+    totals = [sum(oracle_budgets(model, rule, topo, o)) for o in starts]
+    best = starts[totals.index(min(totals) if objective == "minimize" else max(totals))]
+    order, report = optimize(model, rule, topo, objective, "greedy_prim", force=True)
+    assert order == best
+    assert report == evaluate(model, rule, topo, best)
 
 
 @SETTINGS

@@ -16,7 +16,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather import schedule
-from bitgather.schedule import _total_fn
+from bitgather.schedule import _Attach, _total_fn
 
 from conftest import mst_weight, random_topology
 
@@ -72,7 +72,7 @@ class TestEvaluate:
                 rule = rng.choice([MIN, MAX, ADD])
             order = list(range(topo.size))
             rng.shuffle(order)
-            assert _total_fn(m, rule, topo)(order) == evaluate(m, rule, topo, order).total
+            assert _total_fn(_Attach(m, rule, topo))(order) == evaluate(m, rule, topo, order).total
 
 
 class TestStats:
@@ -108,16 +108,19 @@ class TestStats:
         assert sampled.max_total <= full.max_total
 
     def test_exhaustive_min_max_do_not_walk_every_permutation(self, unit_staircase, monkeypatch):
-        def walk(*args):
-            raise AssertionError("walked every permutation")
+        """No rule reaches the prefix walk: all three pass over polled sets."""
 
-        monkeypatch.setattr(schedule, "_enumerate", walk)
+        def walk(*args):
+            raise AssertionError("walked the polling prefixes")
+
+        monkeypatch.setattr(schedule, "_walk", walk)
         topo = random_topology(random.Random(23), 7)
         for rule in (MIN, MAX):
             assert schedule_stats(unit_staircase, rule, topo, "exhaustive").sample_count == 5040
         m = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
-        with pytest.raises(AssertionError, match="walked"):  # ADDITIVE has no closed form
-            schedule_stats(m, ADD, topo, "exhaustive")
+        assert schedule_stats(m, ADD, topo, "exhaustive").sample_count == 5040
+        with pytest.raises(AssertionError, match="walked"):  # the patch is in force
+            optimize(m, ADD, topo, strategy="brute_force")
 
     def test_exhaustive_max_matches_brute_force_maximize(self):
         rng = random.Random(12)
@@ -261,6 +264,15 @@ def test_exhaustive_stats_compute_each_pair_budget_once(rule):
     calls = _count_budget_calls(m)
     schedule_stats(m, rule, random_topology(random.Random(31), 8), "exhaustive")
     assert len(calls) == 8 * 7 // 2
+
+
+@pytest.mark.parametrize("rule, objective", [(MIN, "maximize"), (MAX, "minimize")])
+def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
+    """Every Prim start, the scoring and the report share one pair table."""
+    m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
+    calls = _count_budget_calls(m)
+    optimize(m, rule, random_topology(random.Random(32), 40), objective, "greedy_prim", force=True)
+    assert len(calls) <= 40 * 39 // 2
 
 
 def test_refused_brute_force_computes_no_budget():
