@@ -104,15 +104,15 @@ class _Attach:
     A link is the min or max pairwise budget to the polled nodes, or under
     ADDITIVE the exact sum of their decay terms as a whole number of
     2**-1074 units (to_units); cost(link) is the node's budget. poll(u)
-    merges u's term into every unpolled link, computing terms on demand.
-    rows is the pair table of budgets or decay terms; fold(row entries)
-    is the budget given a whole polled set.
+    merges u's term into every unpolled link, computing distances and terms
+    on demand. rows, the O(N**2) pair table of budgets or decay terms, is
+    built on first read; fold(row entries) is the budget given a polled set.
     """
 
     def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
         self.n = model.n
         self.rule = rule
-        self.distances = topology.distances
+        self.distances_from = topology.distances_from
         if rule is ConditioningRule.ADDITIVE:
             require_decay(model)
             decay_term, decay_bits = model.decay_term, model.decay_bits
@@ -136,8 +136,9 @@ class _Attach:
         """Every pair's budget, or decay term under ADDITIVE, computed once
         per unordered pair and mirrored; 0 on the diagonal."""
         rows: list[list] = []
-        for i, drow in enumerate(self.distances):
-            rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.pair, drow[i + 1 :])])
+        for i in range(len(self.link)):
+            tail = self.distances_from(i, range(i + 1, len(self.link)))
+            rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.pair, tail)])
         return rows
 
     @cached_property
@@ -152,9 +153,9 @@ class _Attach:
         pending, link = self.pending, self.link
         bits = self.n if len(pending) == len(link) else self.cost(link[u])
         pending.remove(u)
-        drow, term, merge = self.distances[u], self.term, self.merge
-        for v in pending:
-            link[v] = merge(link[v], term(drow[v]))
+        term, merge = self.term, self.merge
+        for v, d in zip(pending, self.distances_from(u, pending)):
+            link[v] = merge(link[v], term(d))
         return bits
 
 
@@ -359,13 +360,13 @@ def _prim_order(model: ModelSpec, rule: ConditioningRule, topology: Topology) ->
     return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
 
 
-def _prim_from(table: list[list[int]], start: int) -> tuple[int, ...]:
-    """The MIN-rule Prim order from `start` over a table of pairwise budgets:
-    cheapest link first, ties toward the lowest id."""
+def _prim_from(table: list[list[int]], start: int, pick: Callable = min) -> tuple[int, ...]:
+    """A MIN-rule Prim order from `start` over a table of pairwise budgets:
+    cheapest link first (pick=min) or dearest (pick=max), ties toward the lowest id."""
     link, order = table[start], [start]
     pending = [v for v in range(len(table)) if v != start]
     while pending:
-        u = min(pending, key=link.__getitem__)
+        u = pick(pending, key=link.__getitem__)
         pending.remove(u)
         order.append(u)
         link = list(map(min, link, table[u]))
@@ -500,8 +501,8 @@ def optimize(
     "minimize" and the MAX rule with "maximize": the Prim order from node
     0 totals n plus the min (max) spanning tree weight. For other pairs it
     is refused unless `force` is set; then it runs as a heuristic that
-    tries every start node and keeps the best MIN-rule Prim order, all on
-    one table of pairwise budgets.
+    tries every start node and keeps the best MIN-rule Prim order (dearest
+    link first too, for the MIN rule maximized), all on one budget table.
     random_restart keeps the best of `count` seeded random permutations.
     Among equal totals the first schedule tried wins.
     """
@@ -523,7 +524,9 @@ def optimize(
             )
         kernel = _Attach(model, rule, topology)  # under MIN and MAX its rows are the budgets
         table = budget_matrix(model, topology) if rule is ConditioningRule.ADDITIVE else kernel.rows
-        candidates = [_prim_from(table, start) for start in range(n_nodes)]
+        # cheapest-first orders aim low: to maximize a MIN total, dearest-first ones follow
+        aims = (min, max) if (rule, objective) == (ConditioningRule.MIN, "maximize") else (min,)
+        candidates = [_prim_from(table, start, aim) for aim in aims for start in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
         best = pick(candidates, key=_total_fn(kernel))
         bits = list(_budgets(kernel, best))

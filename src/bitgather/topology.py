@@ -1,12 +1,12 @@
-"""Node placement and pairwise Euclidean distances: each pair computed once
-and mirrored, overflowing distances rejected, the field plan cached."""
+"""Node placement and pairwise Euclidean distances, computed on demand from
+the positions; overflowing distances rejected, the field plan cached."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from math import dist
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,14 +17,13 @@ class TopologyError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable 2-D node layout with a precomputed distance matrix.
-
-    positions[i] is the (x, y) coordinate of node i; distances is the full
-    symmetric matrix of finite Euclidean distances. Safe for concurrent reads.
+    """Immutable 2-D node layout that holds O(N): positions[i] is the (x, y)
+    coordinate of node i, and each distance is computed when read, exactly
+    symmetric. distances, the full matrix, is built on its first read; no
+    library code reads it. Safe for concurrent reads.
     """
 
     positions: tuple[tuple[float, float], ...]
-    distances: tuple[tuple[float, ...], ...]
 
     @property
     def size(self) -> int:
@@ -34,41 +33,52 @@ class Topology:
     def from_positions(cls, positions: Sequence[tuple[float, float]]) -> "Topology":
         if not positions:
             raise TopologyError("topology needs at least one node")
-        pos = tuple((float(x), float(y)) for x, y in positions)
-        for i, (x, y) in enumerate(pos):
+        topo = cls(positions=tuple((float(x), float(y)) for x, y in positions))
+        for i, (x, y) in enumerate(topo.positions):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise TopologyError(f"non-finite coordinate for node {i}")
-        rows: list[tuple[float, ...]] = []
-        for i, (xi, yi) in enumerate(pos):
-            tail = [math.hypot(xi - xj, yi - yj) for xj, yj in pos[i + 1 :]]
-            if math.inf in tail:
-                j = i + 1 + tail.index(math.inf)
-                raise TopologyError(f"distance between nodes {i} and {j} overflows the float range")
-            rows.append((*map(itemgetter(i), rows), 0.0, *tail))  # hypot is exactly symmetric
-        return cls(positions=pos, distances=tuple(rows))
+        (xs, ys), n = zip(*topo.positions), topo.size
+        # spans <= 2**1023 keep each distance <= 2**1023.5, and dist errs by < 1 ulp: none overflows
+        if max(xs) - min(xs) > 2.0**1023 or max(ys) - min(ys) > 2.0**1023:
+            for i in range(n):
+                tail = topo.distances_from(i, range(i + 1, n))
+                if math.inf in tail:
+                    j = i + 1 + tail.index(math.inf)
+                    raise TopologyError(f"distance between nodes {i} and {j} overflows the float range")
+        return topo
+
+    def distances_from(self, i: int, nodes: Iterable[int]) -> list[float]:
+        """The distance from node i to each node of `nodes`: dist takes the
+        same differences as hypot(xi - xj, yi - yj) and returns that value."""
+        p, positions = self.positions[i], self.positions
+        return [dist(p, positions[j]) for j in nodes]
+
+    @cached_property
+    def distances(self) -> tuple[tuple[float, ...], ...]:
+        """The full symmetric matrix of distances_from rows."""
+        return tuple(tuple(self.distances_from(i, range(self.size))) for i in range(self.size))
 
     def distance(self, i: int, j: int) -> float:
-        n = self.size
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"node index out of range: ({i}, {j}) with N={n}")
-        return self.distances[i][j]
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise IndexError(f"node index out of range: ({i}, {j}) with N={self.size}")
+        return self.distances_from(i, (j,))[0]
 
     def nearest_links(self, order: Sequence[int]) -> list[tuple[float, int]]:
         """(d, u) for each node of the permutation `order`: its nearest earlier
         node u by (distance, id), at d; (inf, -1) for the first."""
         near = [(math.inf, -1)] * self.size
         for k, v in enumerate(order):  # v's link is final: update the later ones
-            row = self.distances[v]
-            for w in order[k + 1 :]:
-                if row[w] <= near[w][0] and (row[w], v) < near[w]:
-                    near[w] = (row[w], v)
+            later = order[k + 1 :]
+            for w, d in zip(later, self.distances_from(v, later)):
+                if d <= near[w][0] and (d, v) < near[w]:
+                    near[w] = (d, v)
         return [near[v] for v in order]
 
     @cached_property
     def field_plan(self) -> tuple[tuple[int, int, float], ...]:
         """The field generator's plan, cached: (v, nearest, d) for each node but
         0 in increasing distance from node 0 (ties by id), as nearest_links."""
-        order = [0, *sorted(range(1, self.size), key=self.distances[0].__getitem__)]  # stable
+        order = [0, *sorted(range(1, self.size), key=self.distances_from(0, range(self.size)).__getitem__)]
         return tuple((v, u, d) for v, (d, u) in zip(order[1:], self.nearest_links(order)[1:]))
 
 

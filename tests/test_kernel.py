@@ -110,12 +110,13 @@ def oracle_sampled(model, rule, topo, count, seed):
     return ScheduleStats(fmean(totals), lo, hi, argmin, argmax, count, exhaustive=False)
 
 
-def oracle_prim(weights, start):
-    """Prim order from `start`, cheapest link first, ties to the lowest id."""
-    order = [start]
+def oracle_prim(weights, start, dearest=False):
+    """Prim order from `start`, cheapest link first (or dearest), ties to the
+    lowest id; a node's link is its least weight to the nodes in the order."""
+    order, sign = [start], -1 if dearest else 1
     while len(order) < len(weights):
         rest = [v for v in range(len(weights)) if v not in order]
-        order.append(min(rest, key=lambda v: (min(weights[v][u] for u in order), v)))
+        order.append(min(rest, key=lambda v: (sign * min(weights[v][u] for u in order), v)))
     return tuple(order)
 
 
@@ -314,12 +315,13 @@ def test_brute_force_where_bounds_are_tight(model, rule, objective, positions):
 def star(model, terms):
     """A topology in which node 0's decay terms to nodes 1, 2, ... are `terms`
     and every other pair's term is 0: the model now reads its terms from a
-    table keyed by distance."""
-    k = len(terms) + 1
-    table = {float(i): t for i, t in enumerate(terms, 1)} | {float(k): 0.0}
-    vars(model)["decay_term"] = table.__getitem__
-    rows = [[float(max(i, j) if 0 in (i, j) else k * (i != j)) for j in range(k)] for i in range(k)]
-    return Topology(positions=((0.0, 0.0),) * k, distances=tuple(map(tuple, rows)))
+    table keyed by node 0's exact distances, 3**i to node i."""
+    topo = Topology.from_positions([(0.0, 0.0), *((3.0**i, 0.0) for i in range(1, len(terms) + 1))])
+    table = dict(zip(topo.distances_from(0, range(1, topo.size)), terms))
+    others = {d for i in range(1, topo.size) for d in topo.distances_from(i, range(i + 1, topo.size))}
+    assert len(table) == len(terms) and not others & table.keys()
+    vars(model)["decay_term"] = (table | dict.fromkeys(others, 0.0)).__getitem__
+    return topo
 
 
 def test_additive_floor_covers_every_polling_order():
@@ -415,12 +417,32 @@ def test_forced_greedy_prim_keeps_the_best_min_rule_prim_order(instance, objecti
         [pairwise_bits(model, topo.distance(i, j)) if i != j else 0 for j in range(topo.size)]
         for i in range(topo.size)
     ]
-    starts = [oracle_prim(weights, start) for start in range(topo.size)]
+    aims = (False, True) if (rule, objective) == (MIN, "maximize") else (False,)
+    starts = [oracle_prim(weights, start, dearest) for dearest in aims for start in range(topo.size)]
     totals = [sum(oracle_budgets(model, rule, topo, o)) for o in starts]
     best = starts[totals.index(min(totals) if objective == "minimize" else max(totals))]
     order, report = optimize(model, rule, topo, objective, "greedy_prim", force=True)
     assert order == best
     assert report == evaluate(model, rule, topo, best)
+
+
+def test_forced_greedy_prim_maximizes_min_rule_past_the_cheapest_first_orders():
+    rng, gains = random.Random(5), 0
+    for k in range(12):
+        model = PowerLawModel(8, 1.0, 1.0) if k % 2 else GaussianDecayModel(12, 1.0, 0.5)
+        topo = random_topology(rng, rng.randint(2, 10))
+        weights = [
+            [pairwise_bits(model, topo.distance(i, j)) if i != j else 0 for j in range(topo.size)]
+            for i in range(topo.size)
+        ]
+        cheapest_first = max(
+            sum(oracle_budgets(model, MIN, topo, oracle_prim(weights, start)))
+            for start in range(topo.size)
+        )
+        _, report = optimize(model, MIN, topo, "maximize", "greedy_prim", force=True)
+        assert cheapest_first <= report.total <= schedule_stats(model, MIN, topo, "exhaustive").max_total
+        gains += cheapest_first < report.total
+    assert gains > 0
 
 
 @SETTINGS
