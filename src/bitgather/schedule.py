@@ -15,12 +15,10 @@ One kernel, _Attach, keeps each unpolled node's link into the polled set
 and updates it in O(N) per poll, and its pair table, built on first use;
 evaluate, gather and greedy_prim run on it. Under every rule a node's
 budget depends only on the set polled before it (ADDITIVE rounds the exact
-sum of its decay terms once), so exhaustive statistics make one backward
-pass over the 2**N polled sets (Held & Karp 1962), not the N! orders. The
-brute-force search is a lexicographic depth-first walk over polling
-prefixes, _walk, that builds each prefix's links once for every schedule
-extending it and skips every prefix whose optimistic bound cannot beat the
-best total so far; for the two spanning-tree pairs the bound is exact.
+sum of its decay terms once), so one backward pass over the 2**N polled
+sets (Held & Karp 1962), not the N! orders, gives the exhaustive statistics
+and the brute-force optimum. For the two spanning-tree pairs brute force
+instead descends by an exact spanning-tree bound, in O(N**3) at any N.
 Under MIN and MAX a node's budget is its first polled partner in its row
 ranked best first; sampled permutations are scored by that scan (ADDITIVE
 folds its prefix).
@@ -54,22 +52,22 @@ from .correlation import (  # noqa: F401
 )
 from .topology import Topology
 
-# Exhaustive stats fold a budget for each node and polled set, 5120 at N = 10;
-# beyond that stats --mode exhaustive is refused under every rule.
-EXHAUSTIVE_LIMIT = 10
-# Work units the brute-force search may spend: each visited prefix costs
-# (unpolled nodes) * N, which covers its O(N) link update and its O(N**2)
-# bound. The whole search tree of 10 nodes costs 62,353,000 units, so every
-# input the exhaustive limit accepts is searched to the end.
+# The polled-set pass folds a budget for each node and polled set,
+# 16 * 2**15 = 524,288 at N = 16; beyond that exhaustive stats and brute
+# force outside the spanning pairs are refused.
+EXHAUSTIVE_LIMIT = 16
+# Work units the spanning-pair descent may spend: each prefix on its one
+# path costs (unpolled nodes) * N, which covers its O(N) link update and its
+# O(N**2) bound; from N = 585 the path alone costs more.
 SEARCH_WORK_LIMIT = 10**8
 # Sampled schedules (stats, optimize --strategy random_restart); one total is kept per sample.
 SAMPLE_LIMIT = 10**6
 
 
 class InfeasibleError(RuntimeError):
-    """Request exceeds a size or work limit: too many permutations to
-    enumerate, too much brute-force search, too many sampled schedules,
-    or too many sweep rows or simulated bits."""
+    """Request exceeds a size limit: too many polled sets for an exact
+    answer, too many nodes for the spanning-pair descent, too many sampled
+    schedules, or too many sweep rows or simulated bits."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,6 @@ class _Attach:
             self.cost = int  # the link is the budget
             empty = model.n if rule is ConditioningRule.MIN else 0
         self.link = [empty] * topology.size
-        self.root_total = model.n - self.cost(empty)  # so the first node polled pays n
         self.pending = list(range(topology.size))  # unpolled, in id order
 
     @cached_property
@@ -140,13 +137,6 @@ class _Attach:
             tail = self.distances_from(i, range(i + 1, len(self.link)))
             rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.pair, tail)])
         return rows
-
-    @cached_property
-    def steps(self) -> list[list]:
-        """rows as the terms merged into links: whole units under ADDITIVE."""
-        if self.rule is not ConditioningRule.ADDITIVE:
-            return self.rows
-        return [list(map(to_units, row)) for row in self.rows]
 
     def poll(self, u: int) -> int:
         """Poll u; returns its budget."""
@@ -213,42 +203,12 @@ def _total_fn(kernel: _Attach) -> Callable[[Sequence[int]], int]:
     return scanned
 
 
-def _walk(kernel: _Attach, leaf: Callable, children: Callable) -> None:
-    """Depth-first walk over polling prefixes in lexicographic order.
-
-    Each prefix carries its total so far and every unpolled node's link
-    into it, built once and shared by every schedule extending it.
-    children(total, link, rest) yields, in increasing order, the positions
-    in `rest` of the nodes to poll next; leaf(total, path, tail) receives
-    each complete schedule, path followed by tail, with its total.
-    """
-    rows, merge, cost = kernel.steps, kernel.merge, kernel.cost
-    path: list[int] = []
-
-    def visit(total: int, link: list, rest: tuple[int, ...]) -> None:
-        if len(rest) == 2:  # both orders of the last two nodes, no link update
-            a, b = rest
-            leaf(total + cost(link[a]) + cost(merge(link[b], rows[a][b])), path, rest)
-            leaf(total + cost(link[b]) + cost(merge(link[a], rows[b][a])), path, (b, a))
-            return
-        if len(rest) == 1:  # N = 1
-            leaf(total + cost(link[rest[0]]), path, rest)
-            return
-        for i in children(total, link, rest):
-            v = rest[i]
-            path.append(v)
-            visit(total + cost(link[v]), list(map(merge, link, rows[v])), rest[:i] + rest[i + 1 :])
-            path.pop()
-
-    try:
-        visit(kernel.root_total, kernel.link, tuple(range(len(rows))))
-    finally:
-        del visit  # it holds itself through its closure: free the walk's state now
-
-
-def _exhaustive(kernel: _Attach) -> ScheduleStats:
+def _exhaustive(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, advice: str
+) -> ScheduleStats:
     """Exact statistics over all N! schedules from one backward pass over
-    the 2**N polled sets (Held & Karp 1962).
+    the 2**N polled sets (Held & Karp 1962); refused, with `advice`, for
+    N > EXHAUSTIVE_LIMIT before any budget is computed.
 
     A node's budget depends only on the set S polled before it, so the least
     and greatest totals of the nodes after S are g(S) = best over v not in S
@@ -258,7 +218,11 @@ def _exhaustive(kernel: _Attach) -> ScheduleStats:
     lexicographically first extremes. Budgets are folded afresh from the
     pair table, so the pass keeps two ints per set.
     """
-    rows, fold, size = kernel.rows, kernel.fold, len(kernel.rows)
+    size = topology.size
+    if size > EXHAUSTIVE_LIMIT:
+        raise InfeasibleError(f"exhaustive enumeration refused for N={size} > {EXHAUSTIVE_LIMIT}; {advice}")
+    kernel = _Attach(model, rule, topology)
+    rows, fold = kernel.rows, kernel.fold
     ids, full = range(size), (1 << size) - 1
     weights = [math.factorial(k) * math.factorial(size - 1 - k) for k in ids]
 
@@ -323,20 +287,14 @@ def schedule_stats(
 
     mode="exhaustive" is exact over all N! permutations (N <=
     EXHAUSTIVE_LIMIT), with argmin and argmax the lexicographically first
-    extremes. No permutation is walked: under every rule a node's budget
+    extremes. No permutation is visited: under every rule a node's budget
     depends only on the set polled before it (ADDITIVE rounds the exact sum
     of its decay terms once), so one backward pass over the 2**N polled
     sets gives the minimum, the maximum and the exact mean.
     mode="sampled" draws `count` uniform permutations from `seed`.
     """
-    n_nodes = topology.size
     if mode == "exhaustive":
-        if n_nodes > EXHAUSTIVE_LIMIT:
-            raise InfeasibleError(
-                f"exhaustive enumeration refused for N={n_nodes} > "
-                f"{EXHAUSTIVE_LIMIT}; use sampled mode"
-            )
-        return _exhaustive(_Attach(model, rule, topology))
+        return _exhaustive(model, rule, topology, "use sampled mode")
 
     if mode != "sampled":
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
@@ -373,110 +331,40 @@ def _prim_from(table: list[list[int]], start: int, pick: Callable = min) -> tupl
     return tuple(order)
 
 
-def _additive_floors(kernel: _Attach) -> list[int]:
-    """A lower bound on each node's ADDITIVE budget in any schedule: its
-    budget given every other node. The exact sum only rises as nodes are
-    polled, and cost does not rise with it (decay_bits is monotone)."""
-    return [kernel.fold(row[:v] + row[v + 1 :]) for v, row in enumerate(kernel.rows)]
+def _spanning_descent(kernel: _Attach, objective: str) -> tuple[int, ...]:
+    """The lexicographically first optimal schedule of a _SPANNING pair.
 
-
-def _search(kernel: _Attach, objective: str) -> tuple[tuple[int, ...], int]:
-    """The lexicographically first optimal schedule and its total, by
-    branch and bound.
-
-    A _walk that enters a prefix only if its optimistic bound
-    (a lower bound on its completions' totals when minimizing, an upper
-    bound when maximizing) beats the best total so far, or ties it while
-    no leaf of the walk has been kept. The best starts unbounded, or for
-    the two _SPANNING pairs at the root's exact bound, the optimum. So the
-    first optimal leaf in lexicographic order is the one kept. Raises
-    InfeasibleError once the walk has spent SEARCH_WORK_LIMIT work units.
+    Each prefix's best completion is exact: its total plus the min (max)
+    spanning tree of the unpolled nodes and one node for the prefix, whose
+    edge to v is link[v]. Polling v next forces that edge into the tree:
+    the tree's weight changes by link[v] minus the heaviest (lightest) edge
+    on its path from the prefix to v. Every prefix polled lies on an optimal
+    schedule, so its best bound is the optimum, and the lowest node that
+    attains it is polled next. Raises InfeasibleError before any budget is
+    computed when that one path costs more than SEARCH_WORK_LIMIT.
     """
-    size, rule = len(kernel.link), kernel.rule
-    # the walk reaches a leaf through prefixes with N, N - 1, ..., 2 nodes
-    # left, so it costs at least this much
+    size = len(kernel.link)
     if size * (size * (size + 1) // 2 - 1) > SEARCH_WORK_LIMIT:
         raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
-    rows, merge, cost = kernel.steps, kernel.merge, kernel.cost
-    minimize = objective == "minimize"
-    better = operator.lt if minimize else operator.gt
-    best, found = math.inf if minimize else -math.inf, None
-    work = size * size  # the root's visit
-
-    def admits(bound) -> bool:
-        return better(bound, best) or (bound == best and found is None)
-
-    def leaf(total: int, path: list[int], tail: tuple[int, ...]) -> None:
-        nonlocal best, found
-        if admits(total):
-            best, found = total, (*path, *tail)
-
-    if (rule, objective) in _SPANNING:
-        pick, hop_of = (min, max) if minimize else (max, min)
-
-        def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
-            # Exact. The best completion of a prefix is total plus the min
-            # (max) spanning tree of the unpolled nodes and one node for the
-            # prefix, whose edge to v is link[v]. Polling v next forces that
-            # edge into the tree: the tree's weight changes by link[v] minus
-            # the heaviest (lightest) edge on its path from the prefix to v.
-            key, hop = link[:], link[:]
-            out, weight = list(rest), 0
-            while out:
-                u = pick(out, key=key.__getitem__)
-                out.remove(u)
-                weight += key[u]
-                row, h = rows[u], hop[u]
-                for v in out:
-                    if better(row[v], key[v]):
-                        key[v], hop[v] = row[v], hop_of(h, row[v])
-            return [total + weight + link[v] - hop[v] for v in rest]
-
-        best = pick(bounds(kernel.root_total, kernel.link, tuple(range(size))))
-
-    elif rule is ConditioningRule.ADDITIVE and minimize:
-        floors = _additive_floors(kernel)
-
-        def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
-            others = sum(map(floors.__getitem__, rest))
-            return [total + cost(link[v]) + others - floors[v] for v in rest]
-
-    else:
-
-        def bounds(total: int, link: list, rest: tuple[int, ...]) -> list:
-            # A link only moves one way as nodes are polled: a MIN link falls,
-            # a MAX link rises, and an exact ADDITIVE sum of non-negative terms
-            # rises. So once v is polled, each other node's cost is at least
-            # its budget (MIN, ADDITIVE: maximize) or at most it (MAX: minimize).
-            out = []
-            for i, v in enumerate(rest):
-                row, others = rows[v], rest[:i] + rest[i + 1 :]
-                moved = map(merge, map(link.__getitem__, others), map(row.__getitem__, others))
-                out.append(total + cost(link[v]) + sum(map(cost, moved)))
-            return out
-
-    def children(total: int, link: list, rest: tuple[int, ...]) -> Iterator[int]:
-        # each bound is tested when the walk reaches its child, so a better
-        # total found under an earlier sibling prunes the later ones; a
-        # filter holds less per open prefix than a generator frame
-        child_bounds, step = bounds(total, link, rest), (len(rest) - 1) * size
-
-        def enters(i: int) -> bool:
-            nonlocal work
-            if not admits(child_bounds[i]):
-                return False
-            work += step
-            if work > SEARCH_WORK_LIMIT:
-                raise InfeasibleError(
-                    f"brute force refused for N={size}: "
-                    f"the search exceeded {SEARCH_WORK_LIMIT} work units"
-                )
-            return True
-
-        return filter(enters, range(len(rest)))
-
-    _walk(kernel, leaf, children)
-    return found, best
+    rows, merge = kernel.rows, kernel.merge  # under MIN and MAX a link is its budget
+    better = operator.lt if objective == "minimize" else operator.gt
+    pick, hop_of = (min, max) if objective == "minimize" else (max, min)
+    link, rest, order = kernel.link, list(range(size)), []
+    while rest:
+        key, hop = link[:], link[:]
+        out = rest[:]
+        while out:
+            u = pick(out, key=key.__getitem__)
+            out.remove(u)
+            row, h = rows[u], hop[u]
+            for v in out:
+                if better(row[v], key[v]):
+                    key[v], hop[v] = row[v], hop_of(h, row[v])
+        bounds = [link[v] - hop[v] for v in rest]  # each less the prefix's total and tree weight
+        v = rest.pop(bounds.index(pick(bounds)))  # index: the first, lowest id
+        order.append(v)
+        link = list(map(merge, link, rows[v]))
+    return tuple(order)
 
 
 def optimize(
@@ -493,14 +381,14 @@ def optimize(
     """Search for a schedule optimizing total bits.
 
     brute_force is exact and returns the lexicographically first optimal
-    schedule. It is a branch-and-bound walk whose bound is exact for the
-    MIN rule minimized and the MAX rule maximized, so those run in about
-    O(N**3); it raises InfeasibleError once its work passes
-    SEARCH_WORK_LIMIT, which no input of up to EXHAUSTIVE_LIMIT nodes
-    reaches. greedy_prim is exact for the MIN rule with objective
-    "minimize" and the MAX rule with "maximize": the Prim order from node
-    0 totals n plus the min (max) spanning tree weight. For other pairs it
-    is refused unless `force` is set; then it runs as a heuristic that
+    schedule. For the MIN rule minimized and the MAX rule maximized it
+    descends by an exact spanning-tree bound in O(N**3), refused from
+    N = 585 on (SEARCH_WORK_LIMIT); for every other pair it is the
+    exhaustive statistics' argmin or argmax, from one pass over the 2**N
+    polled sets, refused for N > EXHAUSTIVE_LIMIT. greedy_prim is exact
+    for the MIN rule with objective "minimize" and the MAX rule with
+    "maximize": the Prim order from node 0 totals n plus the min (max)
+    spanning tree weight. For other pairs it is refused unless `force` is set; then it runs as a heuristic that
     tries every start node and keeps the best MIN-rule Prim order (dearest
     link first too, for the MIN rule maximized), all on one budget table.
     random_restart keeps the best of `count` seeded random permutations.
@@ -510,7 +398,11 @@ def optimize(
         raise ValueError(f"unknown objective {objective!r}")
     n_nodes = topology.size
     if strategy == "brute_force":
-        best, _ = _search(_Attach(model, rule, topology), objective)
+        if (rule, objective) in _SPANNING:
+            best = _spanning_descent(_Attach(model, rule, topology), objective)
+        else:
+            stats = _exhaustive(model, rule, topology, "use random_restart or greedy_prim")
+            best = stats.argmin if objective == "minimize" else stats.argmax
         return best, evaluate(model, rule, topology, best)
     if strategy == "greedy_prim":
         if (rule, objective) in _SPANNING:

@@ -3,6 +3,7 @@ import shlex
 import pytest
 
 from bitgather.cli import main
+from bitgather.schedule import EXHAUSTIVE_LIMIT
 
 
 @pytest.fixture
@@ -130,11 +131,16 @@ def test_malformed_topology_exits_3(capsys, tmp_path):
 
 def test_exhaustive_too_large_exits_4(capsys, tmp_path):
     path = tmp_path / "big.csv"
-    path.write_text("id,x,y\n" + "\n".join(f"{i},{i},0" for i in range(11)) + "\n")
+    size = EXHAUSTIVE_LIMIT + 1
+    path.write_text("id,x,y\n" + "\n".join(f"{i},{i},0" for i in range(size)) + "\n")
     code, _ = run(
         capsys, ["stats", "--topology", str(path), "--mode", "exhaustive"]
     )
     assert code == 4
+    # brute force outside the spanning pairs runs the same pass, under the same limit
+    code = main(["optimize", "--topology", str(path), "--objective", "maximize"])
+    assert code == 4
+    assert f"refused for N={size} > {EXHAUSTIVE_LIMIT}" in capsys.readouterr().err
 
 
 def test_brute_force_past_work_limit_exits_4(capsys, tmp_path):

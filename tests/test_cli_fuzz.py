@@ -36,15 +36,20 @@ def flag(name, value):
 @st.composite
 def invocations(draw):
     """(argv, placement) for one command; the topology path is added later."""
-    command = draw(st.sampled_from(["bits", "evaluate", "simulate", "stats", "sweep"]))
+    command = draw(st.sampled_from(["bits", "evaluate", "optimize", "simulate", "stats", "sweep"]))
     argv = [command, flag("model", draw(st.sampled_from([1, 2]))), flag("n", draw(widths)),
             flag("alpha", draw(reals)), flag("beta", draw(reals))]
     points = draw(placements)
-    if command in ("evaluate", "simulate", "stats"):
+    if command in ("evaluate", "optimize", "simulate", "stats"):
         argv.append(flag("rule", draw(st.sampled_from(["min", "max", "additive"]))))
     if command == "evaluate":
         order = draw(st.permutations(range(len(points))))
         argv.append(flag("order", ",".join(map(str, order))))
+    elif command == "optimize":
+        argv += [flag("strategy", draw(st.sampled_from(["brute_force", "greedy_prim", "random_restart"]))),
+                 flag("objective", draw(st.sampled_from(["minimize", "maximize"]))),
+                 flag("restarts", draw(st.integers(-1, 30)))]
+        argv += ["--force-greedy"] if draw(st.booleans()) else []
     elif command == "simulate":
         argv.append(flag("smoothness", draw(reals)))
     elif command == "stats":

@@ -40,7 +40,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather.correlation import decay_sum, from_units, to_units
-from bitgather.schedule import EXHAUSTIVE_LIMIT, _additive_floors, _Attach, _total_fn
+from bitgather.schedule import _Attach, _total_fn
 
 from conftest import mst_weight, random_topology
 
@@ -176,10 +176,13 @@ def test_exhaustive_stats_match_enumeration(instance):
     assert schedule_stats(model, rule, topo, "exhaustive") == oracle_stats(model, rule, topo)
 
 
-_GRID = Topology.from_positions([(float(x % 4), float(x // 4)) for x in range(EXHAUSTIVE_LIMIT)])
+# Fixed below the polled-set pass's limit: oracle_mean makes N * 2**(N - 1)
+# conditioned_bits calls a case, 5120 at N = 10.
+_ORACLE_N = 10
+_GRID = Topology.from_positions([(float(x % 4), float(x // 4)) for x in range(_ORACLE_N)])
 
 
-_UNIFORM = random_topology(random.Random(10), EXHAUSTIVE_LIMIT)
+_UNIFORM = random_topology(random.Random(10), _ORACLE_N)
 _AT_LIMIT = [
     ("power-uniform", PowerLawModel(8, 1.0, 1.0), _UNIFORM),
     ("gauss-grid", GaussianDecayModel(12, 1.0, 0.5), _GRID),  # many tied distances
@@ -198,11 +201,11 @@ _AT_LIMIT = [
     ],
 )
 def test_exhaustive_stats_at_the_limit(model, rule, topo):
-    """Stats at N = EXHAUSTIVE_LIMIT against oracles that do not walk the
-    10! schedules: the mean summed over polled sets, the extremes from the
-    brute-force search."""
+    """Stats at N = 10 against oracles that do not walk the 10! schedules:
+    the mean summed over polled sets, the extremes from brute force (the
+    spanning extreme from its descent and the spanning tree)."""
     stats = schedule_stats(model, rule, topo, "exhaustive")
-    assert stats.sample_count == math.factorial(EXHAUSTIVE_LIMIT)
+    assert stats.sample_count == math.factorial(_ORACLE_N)
     assert stats.mean_total == float(oracle_mean(model, rule, topo))
     argmin, low = optimize(model, rule, topo, objective="minimize", strategy="brute_force")
     argmax, high = optimize(model, rule, topo, objective="maximize", strategy="brute_force")
@@ -337,7 +340,6 @@ def test_additive_floor_covers_every_polling_order():
     assert exact == model.decay_bits(math.fsum(terms)) and exact in running
     for order in itertools.permutations([1, 2, 3]):
         assert evaluate(model, ADD, topo, [*order, 0]).per_node[-1] == (0, exact)
-    assert _additive_floors(_Attach(model, ADD, topo))[0] == exact
 
 
 _TOP = sys.float_info.max  # (2**53 - 1) * 2**971; halfway to 2**1024 is _TOP + 2**970
@@ -443,6 +445,32 @@ def test_forced_greedy_prim_maximizes_min_rule_past_the_cheapest_first_orders():
         assert cheapest_first <= report.total <= schedule_stats(model, MIN, topo, "exhaustive").max_total
         gains += cheapest_first < report.total
     assert gains > 0
+
+
+@pytest.mark.parametrize(
+    "model, rule, objective",
+    [
+        pytest.param(model, rule, objective, id=f"{name}-{rule.value}-{objective}")
+        for name, model, rules in [
+            ("power", PowerLawModel(8, 1.0, 1.0), (MAX,)),
+            ("gauss", GaussianDecayModel(12, 1.0, 0.5), (MAX, ADD)),
+            ("gauss-wide", GaussianDecayModel(2**40, 0.7, -0.5), (ADD,)),
+        ]
+        for rule in rules
+        for objective in ("minimize", "maximize")
+        if (rule, objective) != (MAX, "maximize")  # there greedy_prim is exact
+    ],
+)
+def test_forced_greedy_prim_never_beats_brute_force(model, rule, objective):
+    """Where greedy_prim is a heuristic, at N = 11-12: its report is evaluate's
+    for its order, and its total is never past the exact optimum."""
+    rng = random.Random(17)
+    for size in (11, 12):
+        topo = random_topology(rng, size)
+        order, report = optimize(model, rule, topo, objective, "greedy_prim", force=True)
+        _, exact = optimize(model, rule, topo, objective, "brute_force")
+        assert report == evaluate(model, rule, topo, order)
+        assert (exact.total <= report.total) if objective == "minimize" else (report.total <= exact.total)
 
 
 @SETTINGS

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather import schedule
-from bitgather.schedule import _Attach, _total_fn
+from bitgather.schedule import EXHAUSTIVE_LIMIT, _Attach, _total_fn
 
 from conftest import mst_weight, random_topology
 
@@ -89,7 +90,7 @@ class TestStats:
         assert stats.sample_count == 6
 
     def test_exhaustive_guard(self, unit_staircase):
-        topo = random_topology(random.Random(1), 11)
+        topo = random_topology(random.Random(1), EXHAUSTIVE_LIMIT + 1)
         with pytest.raises(InfeasibleError, match="sampled"):
             schedule_stats(unit_staircase, MIN, topo, "exhaustive")
 
@@ -107,20 +108,24 @@ class TestStats:
         assert full.min_total <= sampled.min_total
         assert sampled.max_total <= full.max_total
 
-    def test_exhaustive_min_max_do_not_walk_every_permutation(self, unit_staircase, monkeypatch):
-        """No rule reaches the prefix walk: all three pass over polled sets."""
-
-        def walk(*args):
-            raise AssertionError("walked the polling prefixes")
-
-        monkeypatch.setattr(schedule, "_walk", walk)
+    def test_exhaustive_min_max_do_not_walk_every_permutation(self, unit_staircase):
+        """Outside the spanning pairs brute force is the polled-set pass:
+        its answer is the exhaustive extreme, with evaluate's report."""
         topo = random_topology(random.Random(23), 7)
-        for rule in (MIN, MAX):
-            assert schedule_stats(unit_staircase, rule, topo, "exhaustive").sample_count == 5040
         m = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
-        assert schedule_stats(m, ADD, topo, "exhaustive").sample_count == 5040
-        with pytest.raises(AssertionError, match="walked"):  # the patch is in force
-            optimize(m, ADD, topo, strategy="brute_force")
+        for model, rule, objective in [
+            (unit_staircase, MIN, "maximize"),
+            (unit_staircase, MAX, "minimize"),
+            (m, ADD, "minimize"),
+            (m, ADD, "maximize"),
+        ]:
+            stats = schedule_stats(model, rule, topo, "exhaustive")
+            assert stats.sample_count == 5040
+            best = stats.argmin if objective == "minimize" else stats.argmax
+            order, report = optimize(model, rule, topo, objective, "brute_force")
+            assert order == best
+            assert report == evaluate(model, rule, topo, best)
+            assert report.total == (stats.min_total if objective == "minimize" else stats.max_total)
 
     def test_exhaustive_max_matches_brute_force_maximize(self):
         rng = random.Random(12)
@@ -140,18 +145,20 @@ class TestStats:
         [(0, 0), (30, 0), (1, 0)],
         # each term is finite (about exp(709)), but node 0's exact sum overflows
         [(0, 0), (26.627, 0), (26.627, 0.01), (26.627, -0.01)],
-        # the same with that node last, so a floor above 0 for it prunes every leaf
+        # the same with that node last
         [(26.627, 0), (26.627, 0.01), (26.627, -0.01), (0, 0)],
     ],
 )
 def test_additive_brute_force_matches_exhaustive_at_overflow(points):
-    """The ADDITIVE minimize floors hold where a node's terms overflow; a
-    floor above a budget would prune every leaf."""
+    """ADDITIVE brute force where a node's terms overflow: the lexicographically
+    first extreme of evaluate's totals over every permutation."""
     m = GaussianDecayModel(n=8, alpha=1.0, beta=-1.0)
     topo = Topology.from_positions(points)
-    stats = schedule_stats(m, ADD, topo, "exhaustive")
-    order, report = optimize(m, ADD, topo, objective="minimize", strategy="brute_force")
-    assert (order, report.total) == (stats.argmin, stats.min_total)
+    totals = {p: evaluate(m, ADD, topo, p).total for p in itertools.permutations(range(topo.size))}
+    for objective, pick in (("minimize", min), ("maximize", max)):
+        best = pick(totals, key=totals.__getitem__)  # the first extreme, in lexicographic order
+        order, report = optimize(m, ADD, topo, objective=objective, strategy="brute_force")
+        assert (order, report.total) == (best, totals[best])
 
 
 class TestOptimize:
@@ -214,11 +221,13 @@ class TestOptimize:
         monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", one_path - 1)
         with pytest.raises(InfeasibleError, match="work limit"):
             optimize(unit_staircase, MIN, topo, strategy="brute_force")
-        # the exact bound walks a single path, so it fits a limit of one path
+        # the exact bound descends a single path, so it fits a limit of one path
         monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", one_path)
         _, report = optimize(unit_staircase, MIN, topo, strategy="brute_force")
         assert report.total == unit_staircase.n + mst_weight(budget_matrix(unit_staircase, topo))
-        with pytest.raises(InfeasibleError, match="exceeded"):
+        # the other pairs pass over the polled sets, refused past their limit
+        topo = random_topology(random.Random(16), EXHAUSTIVE_LIMIT + 1)
+        with pytest.raises(InfeasibleError, match=f"N={EXHAUSTIVE_LIMIT + 1} > {EXHAUSTIVE_LIMIT}"):
             optimize(unit_staircase, MIN, topo, objective="maximize", strategy="brute_force")
 
     def test_unknown_inputs_rejected(self, collinear3, unit_staircase):
@@ -245,15 +254,16 @@ def test_sampling_refusals(collinear3, unit_staircase, call):
         call(unit_staircase, collinear3)
 
 
-def _count_budget_calls(model) -> list[float]:
-    """Wrap the model's pairwise budget; returns the distances it is asked for."""
-    calls, budget = [], model.budget
+def _count_budget_calls(model, closure: str = "budget") -> list[float]:
+    """Wrap the model's pairwise budget (or another per-distance closure, such
+    as decay_term); returns the distances it is asked for."""
+    calls, budget = [], getattr(model, closure)
 
-    def counted(d: float) -> int:
+    def counted(d: float):
         calls.append(d)
         return budget(d)
 
-    vars(model)["budget"] = counted  # frozen: set the closure directly, as the model does
+    vars(model)[closure] = counted  # frozen: set the closure directly, as the model does
     return calls
 
 
@@ -281,7 +291,23 @@ def test_refused_brute_force_computes_no_budget():
     topo = Topology.from_positions([(float(i), 0.0) for i in range(585)])
     with pytest.raises(InfeasibleError, match="above the search's work limit"):
         optimize(m, MIN, topo, strategy="brute_force")
-    assert calls == []
+    # one node past the polled-set pass's limit, under every rule
+    topo = Topology.from_positions([(float(i), 0.0) for i in range(EXHAUSTIVE_LIMIT + 1)])
+    g = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
+    g_calls = _count_budget_calls(g, "decay_term")  # the ADDITIVE pair table's closure
+    refusals = [
+        lambda: schedule_stats(m, MIN, topo, "exhaustive"),
+        lambda: schedule_stats(m, MAX, topo, "exhaustive"),
+        lambda: schedule_stats(g, ADD, topo, "exhaustive"),
+        lambda: optimize(m, MIN, topo, "maximize", "brute_force"),
+        lambda: optimize(m, MAX, topo, "minimize", "brute_force"),
+        lambda: optimize(g, ADD, topo, "minimize", "brute_force"),
+        lambda: optimize(g, ADD, topo, "maximize", "brute_force"),
+    ]
+    for refused in refusals:
+        with pytest.raises(InfeasibleError, match=f"N={EXHAUSTIVE_LIMIT + 1} > {EXHAUSTIVE_LIMIT}"):
+            refused()
+    assert calls == g_calls == []
 
 
 _GAUSS = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
@@ -325,15 +351,16 @@ def test_leaves_no_reference_cycle(unit_staircase, call):
     _assert_no_new_cycle(lambda: call(unit_staircase, topo))
 
 
-def test_refused_search_leaves_no_reference_cycle(unit_staircase, monkeypatch):
-    topo = random_topology(random.Random(21), 6)
-    monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", 500)
+def test_refused_search_leaves_no_reference_cycle(unit_staircase):
+    """Both up-front refusals: the spanning descent's and the polled-set pass's."""
+    for n_nodes, objective in [(585, "minimize"), (EXHAUSTIVE_LIMIT + 1, "maximize")]:
+        topo = random_topology(random.Random(21), n_nodes)
 
-    def refused():
-        try:
-            optimize(unit_staircase, MIN, topo, objective="maximize", strategy="brute_force")
-        except InfeasibleError:
-            return
-        raise AssertionError("the search was not refused")
+        def refused():
+            try:
+                optimize(unit_staircase, MIN, topo, objective=objective, strategy="brute_force")
+            except InfeasibleError:
+                return
+            raise AssertionError("the search was not refused")
 
-    _assert_no_new_cycle(refused)
+        _assert_no_new_cycle(refused)
