@@ -89,7 +89,7 @@ def _read_config(path: str) -> dict[str, str]:
     cfg = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import ClassVar, Iterable, Union
 
 from .topology import Topology
@@ -145,36 +146,16 @@ def pairwise_bits(model: ModelSpec, d: float) -> int:
     return model.budget(d)
 
 
-# Every finite float is a whole number of 2**-1074 units, so sums of units are exact.
-_UNIT = 2**1074
-# An infinite term, in units: 2**1024, past the float range like every sum it joins.
-_INF_UNITS = 2**2098
-
-
-def to_units(term: float) -> int:
-    """A non-negative decay term as a whole number of 2**-1074 units."""
-    try:
-        p, q = term.as_integer_ratio()  # q is a power of two, at most 2**1074
-    except OverflowError:  # inf
-        return _INF_UNITS
-    return p << (1075 - q.bit_length())
-
-
-def from_units(units: int) -> float:
-    """A sum of units rounded once to a float; inf past the float range."""
-    try:
-        return units / _UNIT  # int / int is correctly rounded
-    except OverflowError:
-        return math.inf
-
-
 def decay_sum(terms: Iterable[float]) -> float:
     """The exact sum of non-negative decay terms rounded once; inf past the float range."""
     terms = [*terms]  # list() would not reuse CPython's cache of freed lists, and so fill it
     try:
         return math.fsum(terms)
     except OverflowError:  # fsum can overflow midway on a sum that rounds to the largest float
-        return from_units(sum(map(to_units, terms)))
+        try:  # Fraction(inf), and an exact sum past the float range, raise OverflowError
+            return float(sum(map(Fraction, terms)))  # int / int: correctly rounded
+        except OverflowError:
+            return math.inf
 
 
 def conditioned_bits(

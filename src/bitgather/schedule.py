@@ -11,17 +11,16 @@ under the MAX rule the maximum total is n plus the maximum spanning tree
 weight; a Prim order (cheapest link first under MIN, dearest under MAX)
 attains each.
 
-One kernel, _Attach, keeps each unpolled node's link into the polled set
-and updates it in O(N) per poll, and its pair table, built on first use;
-evaluate, gather and greedy_prim run on it. Under every rule a node's
-budget depends only on the set polled before it (ADDITIVE rounds the exact
-sum of its decay terms once), so one backward pass over the 2**N polled
-sets (Held & Karp 1962), not the N! orders, gives the exhaustive statistics
-and the brute-force optimum. For the two spanning-tree pairs brute force
-instead descends by an exact spanning-tree bound, in O(N**3) at any N.
-Under MIN and MAX a node's budget is its first polled partner in its row
-ranked best first; sampled permutations are scored by that scan (ADDITIVE
-folds its prefix).
+Under every rule a node's budget depends only on the set polled before
+it: its pair values to those nodes (pairwise budgets, or decay terms under
+ADDITIVE) folded by min, max, or an exact sum rounded once. _Attach holds
+that pair closure and fold, and the pair table, built on first use.
+evaluate folds each node over its prefix; only the Prim order keeps a
+running link, to pick the next node. One backward pass over the 2**N
+polled sets (Held & Karp 1962) gives the exhaustive statistics and the
+brute-force optimum; the two spanning-tree pairs instead descend by an
+exact spanning-tree bound, in O(N**3). Sampled permutations are scored by
+a scan of each node's row ranked best first (ADDITIVE folds its prefix).
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -45,10 +44,8 @@ from .correlation import (  # noqa: F401
     ModelSpec,
     conditioned_bits,
     decay_sum,
-    from_units,
     pairwise_bits,
     require_decay,
-    to_units,
 )
 from .topology import Topology
 
@@ -97,56 +94,37 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
 
 
 class _Attach:
-    """The attach recurrence: each node's link into the polled set.
+    """A node's budget given the polled set: fold(map(pair, distances)).
 
-    A link is the min or max pairwise budget to the polled nodes, or under
-    ADDITIVE the exact sum of their decay terms as a whole number of
-    2**-1074 units (to_units); cost(link) is the node's budget. poll(u)
-    merges u's term into every unpolled link, computing distances and terms
-    on demand. rows, the O(N**2) pair table of budgets or decay terms, is
-    built on first read; fold(row entries) is the budget given a polled set.
+    pair(d) is a polled partner's value at distance d: its pairwise budget,
+    or under ADDITIVE its decay term. fold reduces a nonempty set of values
+    to the budget: min, max, or under ADDITIVE the budget of their exact sum
+    rounded once (decay_sum). rows, the O(N**2) pair table, is built on first read.
     """
 
     def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
         self.n = model.n
         self.rule = rule
+        self.size = topology.size
         self.distances_from = topology.distances_from
         if rule is ConditioningRule.ADDITIVE:
             require_decay(model)
-            decay_term, decay_bits = model.decay_term, model.decay_bits
-            self.pair = decay_term
-            self.term = lambda d: to_units(decay_term(d))
-            self.merge = operator.add
-            self.cost = lambda link: decay_bits(from_units(link))
+            decay_bits = model.decay_bits
+            self.pair = model.decay_term
             self.fold = lambda terms: decay_bits(decay_sum(terms))
-            empty = 0
         else:
-            self.pair = self.term = model.budget
-            self.merge = self.fold = min if rule is ConditioningRule.MIN else max
-            self.cost = int  # the link is the budget
-            empty = model.n if rule is ConditioningRule.MIN else 0
-        self.link = [empty] * topology.size
-        self.pending = list(range(topology.size))  # unpolled, in id order
+            self.pair = model.budget
+            self.fold = min if rule is ConditioningRule.MIN else max
 
     @cached_property
     def rows(self) -> list[list]:
         """Every pair's budget, or decay term under ADDITIVE, computed once
         per unordered pair and mirrored; 0 on the diagonal."""
         rows: list[list] = []
-        for i in range(len(self.link)):
-            tail = self.distances_from(i, range(i + 1, len(self.link)))
+        for i in range(self.size):
+            tail = self.distances_from(i, range(i + 1, self.size))
             rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.pair, tail)])
         return rows
-
-    def poll(self, u: int) -> int:
-        """Poll u; returns its budget."""
-        pending, link = self.pending, self.link
-        bits = self.n if len(pending) == len(link) else self.cost(link[u])
-        pending.remove(u)
-        term, merge = self.term, self.merge
-        for v, d in zip(pending, self.distances_from(u, pending)):
-            link[v] = merge(link[v], term(d))
-        return bits
 
 
 def evaluate(
@@ -155,10 +133,14 @@ def evaluate(
     topology: Topology,
     schedule: Sequence[int],
 ) -> BitReport:
-    """Per-node budgets and total bits for one polling order."""
+    """Per-node budgets and total bits for one polling order: n for the first
+    node, then each node's pair values to the nodes before it, folded."""
     kernel = _Attach(model, rule, topology)
     order = _check_permutation(schedule, topology.size)
-    bits = list(map(kernel.poll, order))
+    pair, fold, distances_from = kernel.pair, kernel.fold, kernel.distances_from
+    bits = [kernel.n]
+    for k in range(1, len(order)):
+        bits.append(fold(map(pair, distances_from(order[k], islice(order, k)))))
     return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
 
 
@@ -307,14 +289,19 @@ _SPANNING = {(ConditioningRule.MIN, "minimize"), (ConditioningRule.MAX, "maximiz
 
 def _prim_order(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> BitReport:
     """Prim order from node 0 with its budgets under `rule` (MIN or MAX):
-    always poll the node whose link is cheapest under MIN, dearest under
-    MAX, ties toward the lowest id."""
-    kernel = _Attach(model, rule, topology)
+    always poll the node whose link, its budget given the polled set, is
+    cheapest under MIN, dearest under MAX, ties toward the lowest id."""
     pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-    per_node, u = [], 0
-    while kernel.pending:
-        per_node.append((u, kernel.poll(u)))
-        u = pick(kernel.pending, key=kernel.link.__getitem__, default=-1)
+    budget, distances_from = model.budget, topology.distances_from
+    pending = list(range(1, topology.size))  # unpolled, in id order
+    link = [model.n, *map(budget, distances_from(0, pending))]
+    per_node = [(0, model.n)]
+    while pending:
+        u = pick(pending, key=link.__getitem__)
+        pending.remove(u)
+        per_node.append((u, link[u]))
+        for v, d in zip(pending, distances_from(u, pending)):
+            link[v] = pick(link[v], budget(d))
     return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
 
 
@@ -343,13 +330,13 @@ def _spanning_descent(kernel: _Attach, objective: str) -> tuple[int, ...]:
     attains it is polled next. Raises InfeasibleError before any budget is
     computed when that one path costs more than SEARCH_WORK_LIMIT.
     """
-    size = len(kernel.link)
+    size = kernel.size
     if size * (size * (size + 1) // 2 - 1) > SEARCH_WORK_LIMIT:
         raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
-    rows, merge = kernel.rows, kernel.merge  # under MIN and MAX a link is its budget
+    rows = kernel.rows
     better = operator.lt if objective == "minimize" else operator.gt
     pick, hop_of = (min, max) if objective == "minimize" else (max, min)
-    link, rest, order = kernel.link, list(range(size)), []
+    link, rest, order = [kernel.n if objective == "minimize" else 0] * size, list(range(size)), []
     while rest:
         key, hop = link[:], link[:]
         out = rest[:]
@@ -363,7 +350,7 @@ def _spanning_descent(kernel: _Attach, objective: str) -> tuple[int, ...]:
         bounds = [link[v] - hop[v] for v in rest]  # each less the prefix's total and tree weight
         v = rest.pop(bounds.index(pick(bounds)))  # index: the first, lowest id
         order.append(v)
-        link = list(map(merge, link, rows[v]))
+        link = list(map(pick, link, rows[v]))  # pick is the pair's rule: min or max
     return tuple(order)
 
 

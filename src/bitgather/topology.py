@@ -89,8 +89,11 @@ def load_topology(source: str | Path | Iterable[str]) -> Topology:
     offending line number, header = line 1.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise TopologyError(f"cannot read topology file {source}: {exc}") from None
     else:
         lines = [ln.rstrip("\n") for ln in source]
 

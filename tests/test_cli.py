@@ -394,8 +394,11 @@ def test_bad_list_config_value_names_the_key(capsys, topo_line3, tmp_path):
 
 def test_unreadable_config_exits_2(capsys, tmp_path):
     missing = tmp_path / "absent.cfg"
-    assert main(["sweep", "--config", str(missing)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot read config file {missing}: ")
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"rule=min\n# caf\xe9\n")
+    for path in (missing, not_utf8):
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
 
 
 def test_config_line_without_equals_exits_2(capsys, tmp_path):
@@ -412,10 +415,18 @@ def test_config_line_without_equals_exits_2(capsys, tmp_path):
         ("a,0,0", "line 2: id 'a' is not an integer"),
         ("0,zz,0", "line 2: non-numeric coordinate"),
         ("-1,0,0", "line 2: negative id -1"),
+        (
+            b"0,0,0\n1,1,\xff",
+            "cannot read topology file {path}: 'utf-8' codec can't decode byte 0xff"
+            " in position 17: invalid start byte",
+        ),
     ],
 )
 def test_bad_topology_record_exits_3(capsys, tmp_path, record, expect):
     path = tmp_path / "bad.csv"
-    path.write_text(f"id,x,y\n{record}\n")
+    if isinstance(record, bytes):  # not UTF-8 text
+        path.write_bytes(b"id,x,y\n" + record + b"\n")
+    else:
+        path.write_text(f"id,x,y\n{record}\n")
     assert main(["bits", "--topology", str(path)]) == 3
-    assert capsys.readouterr().err == f"error: {expect}\n"
+    assert capsys.readouterr().err == f"error: {expect.format(path=path)}\n"

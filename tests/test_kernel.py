@@ -39,7 +39,7 @@ from bitgather import (
     pairwise_bits,
     schedule_stats,
 )
-from bitgather.correlation import decay_sum, from_units, to_units
+from bitgather.correlation import decay_sum
 from bitgather.schedule import _Attach, _total_fn
 
 from conftest import mst_weight, random_topology
@@ -357,12 +357,11 @@ _TOP = sys.float_info.max  # (2**53 - 1) * 2**971; halfway to 2**1024 is _TOP + 
         ([_TOP, 5e-324, math.inf], math.inf),
     ],
 )
-def test_unit_link_and_fsum_agree_at_the_float_range_edge(terms, exact):
+def test_decay_sum_is_exact_at_the_float_range_edge(terms, exact):
     # alpha so small that a sum of _TOP leaves bits over and inf leaves none
     model = GaussianDecayModel(n=2**53, alpha=5e-324, beta=1.0)
     assert model.decay_bits(_TOP) > 0 == model.decay_bits(math.inf)
     topo = star(model, terms)
-    assert from_units(sum(map(to_units, terms))) == exact
     budget = conditioned_bits(model, ADD, topo, 0, range(1, topo.size))
     assert budget == model.decay_bits(exact)
     for order in itertools.permutations(range(1, topo.size)):
@@ -383,7 +382,6 @@ def test_unit_link_and_fsum_agree_at_the_float_range_edge(terms, exact):
 )
 def test_decay_sum_is_the_exact_sum_rounded_once(terms):
     exact = sum(map(Fraction, filter(math.isfinite, terms)))
-    assert decay_sum(terms) == from_units(sum(map(to_units, terms)))
     if math.inf not in terms and exact < Fraction(_TOP) + 2**970:  # below halfway to 2**1024
         assert decay_sum(terms) == float(exact)  # Fraction rounds correctly
     else:

@@ -285,6 +285,29 @@ def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
     assert len(calls) <= 40 * 39 // 2
 
 
+_SHUFFLED = random.Random(34).sample(range(30), 30)
+
+
+@pytest.mark.parametrize(
+    "closure, run",
+    [
+        ("budget", lambda m, topo: evaluate(m, MIN, topo, _SHUFFLED)),
+        ("budget", lambda m, topo: evaluate(m, MAX, topo, _SHUFFLED)),
+        ("decay_term", lambda m, topo: evaluate(m, ADD, topo, _SHUFFLED)),
+        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "greedy_prim")),
+        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "greedy_prim")),
+    ],
+    ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max"],
+)
+def test_evaluate_and_prim_compute_each_pair_once(closure, run):
+    """A node's prefix fold, and Prim's running link, call the pair closure
+    once per unordered pair: no pair twice, and no table besides."""
+    m = GaussianDecayModel(n=12, alpha=0.9, beta=0.3)
+    calls = _count_budget_calls(m, closure)
+    run(m, random_topology(random.Random(33), 30))
+    assert len(calls) == 30 * 29 // 2
+
+
 def test_refused_brute_force_computes_no_budget():
     m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
     calls = _count_budget_calls(m)
