@@ -13,8 +13,11 @@ of three rules: nearest prior node (MIN), farthest prior node (MAX), or a
 summed exponential term (ADDITIVE, Gaussian-decay parameters only): the
 exact sum of the prior nodes' decay terms, rounded once, so their polling
 order does not matter.
-Each model binds one budget closure at construction, model.budget(d): the
-only copy of its formula, shared by pairwise_bits and the hot loops.
+Each model binds one budget closure at construction, model.budget(d),
+shared by pairwise_bits and the hot loops. Each closure holds its whole
+formula inline, the snapped ceiling and the clamp included, so a pair's
+budget costs one Python call; clamped_ceil states that rounding rule once,
+for ADDITIVE's decay_bits.
 """
 
 from __future__ import annotations
@@ -30,13 +33,6 @@ from .topology import Topology
 # Values this close to an integer are snapped before the ceiling, so that
 # floating-point noise (e.g. exp(0) rounding) cannot inflate a budget by one.
 CEIL_SNAP = 1e-9
-
-
-def guarded_ceil(x: float) -> int:
-    nearest = round(x)
-    if abs(x - nearest) <= CEIL_SNAP:
-        return int(nearest)
-    return math.ceil(x)
 
 
 class _Checked:
@@ -75,17 +71,23 @@ class PowerLawModel(_Checked):
 
     def _bind(self):
         n, alpha, beta = self.n, self.alpha, self.beta
+        inf, ceil, snap = math.inf, math.ceil, CEIL_SNAP
 
-        def budget(d: float) -> int:
-            if not 0.0 <= d < math.inf:
+        def budget(d: float) -> int:  # clamped_ceil(alpha * ceil(d**beta), n), both ceilings snapped, inline
+            if not 0.0 <= d < inf:
                 raise _bad_distance(d)
             if d == 0 and beta < 0:
                 raise ValueError("d = 0 with negative exponent is singular")
             try:
-                raw = alpha * guarded_ceil(d**beta)
+                x = d**beta
             except OverflowError:  # d**beta beyond the float range: the staircase tops out
-                raw = math.inf
-            return clamped_ceil(raw, n)
+                return n
+            k = round(x)
+            raw = alpha * (k if -snap <= x - k <= snap else ceil(x))
+            if not 0 < raw < n:
+                return n if raw >= n else 0
+            k = round(raw)
+            return k if -snap <= raw - k <= snap else ceil(raw)
 
         return dict(budget=budget)
 
@@ -101,20 +103,28 @@ class GaussianDecayModel(_Checked):
 
     def _bind(self):
         n, alpha, neg_beta = self.n, self.alpha, -self.beta
+        inf, ceil, exp, snap = math.inf, math.ceil, math.exp, CEIL_SNAP
 
         def decay_term(d: float) -> float:  # saturates to inf where it overflows (beta < 0)
             try:
-                return math.exp(neg_beta * d * d)
+                return exp(neg_beta * d * d)
             except OverflowError:
-                return math.inf
+                return inf
 
         def decay_bits(s: float) -> int:  # for a summed decay term s
             return clamped_ceil(n * (1.0 - alpha * s), n)
 
-        def budget(d: float) -> int:
-            if not 0.0 <= d < math.inf:
+        def budget(d: float) -> int:  # decay_bits(decay_term(d)), inline
+            if not 0.0 <= d < inf:
                 raise _bad_distance(d)
-            return decay_bits(decay_term(d))
+            try:
+                raw = n * (1.0 - alpha * exp(neg_beta * d * d))
+            except OverflowError:  # the term is +inf: the budget is clamped to 0
+                return 0
+            if not 0 < raw < n:
+                return n if raw >= n else 0
+            k = round(raw)
+            return k if -snap <= raw - k <= snap else ceil(raw)
 
         return dict(budget=budget, decay_term=decay_term, decay_bits=decay_bits)
 
@@ -131,10 +141,16 @@ class ConditioningRule(Enum):
 def clamped_ceil(raw: float, n: int) -> int:
     """Whole bits for a raw budget: its snapped ceiling clamped to [0, n].
 
-    Every budget is rounded here. +inf gives n and -inf gives 0, the exact
-    clamped values, so an overflow upstream can pass on an infinity.
+    The rounding rule: decay_bits calls it, and both budget closures write
+    the same steps inline. +inf gives n and -inf gives 0, the exact clamped
+    values, so an overflow upstream can pass on an infinity.
     """
-    return n if raw >= n else 0 if raw <= 0 else guarded_ceil(raw)
+    if raw >= n:
+        return n
+    if raw <= 0:
+        return 0
+    k = round(raw)
+    return k if abs(raw - k) <= CEIL_SNAP else math.ceil(raw)
 
 
 def pairwise_bits(model: ModelSpec, d: float) -> int:

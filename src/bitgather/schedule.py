@@ -127,6 +127,21 @@ class _Attach:
         return rows
 
 
+def _walk(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
+) -> Iterator[tuple[int, list[float], int]]:
+    """(node, its distances to the nodes before it, its budget) for each node
+    of one polling order: n for the first node, then the node's pair values
+    to that row, folded. Each row is computed once and not kept."""
+    kernel = _Attach(model, rule, topology)
+    order = _check_permutation(schedule, topology.size)
+    pair, fold, distances_from = kernel.pair, kernel.fold, kernel.distances_from
+    yield order[0], [], kernel.n
+    for k in range(1, len(order)):
+        ds = distances_from(order[k], islice(order, k))
+        yield order[k], ds, fold(map(pair, ds))
+
+
 def evaluate(
     model: ModelSpec,
     rule: ConditioningRule,
@@ -135,13 +150,8 @@ def evaluate(
 ) -> BitReport:
     """Per-node budgets and total bits for one polling order: n for the first
     node, then each node's pair values to the nodes before it, folded."""
-    kernel = _Attach(model, rule, topology)
-    order = _check_permutation(schedule, topology.size)
-    pair, fold, distances_from = kernel.pair, kernel.fold, kernel.distances_from
-    bits = [kernel.n]
-    for k in range(1, len(order)):
-        bits.append(fold(map(pair, distances_from(order[k], islice(order, k)))))
-    return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
+    per_node = tuple((v, bits) for v, _, bits in _walk(model, rule, topology, schedule))
+    return BitReport(per_node=per_node, total=sum(bits for _, bits in per_node))
 
 
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:

@@ -12,8 +12,11 @@ A gather run walks a schedule, budgets each node against the already
 polled set, encodes the low bits, and decodes against the reconstructed
 reading of the nearest prior node. Reconstructed (not true) readings feed
 later references, so decoding errors propagate as they would in a real
-collector. Budgets are data-independent: the bit report always matches
-schedule.evaluate on the same inputs.
+collector. Budgets and references are data-independent: one walk computes
+each node's distances to the nodes polled before it, once, and reads from
+that row both its budget (the bit report always matches schedule.evaluate
+on the same inputs) and its reference, the nearest by (distance, id), as
+Topology.nearest_links gives it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 from .codec import Reading, decode, encode
 # conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
 from .correlation import ConditioningRule, ModelSpec, conditioned_bits  # noqa: F401
-from .schedule import BitReport, evaluate
+from .schedule import BitReport, _walk
 from .topology import Topology
 
 
@@ -72,11 +75,30 @@ def generate_field(
     )
 
 
-def _decode_all(report: BitReport, links: Sequence, field: SensorField) -> GatherResult:
-    """Reconstruct every reading along a walked schedule and its nearest links."""
+def _walk_references(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
+) -> tuple[BitReport, list[int]]:
+    """evaluate's report, and each node's decode reference: its nearest earlier
+    node by (distance, id), as Topology.nearest_links gives it; -1 for the
+    first. Both read the one distance row the walk computes for each node."""
+    per_node, refs = [], []
+    for v, ds, bits in _walk(model, rule, topology, schedule):  # checks the schedule
+        d = min(ds, default=None)
+        if d is None:
+            refs.append(-1)
+        elif ds.count(d) == 1:
+            refs.append(per_node[ds.index(d)][0])
+        else:  # coincident distances: the lowest id
+            refs.append(min(u for (u, _), x in zip(per_node, ds) if x == d))
+        per_node.append((v, bits))
+    return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node)), refs
+
+
+def _decode_all(report: BitReport, refs: Sequence[int], field: SensorField) -> GatherResult:
+    """Reconstruct every reading along a walked schedule and its decode references."""
     n = field.width
     recon = list(field.readings)  # the first node sends all n bits: exact
-    for k, ((node, bits), (_, ref)) in enumerate(zip(report.per_node, links)):
+    for k, ((node, bits), ref) in enumerate(zip(report.per_node, refs)):
         if k:
             truth = Reading(field.readings[node], n)
             recon[node] = decode(Reading(recon[ref], n), encode(truth, bits)).value
@@ -96,15 +118,15 @@ def gather(
     schedule: Sequence[int],
     field: SensorField,
 ) -> GatherResult:
-    """Run one full collection pass and report bits spent and fidelity."""
+    """Run one full collection pass and report bits spent and fidelity: one
+    walk of the schedule gives the budgets and the decode references."""
     if len(field.readings) != topology.size:
         raise ValueError(
             f"field has {len(field.readings)} readings for {topology.size} nodes"
         )
     if field.width != model.n:
         raise ValueError(f"field width {field.width} != model n {model.n}")
-    report = evaluate(model, rule, topology, schedule)  # checks the schedule
-    return _decode_all(report, topology.nearest_links(schedule), field)
+    return _decode_all(*_walk_references(model, rule, topology, schedule), field)
 
 
 def fidelity_sweep(
@@ -118,18 +140,18 @@ def fidelity_sweep(
     """(L, seed, total_bits, exact_count, max_abs_error) per combination.
 
     Budgets and references do not depend on the data, so the schedule is
-    walked once and every field is decoded against that walk.
+    walked once, the same walk gather makes, and every field is decoded
+    against it.
     """
     l_values = list(smoothness_values)
     seed_values = list(seeds)
     if not l_values or not seed_values:
         raise ValueError("sweep needs at least one smoothness value and one seed")
-    report = evaluate(model, rule, topology, schedule)  # checks the schedule
-    links = topology.nearest_links(schedule)
+    report, refs = _walk_references(model, rule, topology, schedule)
     rows = []
     for smoothness in l_values:
         for seed in seed_values:
-            result = _decode_all(report, links, generate_field(topology, model.n, smoothness, seed))
+            result = _decode_all(report, refs, generate_field(topology, model.n, smoothness, seed))
             rows.append(
                 (smoothness, seed, report.total, result.exact_count, result.max_abs_error)
             )

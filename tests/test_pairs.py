@@ -94,6 +94,43 @@ def test_budget_closure_matches_the_formula(model, drawn):
         assert outcome(pairwise_bits, model, d) == expected
 
 
+def _gauss_at(n, raw):
+    """A Gaussian model whose budget at d = 0 (or any d, beta = 0) rounds `raw`."""
+    return GaussianDecayModel(n=n, alpha=1.0 - raw / n, beta=0.0)
+
+
+# (model, d, budget) at the rounding edges. Each closure writes the
+# snap-then-ceil rule inline, power-law twice: on d**beta and on alpha times it.
+ROUNDING_EDGES = [
+    # d**beta within CEIL_SNAP of 3, above and below, snaps to 3; 2e-9 away does not
+    (PowerLawModel(n=64, alpha=1.0, beta=1.0), 3 + 5e-10, 3),
+    (PowerLawModel(n=64, alpha=1.0, beta=1.0), 3 - 5e-10, 3),
+    (PowerLawModel(n=64, alpha=1.0, beta=1.0), 3 + 2e-9, 4),
+    (PowerLawModel(n=64, alpha=1.0, beta=1.0), 3 - 2e-9, 3),
+    (PowerLawModel(n=64, alpha=1.0, beta=0.5), 9 + 2e-9, 3),  # sqrt moves 2e-9 under the snap
+    # alpha * 1 just off 1: the second rounding
+    (PowerLawModel(n=64, alpha=1 + 5e-10, beta=1.0), 1.0, 1),
+    (PowerLawModel(n=64, alpha=1 - 5e-10, beta=1.0), 1.0, 1),
+    (PowerLawModel(n=64, alpha=1 + 2e-9, beta=1.0), 1.0, 2),
+    (PowerLawModel(n=64, alpha=1 - 2e-9, beta=1.0), 1.0, 1),
+    # d**beta overflows: +inf, so n
+    (PowerLawModel(n=64, alpha=1.0, beta=40.0), 1e10, 64),
+    (PowerLawModel(n=64, alpha=1e-300, beta=2.0), 1e308, 64),
+    # n * (1 - alpha) just off 5
+    (_gauss_at(8, 5 + 5e-10), 0.0, 5),
+    (_gauss_at(8, 5 - 5e-10), 0.0, 5),
+    (_gauss_at(8, 5 + 2e-9), 0.0, 6),
+    (_gauss_at(8, 5 - 2e-9), 2.0, 5),
+    # exp overflows (beta < 0): the term is +inf, so 0
+    (GaussianDecayModel(n=8, alpha=1e-300, beta=-1.0), 100.0, 0),
+]
+
+
+@pytest.mark.parametrize("model, d, bits", ROUNDING_EDGES)
+def test_budget_closure_at_the_rounding_edges(model, d, bits):
+    assert oracle_budget(model, d) == model.budget(d) == pairwise_bits(model, d) == bits
+
+
 def test_models_pickle_and_rebuild_their_closure():
     for model in (PowerLawModel(n=5, alpha=1.0, beta=1.0), GaussianDecayModel(7, 1.0, 0.5)):
         copy = pickle.loads(pickle.dumps(model))

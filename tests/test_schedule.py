@@ -296,8 +296,9 @@ _SHUFFLED = random.Random(34).sample(range(30), 30)
         ("decay_term", lambda m, topo: evaluate(m, ADD, topo, _SHUFFLED)),
         ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "greedy_prim")),
         ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "greedy_prim")),
+        ("budget", lambda m, topo: fidelity_sweep(m, MIN, topo, _SHUFFLED, [1.0], [0, 1])),
     ],
-    ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max"],
+    ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max", "sweep-min"],
 )
 def test_evaluate_and_prim_compute_each_pair_once(closure, run):
     """A node's prefix fold, and Prim's running link, call the pair closure

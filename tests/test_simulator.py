@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitgather import (
     ConditioningRule,
@@ -13,6 +15,8 @@ from bitgather import (
     gather,
     generate_field,
 )
+from bitgather.codec import Reading, decode, encode
+from bitgather.simulator import _walk_references
 
 from conftest import random_topology
 
@@ -149,3 +153,58 @@ class TestFidelitySweep:
             fidelity_sweep(m, MIN, collinear3, [0, 1, 2], [], [1])
         with pytest.raises(ValueError):
             fidelity_sweep(m, MIN, collinear3, [0, 1, 2], [1.0], [])
+
+
+# A 4 x 4 grid: coincident nodes and equal distances, so ties decide references.
+grid_layouts = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=10)
+walk_models = st.sampled_from([
+    (PowerLawModel(n=5, alpha=1.0, beta=1.0), MIN),
+    (PowerLawModel(n=5, alpha=1.0, beta=1.0), MAX),
+    (GaussianDecayModel(n=6, alpha=0.9, beta=0.7), MIN),
+    (GaussianDecayModel(n=6, alpha=0.9, beta=0.7), MAX),
+    (GaussianDecayModel(n=6, alpha=0.9, beta=0.7), ADD),
+])
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_layouts, walk_models, st.randoms(use_true_random=False), st.integers(0, 10**6))
+def test_one_walk_gives_the_report_and_the_nearest_references(points, model_rule, rng, seed):
+    """The walk's report is evaluate's, its references are nearest_links',
+    and gather decodes each field as the sweep's matching row reports it."""
+    model, rule = model_rule
+    topo = Topology.from_positions(points)
+    order = list(range(topo.size))
+    rng.shuffle(order)
+    report, refs = _walk_references(model, rule, topo, order)
+    assert report == evaluate(model, rule, topo, order)
+    assert refs == [u for _, u in topo.nearest_links(order)]
+    smoothness, seeds = [0.0, 1.5], [seed, seed + 1]
+    rows = iter(fidelity_sweep(model, rule, topo, order, smoothness, seeds))
+    for L in smoothness:
+        for s in seeds:
+            field = generate_field(topo, model.n, L, s)
+            result = gather(model, rule, topo, order, field)
+            recon = list(field.readings)  # oracle: decode against nearest_links
+            for (v, bits), (_, u) in zip(report.per_node[1:], topo.nearest_links(order)[1:]):
+                sent = encode(Reading(field.readings[v], model.n), bits)
+                recon[v] = decode(Reading(recon[u], model.n), sent).value
+            assert result.bit_report == report
+            assert result.reconstructed == tuple(recon)
+            assert next(rows) == (L, s, report.total, result.exact_count, result.max_abs_error)
+
+
+def test_a_sweep_computes_n_squared_distances(monkeypatch):
+    """One walk gives the budgets and the references (N(N-1)/2 distances);
+    the field plan takes N more for its order and N(N-1)/2 for its links."""
+    topo = random_topology(random.Random(35), 30)
+    order = random.Random(36).sample(range(30), 30)
+    returned, distances_from = [], Topology.distances_from
+
+    def counted(self, i, nodes):
+        row = distances_from(self, i, nodes)
+        returned.append(len(row))
+        return row
+
+    monkeypatch.setattr(Topology, "distances_from", counted)
+    fidelity_sweep(GaussianDecayModel(n=12, alpha=0.9, beta=0.3), MIN, topo, order, [1.0, 2.0], [0, 1])
+    assert sum(returned) == 30 * 30
