@@ -8,11 +8,16 @@ Two model families are supported:
   saturating at n as the correlation term decays.
 
 Both depend on distance only, so the pairwise budget is symmetric by
-construction. Conditioning on a set of already-transmitted nodes uses one
-of three rules: nearest prior node (MIN), farthest prior node (MAX), or a
-summed exponential term (ADDITIVE, Gaussian-decay parameters only): the
-exact sum of the prior nodes' decay terms, rounded once, so their polling
-order does not matter.
+construction. Both are monotone in d: non-decreasing for beta > 0,
+non-increasing for beta < 0, constant for beta = 0. So a budget is a
+staircase of at most n + 1 values; budget_steps tabulates its steps, and
+a lookup in that table replaces a closure call per pair. Conditioning on
+a set of already-transmitted nodes uses one of three rules: nearest prior
+node (MIN), farthest prior node (MAX), or a summed exponential term
+(ADDITIVE, Gaussian-decay parameters only): the exact sum of the prior
+nodes' decay terms, rounded once, so their polling order does not matter.
+By monotonicity a MIN or MAX budget is the budget of one prior node's
+distance, the least or the greatest.
 Each model binds one budget closure at construction, model.budget(d),
 shared by pairwise_bits and the hot loops. Each closure holds its whole
 formula inline, the snapped ceiling and the clamp included, so a pair's
@@ -23,6 +28,7 @@ for ADDITIVE's decay_bits.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -160,6 +166,46 @@ def pairwise_bits(model: ModelSpec, d: float) -> int:
     singular 0**beta case for negative power-law exponents.
     """
     return model.budget(d)
+
+
+# The bit patterns of the non-negative floats order them: 0 is 0.0, 1 the
+# smallest positive float and _TOP the largest finite one.
+_TOP = 0x7FEFFFFFFFFFFFFF
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("d", struct.pack("Q", bits))[0]
+
+
+def budget_steps(model: ModelSpec, zero: bool) -> tuple[list[float], list[int]]:
+    """The budget staircase: budget(d) == vals[bisect_right(steps, d)] for
+    every finite d > 0, and for d = 0 when `zero` is set.
+
+    Each step's smallest distance is found by bisecting over float bit
+    patterns with model.budget as the oracle, which trusts the closure to be
+    monotone. A step costs at most 63 calls and the two ends one each, so
+    at most 64n + 2 in all. The search starts at 0.0 when `zero` is set,
+    which raises where budget(0) is singular, else at the smallest positive float.
+    """
+    budget, steps, vals = model.budget, [], []
+
+    def split(a: int, va: int, b: int, vb: int) -> None:  # budget(a) = va != vb = budget(b)
+        if b - a == 1:
+            steps.append(_float(b))
+            vals.append(vb)
+            return
+        m = (a + b) // 2
+        vm = budget(_float(m))
+        if vm != va:
+            split(a, va, m, vm)
+        if vm != vb:
+            split(m, vm, b, vb)
+
+    lo = 0 if zero else 1
+    v_lo, v_top = budget(_float(lo)), budget(_float(_TOP))
+    if v_lo != v_top:
+        split(lo, v_lo, _TOP, v_top)
+    return steps, [v_lo, *vals]
 
 
 def decay_sum(terms: Iterable[float]) -> float:

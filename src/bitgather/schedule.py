@@ -12,15 +12,20 @@ weight; a Prim order (cheapest link first under MIN, dearest under MAX)
 attains each.
 
 Under every rule a node's budget depends only on the set polled before
-it: its pair values to those nodes (pairwise budgets, or decay terms under
-ADDITIVE) folded by min, max, or an exact sum rounded once. _Attach holds
-that pair closure and fold, and the pair table, built on first use.
-evaluate folds each node over its prefix; only the Prim order keeps a
-running link, to pick the next node. One backward pass over the 2**N
-polled sets (Held & Karp 1962) gives the exhaustive statistics and the
-brute-force optimum; the two spanning-tree pairs instead descend by an
-exact spanning-tree bound, in O(N**3). Sampled permutations are scored by
-a scan of each node's row ranked best first (ADDITIVE folds its prefix).
+it: its pair values to those nodes (pairwise budgets, or decay terms
+under ADDITIVE) folded by min, max, or an exact sum rounded once.
+_Attach holds that fold and the pair table, built on first use. A budget
+is monotone in distance, so under MIN and MAX a walk (evaluate, and the
+simulator's gather and sweep) reads each node's budget off one distance
+of its prefix, the nearest or the farthest; under ADDITIVE it folds the
+prefix. The pair table and the Prim order read pairwise budgets off the
+model's step table where finding its steps costs fewer calls than the
+pairs. Only the Prim order keeps a running link, to pick the next node.
+One backward pass over the 2**N polled sets (Held & Karp 1962) gives the
+exhaustive statistics and the brute-force optimum; the two spanning-tree
+pairs instead descend by an exact spanning-tree bound, in O(N**3).
+Sampled permutations are scored by a scan of each node's row ranked best
+first (ADDITIVE folds its prefix).
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
@@ -32,16 +37,18 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import islice, repeat
 from statistics import fmean
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # conditioned_bits, pairwise_bits: unused here, bound for bench/tracer.py to patch.
 from .correlation import (  # noqa: F401
     ConditioningRule,
     ModelSpec,
+    budget_steps,
     conditioned_bits,
     decay_sum,
     pairwise_bits,
@@ -93,37 +100,53 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
     return order
 
 
-class _Attach:
-    """A node's budget given the polled set: fold(map(pair, distances)).
+def _pair_budgets(model: ModelSpec, topology: Topology) -> Callable[[Iterable[float]], Iterator[int]]:
+    """The pairwise budget of each distance in a row: a lookup in the model's
+    step table when finding its steps, at most 64n + 2 budget calls, costs
+    less than the N(N-1)/2 pair calls it replaces; else model.budget per pair."""
+    size = topology.size
+    if 64 * model.n + 2 >= size * (size - 1) // 2:
+        return partial(map, model.budget)
+    # only coincident nodes are at distance 0, where the budget may be singular
+    steps, vals = budget_steps(model, zero=len(set(topology.positions)) < size)
+    return lambda ds: map(vals.__getitem__, map(bisect_right, repeat(steps), ds))
 
-    pair(d) is a polled partner's value at distance d: its pairwise budget,
-    or under ADDITIVE its decay term. fold reduces a nonempty set of values
-    to the budget: min, max, or under ADDITIVE the budget of their exact sum
-    rounded once (decay_sum). rows, the O(N**2) pair table, is built on first read.
+
+class _Attach:
+    """A node's budget given the polled set: fold(pairs(distances)).
+
+    pairs maps distances to the polled partners' values: their pairwise
+    budgets (_pair_budgets), or under ADDITIVE their decay terms. fold
+    reduces a nonempty set of values to the budget: min, max, or under
+    ADDITIVE the budget of their exact sum rounded once (decay_sum). pairs
+    and rows, the O(N**2) pair table, are built on first read.
     """
 
     def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
-        self.n = model.n
-        self.rule = rule
-        self.size = topology.size
-        self.distances_from = topology.distances_from
+        self.model, self.rule, self.topology = model, rule, topology
+        self.n, self.size = model.n, topology.size
         if rule is ConditioningRule.ADDITIVE:
             require_decay(model)
             decay_bits = model.decay_bits
-            self.pair = model.decay_term
             self.fold = lambda terms: decay_bits(decay_sum(terms))
         else:
-            self.pair = model.budget
             self.fold = min if rule is ConditioningRule.MIN else max
+
+    @cached_property
+    def pairs(self) -> Callable[[Iterable[float]], Iterator]:
+        if self.rule is ConditioningRule.ADDITIVE:
+            return partial(map, self.model.decay_term)
+        return _pair_budgets(self.model, self.topology)
 
     @cached_property
     def rows(self) -> list[list]:
         """Every pair's budget, or decay term under ADDITIVE, computed once
         per unordered pair and mirrored; 0 on the diagonal."""
         rows: list[list] = []
+        pairs, distances_from = self.pairs, self.topology.distances_from
         for i in range(self.size):
-            tail = self.distances_from(i, range(i + 1, self.size))
-            rows.append([*map(operator.itemgetter(i), rows), 0, *map(self.pair, tail)])
+            tail = distances_from(i, range(i + 1, self.size))
+            rows.append([*map(operator.itemgetter(i), rows), 0, *pairs(tail)])
         return rows
 
 
@@ -131,15 +154,29 @@ def _walk(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
 ) -> Iterator[tuple[int, list[float], int]]:
     """(node, its distances to the nodes before it, its budget) for each node
-    of one polling order: n for the first node, then the node's pair values
-    to that row, folded. Each row is computed once and not kept."""
+    of one polling order: n for the first node, then under ADDITIVE the
+    node's decay terms to that row, folded. Under MIN and MAX a monotone
+    budget is read off one distance of the row, its least or its greatest:
+    one budget call per node. Each row is computed once and not kept."""
     kernel = _Attach(model, rule, topology)
     order = _check_permutation(schedule, topology.size)
-    pair, fold, distances_from = kernel.pair, kernel.fold, kernel.distances_from
+    budget, distances_from = model.budget, topology.distances_from
+    if rule is ConditioningRule.ADDITIVE:
+        pairs, fold = kernel.pairs, kernel.fold
+        budget_of = lambda ds: fold(pairs(ds))
+    elif (rule is ConditioningRule.MIN) == (model.beta >= 0):  # the nearest partner sets it
+        budget_of = lambda ds: budget(min(ds))
+    else:  # the farthest partner sets it
+
+        def budget_of(ds: list[float]) -> int:
+            if min(ds) == 0:
+                budget(0.0)  # raises where budget(0) is singular, as a fold would
+            return budget(max(ds))
+
     yield order[0], [], kernel.n
     for k in range(1, len(order)):
         ds = distances_from(order[k], islice(order, k))
-        yield order[k], ds, fold(map(pair, ds))
+        yield order[k], ds, budget_of(ds)
 
 
 def evaluate(
@@ -302,16 +339,15 @@ def _prim_order(model: ModelSpec, rule: ConditioningRule, topology: Topology) ->
     always poll the node whose link, its budget given the polled set, is
     cheapest under MIN, dearest under MAX, ties toward the lowest id."""
     pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-    budget, distances_from = model.budget, topology.distances_from
+    pairs, distances_from = _pair_budgets(model, topology), topology.distances_from
     pending = list(range(1, topology.size))  # unpolled, in id order
-    link = [model.n, *map(budget, distances_from(0, pending))]
+    links = [*pairs(distances_from(0, pending))]  # links[k]: pending[k]'s
     per_node = [(0, model.n)]
     while pending:
-        u = pick(pending, key=link.__getitem__)
-        pending.remove(u)
-        per_node.append((u, link[u]))
-        for v, d in zip(pending, distances_from(u, pending)):
-            link[v] = pick(link[v], budget(d))
+        k = links.index(pick(links))
+        u = pending.pop(k)
+        per_node.append((u, links.pop(k)))
+        links = [*map(pick, links, pairs(distances_from(u, pending)))]
     return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
 
 

@@ -30,7 +30,7 @@ from .codec import Reading, decode, encode
 # conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
 from .correlation import ConditioningRule, ModelSpec, conditioned_bits  # noqa: F401
 from .schedule import BitReport, _walk
-from .topology import Topology
+from .topology import Topology, nearest
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,12 @@ def generate_field(
     top = (1 << n) - 1
     readings = [0] * topology.size
     readings[0] = rng.randint(0, top)
-    for v, nearest, d in topology.field_plan:
+    for v, near, d in topology.field_plan:
         reach = smoothness * d
         if reach == math.inf:
             raise ValueError(f"smoothness {smoothness!r} overflows the field spread")
         spread = math.ceil(reach)
-        value = readings[nearest] + rng.randint(-spread, spread)
+        value = readings[near] + rng.randint(-spread, spread)
         readings[v] = max(0, min(value, top))
     return SensorField(
         readings=tuple(readings), width=n, smoothness=smoothness, seed=seed
@@ -79,17 +79,13 @@ def _walk_references(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
 ) -> tuple[BitReport, list[int]]:
     """evaluate's report, and each node's decode reference: its nearest earlier
-    node by (distance, id), as Topology.nearest_links gives it; -1 for the
-    first. Both read the one distance row the walk computes for each node."""
-    per_node, refs = [], []
+    node by (distance, id), by the rule Topology.nearest_links also uses
+    (topology.nearest); -1 for the first. Both read the one distance row the
+    walk computes for each node."""
+    order, per_node, refs = [], [], []
     for v, ds, bits in _walk(model, rule, topology, schedule):  # checks the schedule
-        d = min(ds, default=None)
-        if d is None:
-            refs.append(-1)
-        elif ds.count(d) == 1:
-            refs.append(per_node[ds.index(d)][0])
-        else:  # coincident distances: the lowest id
-            refs.append(min(u for (u, _), x in zip(per_node, ds) if x == d))
+        refs.append(nearest(ds, order)[1])
+        order.append(v)
         per_node.append((v, bits))
     return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node)), refs
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import dist
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,13 +67,7 @@ class Topology:
     def nearest_links(self, order: Sequence[int]) -> list[tuple[float, int]]:
         """(d, u) for each node of the permutation `order`: its nearest earlier
         node u by (distance, id), at d; (inf, -1) for the first."""
-        near = [(math.inf, -1)] * self.size
-        for k, v in enumerate(order):  # v's link is final: update the later ones
-            later = order[k + 1 :]
-            for w, d in zip(later, self.distances_from(v, later)):
-                if d <= near[w][0] and (d, v) < near[w]:
-                    near[w] = (d, v)
-        return [near[v] for v in order]
+        return [nearest(self.distances_from(v, islice(order, k)), order) for k, v in enumerate(order)]
 
     @cached_property
     def field_plan(self) -> tuple[tuple[int, int, float], ...]:
@@ -80,6 +75,17 @@ class Topology:
         0 in increasing distance from node 0 (ties by id), as nearest_links."""
         order = [0, *sorted(range(1, self.size), key=self.distances_from(0, range(self.size)).__getitem__)]
         return tuple((v, u, d) for v, (d, u) in zip(order[1:], self.nearest_links(order)[1:]))
+
+
+def nearest(ds: list[float], ids: Sequence[int]) -> tuple[float, int]:
+    """(d, u): the least distance of ds, where ds[k] is node ids[k]'s, and the
+    lowest id among the nodes at it; (inf, -1) for an empty ds."""
+    if not ds:
+        return math.inf, -1
+    d = min(ds)
+    if ds.count(d) == 1:
+        return d, ids[ds.index(d)]
+    return d, min(u for u, x in zip(ids, ds) if x == d)  # coincident distances
 
 
 def load_topology(source: str | Path | Iterable[str]) -> Topology:

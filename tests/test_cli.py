@@ -1,3 +1,4 @@
+import random
 import shlex
 
 import pytest
@@ -430,3 +431,31 @@ def test_bad_topology_record_exits_3(capsys, tmp_path, record, expect):
         path.write_text(f"id,x,y\n{record}\n")
     assert main(["bits", "--topology", str(path)]) == 3
     assert capsys.readouterr().err == f"error: {expect.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("size", [25, 62], ids=["closure", "step-table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bits"],
+        ["evaluate", "--rule", "min"],
+        ["evaluate", "--rule", "max"],
+        ["simulate", "--rule", "min"],
+        ["simulate", "--rule", "max"],
+        ["optimize", "--strategy", "greedy_prim", "--rule", "min"],
+        ["stats", "--mode", "sampled", "--samples", "3", "--rule", "min"],
+    ],
+)
+def test_coincident_nodes_under_a_negative_power_exit_2(capsys, tmp_path, argv, size):
+    """budget(0) is singular for a power law with beta < 0, so two coincident
+    nodes are an error on every path: below the step-table gate (n = 5:
+    64n + 2 = 322 calls, 300 pairs at N = 25) and above it (1891 pairs at
+    N = 62). A walk reads the farthest distance under MIN and still sees the 0."""
+    rng = random.Random(size)
+    points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(size - 1)]
+    points.insert(size // 2, points[3])  # nodes 3 and size // 2 coincide
+    path = tmp_path / "twins.csv"
+    path.write_text("id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(points)))
+    order = ["--order", ",".join(map(str, rng.sample(range(size), size)))] if argv[0] == "evaluate" else []
+    assert main([*argv, *order, "--beta", "-0.5", "--topology", str(path)]) == 2
+    assert capsys.readouterr().err == "error: d = 0 with negative exponent is singular\n"

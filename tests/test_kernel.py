@@ -482,6 +482,53 @@ def test_greedy_prim_is_exact_for_max_maximize(instance):
 
 
 @settings(max_examples=30, deadline=None)
+@given(instances(min_nodes=24, max_nodes=40, rules=(MIN, MAX), widths=st.integers(1, 4)))
+def test_prim_order_matches_its_definition_past_the_gate(instance):
+    """Past the step-table gate (64n + 2 <= 258 < 276 <= N(N-1)/2) Prim reads
+    its pair budgets off the table; the order is still the one whose every
+    link is picked from the closure's budgets, ties to the lowest id."""
+    model, rule, topo = instance
+    pick, size = (min if rule is MIN else max), topo.size
+    weights = [[pairwise_bits(model, topo.distance(i, j)) for j in range(size)] for i in range(size)]
+    order = [0]
+    while len(order) < size:
+        rest = [v for v in range(size) if v not in order]
+        order.append(pick(rest, key=lambda v: pick(weights[v][u] for u in order)))
+    objective = "minimize" if rule is MIN else "maximize"
+    assert optimize(model, rule, topo, objective, "greedy_prim") == (
+        tuple(order), evaluate(model, rule, topo, order))
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(*[st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 6.0))] * 2),
+             min_size=1, max_size=8),
+    st.sampled_from([PowerLawModel, GaussianDecayModel]),
+    st.integers(1, 64),
+    st.floats(0.05, 3.0),
+    st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    st.sampled_from([MIN, MAX]),
+    st.randoms(use_true_random=False),
+)
+def test_one_budget_call_per_node_matches_the_fold(positions, cls, n, alpha, beta, rule, rng):
+    """Under MIN and MAX the walk reads a node's budget off its nearest or
+    its farthest polled partner, as the rule and the sign of beta say;
+    conditioned_bits folds every partner. Grid points coincide, where a power
+    law with beta < 0 must raise as the fold does."""
+    model, topo = cls(n=n, alpha=alpha, beta=beta), Topology.from_positions(positions)
+    order = rng.sample(range(topo.size), topo.size)
+
+    def outcome(fn):
+        try:
+            return fn()
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(lambda: evaluate(model, rule, topo, order).per_node) == outcome(
+        lambda: tuple(zip(order, oracle_budgets(model, rule, topo, order))))
+
+
+@settings(max_examples=30, deadline=None)
 @given(instances(min_nodes=11, max_nodes=40, rules=(MIN, MAX)))
 def test_spanning_pairs_searched_past_the_old_limit(instance):
     model, rule, topo = instance

@@ -11,6 +11,8 @@ import io
 import math
 import pickle
 import random
+import struct
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from bitgather import (
     pairwise_bits,
 )
 from bitgather.cli import main
+from bitgather.correlation import budget_steps
 
 SETTINGS = settings(max_examples=50, deadline=None)
 MAX_FLOAT = 1.7976931348623157e308
@@ -136,6 +139,47 @@ def test_models_pickle_and_rebuild_their_closure():
         copy = pickle.loads(pickle.dumps(model))
         assert copy == model
         assert [copy.budget(d) for d in (0.5, 2.0, 9.0)] == [model.budget(d) for d in (0.5, 2.0, 9.0)]
+
+
+def _bits(d):
+    return struct.unpack("Q", struct.pack("d", d))[0]
+
+
+def _float(bits):
+    return struct.unpack("d", struct.pack("Q", bits))[0]
+
+
+@st.composite
+def table_models(draw):
+    """Both families with beta below, at and above 0."""
+    cls = draw(st.sampled_from([PowerLawModel, GaussianDecayModel]))
+    beta = draw(st.one_of(st.just(0.0), st.floats(-9.0, -1e-300), st.floats(1e-300, 9.0)))
+    return cls(n=draw(st.integers(1, 64)), alpha=draw(st.floats(0.05, 3.0)), beta=beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_models(), st.lists(st.floats(0.0, MAX_FLOAT), max_size=40), st.booleans())
+def test_step_table_matches_the_closure(model, drawn, zero):
+    """budget_steps reads the closure off its table at every step, at the 300
+    floats on each side of it, at the range's ends and at random distances.
+    Its bisection makes at most 64n + 2 calls, and from 0 it raises where
+    budget(0) is singular."""
+    calls, budget = [], model.budget
+    vars(model)["budget"] = lambda d: calls.append(d) or budget(d)
+    singular = isinstance(model, PowerLawModel) and model.beta < 0
+    if zero and singular:
+        with pytest.raises(ValueError, match="d = 0 with negative exponent is singular"):
+            budget_steps(model, zero=True)
+        return
+    steps, vals = budget_steps(model, zero)
+    assert len(calls) <= 64 * model.n + 2
+    assert len(vals) == len(steps) + 1 and steps == sorted(steps)
+    assert not steps or steps[0] >= 5e-324
+    lo, top = (0 if zero else 1), _bits(MAX_FLOAT)
+    near = {b for s in steps for b in range(max(lo, _bits(s) - 300), min(top, _bits(s) + 300) + 1)}
+    ends = {*range(lo, lo + 300), *range(top - 300, top + 1)}
+    for d in [*map(_float, near | ends), *(d for d in drawn if d > 0 or zero)]:
+        assert vals[bisect_right(steps, d)] == budget(d), d
 
 
 # Few distinct points make duplicates; the extremes make overflowing pairs.

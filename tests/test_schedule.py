@@ -286,27 +286,46 @@ def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
 
 
 _SHUFFLED = random.Random(34).sample(range(30), 30)
+_PAIRS, _NODES = 30 * 29 // 2, 29
 
 
 @pytest.mark.parametrize(
-    "closure, run",
+    "closure, run, count",
     [
-        ("budget", lambda m, topo: evaluate(m, MIN, topo, _SHUFFLED)),
-        ("budget", lambda m, topo: evaluate(m, MAX, topo, _SHUFFLED)),
-        ("decay_term", lambda m, topo: evaluate(m, ADD, topo, _SHUFFLED)),
-        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "greedy_prim")),
-        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "greedy_prim")),
-        ("budget", lambda m, topo: fidelity_sweep(m, MIN, topo, _SHUFFLED, [1.0], [0, 1])),
+        ("budget", lambda m, topo: evaluate(m, MIN, topo, _SHUFFLED), _NODES),
+        ("budget", lambda m, topo: evaluate(m, MAX, topo, _SHUFFLED), _NODES),
+        ("decay_term", lambda m, topo: evaluate(m, ADD, topo, _SHUFFLED), _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "greedy_prim"), _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "greedy_prim"), _PAIRS),
+        ("budget", lambda m, topo: fidelity_sweep(m, MIN, topo, _SHUFFLED, [1.0], [0, 1]), _NODES),
     ],
     ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max", "sweep-min"],
 )
-def test_evaluate_and_prim_compute_each_pair_once(closure, run):
-    """A node's prefix fold, and Prim's running link, call the pair closure
-    once per unordered pair: no pair twice, and no table besides."""
+def test_evaluate_and_prim_compute_each_pair_once(closure, run, count):
+    """Under MIN and MAX a walk reads each node's budget off one distance:
+    one call per node but the first. The ADDITIVE prefix fold, and Prim's
+    running link below the step-table gate (64n + 2 >= N(N-1)/2), call the
+    pair closure once per unordered pair: no pair twice, and no table besides."""
     m = GaussianDecayModel(n=12, alpha=0.9, beta=0.3)
     calls = _count_budget_calls(m, closure)
     run(m, random_topology(random.Random(33), 30))
-    assert len(calls) == 30 * 29 // 2
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("size, tabled", [(23, False), (24, True)])
+def test_budget_matrix_bisects_only_above_the_gate(size, tabled):
+    """With n = 4 the gate is 64n + 2 = 258 calls: N = 23 has 253 pairs, so
+    each pair calls the closure once, in row order; N = 24 has 276, and the
+    step table's bisection makes at most 258 calls."""
+    m = PowerLawModel(n=4, alpha=1.0, beta=1.0)
+    topo = random_topology(random.Random(35), size)
+    want = [[m.budget(topo.distance(i, j)) if i != j else 0 for j in range(size)] for i in range(size)]
+    calls = _count_budget_calls(m)
+    assert budget_matrix(m, topo) == want
+    if tabled:
+        assert len(calls) <= 64 * 4 + 2
+    else:
+        assert calls == [topo.distance(i, j) for i in range(size) for j in range(i + 1, size)]
 
 
 def test_refused_brute_force_computes_no_budget():
