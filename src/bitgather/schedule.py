@@ -28,8 +28,12 @@ Sampled permutations are scored by a scan of each node's row ranked best
 first (ADDITIVE folds its prefix).
 
 "Average" statistics are the mean over uniformly random schedules, drawn
-by Fisher-Yates shuffles of a seeded Mersenne Twister (random.Random), so
-sampled results are bit-reproducible across platforms.
+by this module's own Fisher-Yates shuffle over a seeded Mersenne Twister:
+each swap index is getrandbits(k) with rejection, k the bit length of the
+number of candidates. Those are the draws of random.shuffle on CPython
+3.10-3.13, but reproducibility rests only on getrandbits' output, not on
+shuffle's internals, so sampled results are bit-reproducible across
+platforms.
 """
 
 from __future__ import annotations
@@ -279,11 +283,32 @@ def _exhaustive(
     return ScheduleStats(acc / count, lo[0], hi[0], first(lo), first(hi), count, exhaustive=True)
 
 
+def _shuffles(seed: int, size: int) -> Iterator[list[int]]:
+    """One list of 0..size-1, shuffled in place again before each yield.
+
+    Fisher-Yates: for i from size-1 down to 1, swap item i with item j,
+    j uniform in 0..i, drawn as getrandbits(k) for k the bit length of i+1
+    and redrawn while j > i. These are random.Random(seed).shuffle's draws,
+    inline, so no Python frame is called per swap.
+    """
+    getrandbits, order = random.Random(seed).getrandbits, list(range(size))
+    steps = [(i, (i + 1).bit_length()) for i in range(size - 1, 0, -1)]
+    while True:
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        yield order
+
+
 def _sample(
     model: ModelSpec, rule: ConditioningRule, topology: Topology,
     count: int | None, seed: int | None,
 ) -> ScheduleStats:
-    """Statistics over `count` seeded shuffles, each scored as it is drawn."""
+    """Statistics over `count` seeded shuffles, each scored as it is drawn:
+    _shuffles' own Fisher-Yates over getrandbits(k) with rejection, the draws
+    of random.shuffle on CPython 3.10-3.13 but not tied to its internals."""
     if count is None or count < 1:
         raise ValueError("sampling needs count >= 1")
     if seed is None:
@@ -291,10 +316,8 @@ def _sample(
     if count > SAMPLE_LIMIT:
         raise InfeasibleError(f"sampling refused: more than {SAMPLE_LIMIT} schedules")
     total_of = _total_fn(_Attach(model, rule, topology))
-    rng, order = random.Random(seed), list(range(topology.size))
     totals, lo, hi, argmin, argmax = [], math.inf, -math.inf, (), ()
-    for _ in range(count):
-        rng.shuffle(order)
+    for order in islice(_shuffles(seed, topology.size), count):
         totals.append(t := total_of(order))
         if t < lo:
             lo, argmin = t, tuple(order)
