@@ -18,12 +18,12 @@ _Attach holds that fold and the pair table, built on first use. A budget
 is monotone in distance, so under MIN and MAX a walk (evaluate, and the
 simulator's gather and sweep) reads each node's budget off one distance
 of its prefix, the nearest or the farthest; under ADDITIVE it folds the
-prefix. The pair table and the Prim order read pairwise budgets off the
-model's step table where finding its steps costs fewer calls than the
-pairs. Only the Prim order keeps a running link, to pick the next node.
-One backward pass over the 2**N polled sets (Held & Karp 1962) gives the
-exhaustive statistics and the brute-force optimum; the two spanning-tree
-pairs instead descend by an exact spanning-tree bound, in O(N**3).
+prefix. The pair table, Prim and the spanning descent read pairwise
+budgets off the model's step table where finding its steps costs fewer
+calls than the pairs. One backward pass over the 2**N polled sets (Held
+& Karp 1962) gives the exhaustive statistics and the brute-force optimum;
+the two spanning-tree pairs instead descend by an exact bound read off
+one Prim order (_prim, also greedy_prim's), in O(N**2) time, O(N) memory.
 Sampled permutations are scored by a scan of each node's row ranked best
 first (ADDITIVE folds its prefix).
 
@@ -64,18 +64,17 @@ from .topology import Topology
 # 16 * 2**15 = 524,288 at N = 16; beyond that exhaustive stats and brute
 # force outside the spanning pairs are refused.
 EXHAUSTIVE_LIMIT = 16
-# Work units the spanning-pair descent may spend: each prefix on its one
-# path costs (unpolled nodes) * N, which covers its O(N) link update and its
-# O(N**2) bound; from N = 585 the path alone costs more.
-SEARCH_WORK_LIMIT = 10**8
+# Work units the spanning-pair descent may spend: N * N, one Prim order and,
+# per poll, one row of pair budgets and O(N) scans; past N = 2000 it is refused.
+SEARCH_WORK_LIMIT = 2000**2
 # Sampled schedules (stats, optimize --strategy random_restart); one total is kept per sample.
 SAMPLE_LIMIT = 10**6
 
 
 class InfeasibleError(RuntimeError):
     """Request exceeds a size limit: too many polled sets for an exact
-    answer, too many nodes for the spanning-pair descent, too many sampled
-    schedules, or too many sweep rows or simulated bits."""
+    answer, more than 2000 nodes for the spanning-pair descent, too many
+    sampled schedules, or too many sweep rows or simulated bits."""
 
 
 @dataclass(frozen=True)
@@ -200,22 +199,15 @@ def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     return _Attach(model, ConditioningRule.MIN, topology).rows
 
 
-def _budgets(kernel: _Attach, order: Sequence[int]) -> Iterator[int]:
-    """Each node's budget in `order`, folded from the pair table."""
-    rows, fold = kernel.rows, kernel.fold
-    yield kernel.n
-    for k in range(1, len(order)):
-        # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
-        yield fold(map(rows[order[k]].__getitem__, islice(order, k)))
-
-
 def _total_fn(kernel: _Attach) -> Callable[[Sequence[int]], int]:
     """Total bits of one permutation, equal to evaluate().total: a ranked scan
     (about H_N probes per node on a random order), or under ADDITIVE a fold
     of each node's prefix."""
+    rows, n, fold = kernel.rows, kernel.n, kernel.fold
     if kernel.rule is ConditioningRule.ADDITIVE:
-        return lambda order: sum(_budgets(kernel, order))
-    rows, n = kernel.rows, kernel.n
+        # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
+        return lambda order: n + sum(
+            fold(map(rows[order[k]].__getitem__, islice(order, k))) for k in range(1, len(order)))
     ids = list(range(len(rows)))  # shared, so the ranked lists hold the same ints
     down = kernel.rule is ConditioningRule.MAX
     ranked = [sorted(ids[:v] + ids[v + 1 :], key=r.__getitem__, reverse=down) for v, r in enumerate(rows)]
@@ -357,69 +349,74 @@ def schedule_stats(
 _SPANNING = {(ConditioningRule.MIN, "minimize"), (ConditioningRule.MAX, "maximize")}
 
 
-def _prim_order(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> BitReport:
-    """Prim order from node 0 with its budgets under `rule` (MIN or MAX):
-    always poll the node whose link, its budget given the polled set, is
-    cheapest under MIN, dearest under MAX, ties toward the lowest id."""
-    pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-    pairs, distances_from = _pair_budgets(model, topology), topology.distances_from
-    pending = list(range(1, topology.size))  # unpolled, in id order
-    links = [*pairs(distances_from(0, pending))]  # links[k]: pending[k]'s
-    per_node = [(0, model.n)]
+def _prim(start: int, size: int, row: Callable, pick: Callable, merge: Callable) -> tuple[list[int], list]:
+    """Prim order of nodes 0..size-1 from `start`, and each later node's link
+    when polled: row(u, nodes) gives u's pair values to `nodes`, merge (min or
+    max) folds them into the links, and pick polls the first extreme (lowest id)."""
+    pending = [v for v in range(size) if v != start]  # unpolled, in id order
+    links = [*row(start, pending)]  # links[k]: pending[k]'s
+    order, attached = [start], []
     while pending:
         k = links.index(pick(links))
-        u = pending.pop(k)
-        per_node.append((u, links.pop(k)))
-        links = [*map(pick, links, pairs(distances_from(u, pending)))]
-    return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node))
+        order.append(pending.pop(k))
+        attached.append(links.pop(k))
+        links = [*map(merge, links, row(order[-1], pending))]
+    return order, attached
 
 
-def _prim_from(table: list[list[int]], start: int, pick: Callable = min) -> tuple[int, ...]:
-    """A MIN-rule Prim order from `start` over a table of pairwise budgets:
-    cheapest link first (pick=min) or dearest (pick=max), ties toward the lowest id."""
-    link, order = table[start], [start]
-    pending = [v for v in range(len(table)) if v != start]
-    while pending:
-        u = pick(pending, key=link.__getitem__)
-        pending.remove(u)
-        order.append(u)
-        link = list(map(min, link, table[u]))
-    return tuple(order)
+def _pair_rows(model: ModelSpec, topology: Topology) -> Callable[[int, Iterable[int]], Iterator[int]]:
+    """row(u, nodes): u's pairwise budget to each of `nodes`, computed on demand."""
+    pairs, distances_from = _pair_budgets(model, topology), topology.distances_from
+    return lambda u, nodes: pairs(distances_from(u, nodes))
 
 
-def _spanning_descent(kernel: _Attach, objective: str) -> tuple[int, ...]:
+def _spanning_descent(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> tuple[int, ...]:
     """The lexicographically first optimal schedule of a _SPANNING pair.
 
     Each prefix's best completion is exact: its total plus the min (max)
     spanning tree of the unpolled nodes and one node for the prefix, whose
     edge to v is link[v]. Polling v next forces that edge into the tree:
-    the tree's weight changes by link[v] minus the heaviest (lightest) edge
-    on its path from the prefix to v. Every prefix polled lies on an optimal
-    schedule, so its best bound is the optimum, and the lowest node that
-    attains it is polled next. Raises InfeasibleError before any budget is
-    computed when that one path costs more than SEARCH_WORK_LIMIT.
+    the tree's weight changes by link[v] minus hop[v], the heaviest
+    (lightest) edge on its path from the prefix to v. Every prefix polled
+    lies on an optimal schedule, so its best bound is the optimum, and the
+    lowest node that attains it is polled next: node 0 first.
+
+    hop[v] is the best, over polled p, of the bottleneck between p and v,
+    and bottleneck paths lie on any optimal spanning tree (Hu 1961). Along
+    a Prim order q with links l, the bottleneck of q_i and q_j, i < j, is
+    the max (min, to maximize) of l_{i+1..j}: each poll reads hop off the
+    nearest polled nodes along q, two O(N) scans, so O(N**2) time and O(N)
+    memory. Refused before any budget is computed for N * N > SEARCH_WORK_LIMIT.
     """
-    size = kernel.size
-    if size * (size * (size + 1) // 2 - 1) > SEARCH_WORK_LIMIT:
+    size = topology.size
+    if size * size > SEARCH_WORK_LIMIT:
         raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
-    rows = kernel.rows
-    better = operator.lt if objective == "minimize" else operator.gt
-    pick, hop_of = (min, max) if objective == "minimize" else (max, min)
-    link, rest, order = [kernel.n if objective == "minimize" else 0] * size, list(range(size)), []
+    pick, hop_of = (min, max) if rule is ConditioningRule.MIN else (max, min)
+    row = _pair_rows(model, topology)
+    q, links = _prim(0, size, row, pick, pick)  # pick is the pair's rule: min or max
+    # `apart`: no polled node on that side; `level`: the node is polled, its path empty
+    apart, level = (math.inf, -math.inf) if rule is ConditioningRule.MIN else (-math.inf, math.inf)
+    edges = [*links, apart]  # edges[k] joins q_k and q_{k+1}
+    polled = [True, *repeat(False, size - 1)]  # by position in q; q_0 is node 0
+    at = sorted(range(size), key=q.__getitem__)  # at[v]: v's position in q
+    rest, order = list(range(1, size)), [0]
+    link = [*row(0, rest)]  # link[k]: rest[k]'s budget given the prefix
     while rest:
-        key, hop = link[:], link[:]
-        out = rest[:]
-        while out:
-            u = pick(out, key=key.__getitem__)
-            out.remove(u)
-            row, h = rows[u], hop[u]
-            for v in out:
-                if better(row[v], key[v]):
-                    key[v], hop[v] = row[v], hop_of(h, row[v])
-        bounds = [link[v] - hop[v] for v in rest]  # each less the prefix's total and tree weight
-        v = rest.pop(bounds.index(pick(bounds)))  # index: the first, lowest id
+        # hop by position in q: from the nearest polled node before it, then after it
+        hop, h = [level] * size, level
+        for k in range(1, size):
+            hop[k] = h = level if polled[k] else hop_of(h, edges[k - 1])
+        h = apart
+        for k in range(size - 1, 0, -1):
+            h = level if polled[k] else hop_of(h, edges[k])
+            hop[k] = pick(hop[k], h)
+        bounds = [b - hop[at[v]] for v, b in zip(rest, link)]  # each less the prefix's total and tree weight
+        k = bounds.index(pick(bounds))  # index: the first, lowest id
+        v = rest.pop(k)
+        del link[k]
         order.append(v)
-        link = list(map(pick, link, rows[v]))  # pick is the pair's rule: min or max
+        polled[at[v]] = True
+        link = [*map(pick, link, row(v, rest))]
     return tuple(order)
 
 
@@ -438,32 +435,34 @@ def optimize(
 
     brute_force is exact and returns the lexicographically first optimal
     schedule. For the MIN rule minimized and the MAX rule maximized it
-    descends by an exact spanning-tree bound in O(N**3), refused from
-    N = 585 on (SEARCH_WORK_LIMIT); for every other pair it is the
-    exhaustive statistics' argmin or argmax, from one pass over the 2**N
-    polled sets, refused for N > EXHAUSTIVE_LIMIT. greedy_prim is exact
-    for the MIN rule with objective "minimize" and the MAX rule with
+    descends by an exact spanning-tree bound in O(N**2) time and O(N)
+    memory, refused for N > 2000 (SEARCH_WORK_LIMIT); for every other pair
+    it is the exhaustive statistics' argmin or argmax, from one pass over
+    the 2**N polled sets, refused for N > EXHAUSTIVE_LIMIT. greedy_prim is
+    exact for the MIN rule with objective "minimize" and the MAX rule with
     "maximize": the Prim order from node 0 totals n plus the min (max)
-    spanning tree weight. For other pairs it is refused unless `force` is set; then it runs as a heuristic that
-    tries every start node and keeps the best MIN-rule Prim order (dearest
-    link first too, for the MIN rule maximized), all on one budget table.
-    random_restart keeps the best of `count` seeded random permutations.
-    Among equal totals the first schedule tried wins.
+    spanning tree weight. For other pairs it is refused unless `force` is
+    set; then it runs as a heuristic that tries every start node and keeps
+    the best MIN-rule Prim order (dearest link first too, for the MIN rule
+    maximized), all on one budget table. random_restart keeps the best of
+    `count` seeded random permutations. Among equal totals the first
+    schedule tried wins. Except for exact greedy_prim, evaluate() reports.
     """
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"unknown objective {objective!r}")
     n_nodes = topology.size
     if strategy == "brute_force":
         if (rule, objective) in _SPANNING:
-            best = _spanning_descent(_Attach(model, rule, topology), objective)
+            best = _spanning_descent(model, rule, topology)
         else:
             stats = _exhaustive(model, rule, topology, "use random_restart or greedy_prim")
             best = stats.argmin if objective == "minimize" else stats.argmax
-        return best, evaluate(model, rule, topology, best)
-    if strategy == "greedy_prim":
-        if (rule, objective) in _SPANNING:
-            report = _prim_order(model, rule, topology)
-            return tuple(u for u, _ in report.per_node), report
+    elif strategy == "greedy_prim":
+        if (rule, objective) in _SPANNING:  # the Prim order from node 0, links its budgets
+            pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
+            order, links = _prim(0, n_nodes, _pair_rows(model, topology), pick, pick)
+            bits = [model.n, *links]
+            return tuple(order), BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
         if not force:
             raise ValueError(
                 "greedy_prim is only exact for the min rule with objective minimize "
@@ -472,15 +471,15 @@ def optimize(
             )
         kernel = _Attach(model, rule, topology)  # under MIN and MAX its rows are the budgets
         table = budget_matrix(model, topology) if rule is ConditioningRule.ADDITIVE else kernel.rows
+        row = lambda u, vs: map(table[u].__getitem__, vs)
         # cheapest-first orders aim low: to maximize a MIN total, dearest-first ones follow
         aims = (min, max) if (rule, objective) == (ConditioningRule.MIN, "maximize") else (min,)
-        candidates = [_prim_from(table, start, aim) for aim in aims for start in range(n_nodes)]
+        candidates = [tuple(_prim(s, n_nodes, row, aim, min)[0]) for aim in aims for s in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
         best = pick(candidates, key=_total_fn(kernel))
-        bits = list(_budgets(kernel, best))
-        return best, BitReport(per_node=tuple(zip(best, bits)), total=sum(bits))
-    if strategy == "random_restart":
+    elif strategy == "random_restart":
         stats = _sample(model, rule, topology, count, seed)
         best = stats.argmin if objective == "minimize" else stats.argmax
-        return best, evaluate(model, rule, topology, best)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return best, evaluate(model, rule, topology, best)

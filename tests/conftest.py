@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -44,3 +45,36 @@ def mst_weight(weights) -> int:
             if not in_tree[v] and weights[u][v] < best[v]:
                 best[v] = weights[u][v]
     return total
+
+
+def oracle_descent(weights, n: int, objective: str) -> tuple[int, ...]:
+    """Independent O(N**3) oracle: the lexicographically first optimal
+    schedule of the MIN rule minimized ("minimize") or the MAX rule
+    maximized ("maximize"), over a complete graph of pairwise budgets.
+
+    Each prefix's best completion is its total plus the min (max) spanning
+    tree of the unpolled nodes and one node for the prefix, whose edge to v
+    is link[v]; polling v next changes the tree by link[v] minus hop[v], the
+    heaviest (lightest) edge on the tree path from the prefix to v. A fresh
+    Prim over the unpolled nodes gives hop at every step. Deliberately
+    separate from the schedule-search code so it can check it.
+    """
+    size = len(weights)
+    better = operator.lt if objective == "minimize" else operator.gt
+    pick, hop_of = (min, max) if objective == "minimize" else (max, min)
+    link, rest, order = [n if objective == "minimize" else 0] * size, list(range(size)), []
+    while rest:
+        key, hop = link[:], link[:]
+        out = rest[:]
+        while out:
+            u = pick(out, key=key.__getitem__)
+            out.remove(u)
+            row, h = weights[u], hop[u]
+            for v in out:
+                if better(row[v], key[v]):
+                    key[v], hop[v] = row[v], hop_of(h, row[v])
+        bounds = [link[v] - hop[v] for v in rest]
+        v = rest.pop(bounds.index(pick(bounds)))  # index: the first, lowest id
+        order.append(v)
+        link = list(map(pick, link, weights[v]))
+    return tuple(order)

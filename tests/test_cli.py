@@ -145,13 +145,13 @@ def test_exhaustive_too_large_exits_4(capsys, tmp_path):
 
 
 def test_brute_force_past_work_limit_exits_4(capsys, tmp_path):
-    # 585 nodes: one root-to-leaf path of the search alone costs more than the limit
+    # 2001 nodes: the descent's N * N work is more than the limit
     path = tmp_path / "big.csv"
-    path.write_text("id,x,y\n" + "\n".join(f"{i},{i},0" for i in range(585)) + "\n")
+    path.write_text("id,x,y\n" + "\n".join(f"{i},{i},0" for i in range(2001)) + "\n")
     code = main(["optimize", "--topology", str(path), "--strategy", "brute_force"])
     captured = capsys.readouterr()
     assert code == 4
-    assert "brute force refused for N=585" in captured.err
+    assert "brute force refused for N=2001" in captured.err
 
 
 def test_evaluate_collinear(capsys, topo_line3):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from statistics import fmean
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitgather import (
@@ -42,7 +42,7 @@ from bitgather import (
 from bitgather.correlation import decay_sum
 from bitgather.schedule import _Attach, _shuffles, _total_fn
 
-from conftest import mst_weight, random_topology
+from conftest import mst_weight, oracle_descent, random_topology
 
 MIN, MAX, ADD = ConditioningRule.MIN, ConditioningRule.MAX, ConditioningRule.ADDITIVE
 
@@ -120,12 +120,25 @@ def oracle_prim(weights, start, dearest=False):
     return tuple(order)
 
 
-def spanning_optimum(model, rule, topo):
-    """n plus the min spanning tree weight under MIN, the max under MAX."""
-    weights = [
+def pair_weights(model, topo):
+    """Every pair's pairwise_bits; 0 on the diagonal."""
+    return [
         [pairwise_bits(model, topo.distance(i, j)) if i != j else 0 for j in range(topo.size)]
         for i in range(topo.size)
     ]
+
+
+def outcome(fn):
+    """fn's result, or the message of the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def spanning_optimum(model, rule, topo):
+    """n plus the min spanning tree weight under MIN, the max under MAX."""
+    weights = pair_weights(model, topo)
     if rule is MIN:
         return model.n + mst_weight(weights)
     return model.n - mst_weight([[-w for w in row] for row in weights])
@@ -439,6 +452,11 @@ def test_additive_budget_depends_on_the_polled_set_only(instance, data):
     st.one_of(instances(max_nodes=8), instances(max_nodes=8, coord=st.integers(0, 2).map(float))),
     st.sampled_from(["minimize", "maximize"]),
 )
+@example(  # dearest-first orders whose links merge by max (not min) pick another order
+    (PowerLawModel(3, 1.0, 0.5), MIN,
+     Topology.from_positions([(3.0, 0.0), (2.0, 4.0), (3.0, 3.0), (2.0, 3.0), (2.0, 4.0), (1.0, 4.0)])),
+    "maximize",
+)
 def test_forced_greedy_prim_keeps_the_best_min_rule_prim_order(instance, objective):
     model, rule, topo = instance
     if (rule, objective) in ((MIN, "minimize"), (MAX, "maximize")):
@@ -547,13 +565,6 @@ def test_one_budget_call_per_node_matches_the_fold(positions, cls, n, alpha, bet
     law with beta < 0 must raise as the fold does."""
     model, topo = cls(n=n, alpha=alpha, beta=beta), Topology.from_positions(positions)
     order = rng.sample(range(topo.size), topo.size)
-
-    def outcome(fn):
-        try:
-            return fn()
-        except ValueError as exc:
-            return str(exc)
-
     assert outcome(lambda: evaluate(model, rule, topo, order).per_node) == outcome(
         lambda: tuple(zip(order, oracle_budgets(model, rule, topo, order))))
 
@@ -567,6 +578,40 @@ def test_spanning_pairs_searched_past_the_old_limit(instance):
     assert sorted(order) == list(range(topo.size))
     assert report == evaluate(model, rule, topo, order)
     assert report.total == spanning_optimum(model, rule, topo)
+
+
+_TWINS = [(float(i % 3), float(i // 3)) for i in range(9)] + [(1.0, 1.0)]
+
+
+@SETTINGS
+@given(
+    st.sampled_from([st.floats(0.0, 10.0), st.integers(0, 4).map(float)]).flatmap(
+        lambda coord: st.lists(st.tuples(coord, coord), min_size=8, max_size=60)),
+    st.sampled_from([PowerLawModel, GaussianDecayModel]),
+    st.integers(1, 16),
+    st.floats(0.1, 3.0),
+    st.floats(-2.0, 3.0),
+    st.sampled_from([MIN, MAX]),
+)
+@example(_TWINS, PowerLawModel, 5, 1.0, -0.5, MIN)  # coincident nodes: singular
+@example(  # a node's nearest polled node along the Prim order may come after it
+    [(3.9, 0.5), (5.2, 4.6), (1.7, 3.3), (0.4, 1.4), (2.0, 2.3), (3.4, 4.7), (4.0, 2.7), (2.4, 0.2),
+     (3.9, 3.8), (2.7, 0.6)], PowerLawModel, 4, 0.5, 1.0, MIN)
+@example(_TWINS, PowerLawModel, 5, 1.0, 0.5, MAX)
+@example([(0.0, 0.0)] * 3 + _TWINS, GaussianDecayModel, 12, 0.9, 0.3, MIN)
+def test_spanning_brute_force_equals_the_cubic_descent(positions, cls, n, alpha, beta, rule):
+    """Both spanning pairs at N 8-60, on uniform and integer-grid layouts
+    (tied budgets, d = 0): brute force, one Prim order read at every step,
+    returns the order of the O(N**3) descent that re-runs Prim each step,
+    or raises its message. At N 9-13 that order is the exhaustive argmin
+    (argmax) too."""
+    model, topo = cls(n=n, alpha=alpha, beta=beta), Topology.from_positions(positions)
+    objective = "minimize" if rule is MIN else "maximize"
+    want = outcome(lambda: oracle_descent(pair_weights(model, topo), model.n, objective))
+    assert outcome(lambda: optimize(model, rule, topo, objective, "brute_force")[0]) == want
+    if 9 <= topo.size <= 13 and not isinstance(want, str):
+        stats = schedule_stats(model, rule, topo, "exhaustive")
+        assert want == (stats.argmin if rule is MIN else stats.argmax)
 
 
 @SETTINGS

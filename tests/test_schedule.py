@@ -217,11 +217,11 @@ class TestOptimize:
 
     def test_brute_force_guard(self, unit_staircase, monkeypatch):
         topo = random_topology(random.Random(16), 11)
-        one_path = 11 * (11 * 12 // 2 - 1)  # the work of one root-to-leaf path
+        one_path = 11 * 11  # the descent's work: N * N
         monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", one_path - 1)
         with pytest.raises(InfeasibleError, match="work limit"):
             optimize(unit_staircase, MIN, topo, strategy="brute_force")
-        # the exact bound descends a single path, so it fits a limit of one path
+        # the exact bound descends a single path, so it fits a limit of N * N
         monkeypatch.setattr(schedule, "SEARCH_WORK_LIMIT", one_path)
         _, report = optimize(unit_staircase, MIN, topo, strategy="brute_force")
         assert report.total == unit_staircase.n + mst_weight(budget_matrix(unit_staircase, topo))
@@ -278,7 +278,8 @@ def test_exhaustive_stats_compute_each_pair_budget_once(rule):
 
 @pytest.mark.parametrize("rule, objective", [(MIN, "maximize"), (MAX, "minimize")])
 def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
-    """Every Prim start, the scoring and the report share one pair table."""
+    """Every Prim start and the scoring share one pair table; the report's
+    walk adds one budget call per node."""
     m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
     calls = _count_budget_calls(m)
     optimize(m, rule, random_topology(random.Random(32), 40), objective, "greedy_prim", force=True)
@@ -331,7 +332,7 @@ def test_budget_matrix_bisects_only_above_the_gate(size, tabled):
 def test_refused_brute_force_computes_no_budget():
     m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
     calls = _count_budget_calls(m)
-    topo = Topology.from_positions([(float(i), 0.0) for i in range(585)])
+    topo = Topology.from_positions([(float(i), 0.0) for i in range(2001)])
     with pytest.raises(InfeasibleError, match="above the search's work limit"):
         optimize(m, MIN, topo, strategy="brute_force")
     # one node past the polled-set pass's limit, under every rule
@@ -396,7 +397,7 @@ def test_leaves_no_reference_cycle(unit_staircase, call):
 
 def test_refused_search_leaves_no_reference_cycle(unit_staircase):
     """Both up-front refusals: the spanning descent's and the polled-set pass's."""
-    for n_nodes, objective in [(585, "minimize"), (EXHAUSTIVE_LIMIT + 1, "maximize")]:
+    for n_nodes, objective in [(2001, "minimize"), (EXHAUSTIVE_LIMIT + 1, "maximize")]:
         topo = random_topology(random.Random(21), n_nodes)
 
         def refused():
