@@ -16,11 +16,12 @@ it: its pair values to those nodes (pairwise budgets, or decay terms
 under ADDITIVE) folded by min, max, or an exact sum rounded once.
 _Attach holds that fold and the pair table, built on first use. A budget
 is monotone in distance, so under MIN and MAX a walk (evaluate, and the
-simulator's gather and sweep) reads each node's budget off one distance
-of its prefix, the nearest or the farthest; under ADDITIVE it folds the
-prefix. The pair table, Prim and the spanning descent read pairwise
-budgets off the model's step table where finding its steps costs fewer
-calls than the pairs. One backward pass over the 2**N polled sets (Held
+simulator's gather and sweep) reads each node's budget off one distance:
+its nearest earlier node's, from one sorted sweep of the order
+(Topology.nearest_links), or the farthest of its prefix; under ADDITIVE
+it folds the prefix. The pair table, Prim and the spanning descent read
+pairwise budgets off the model's step table where finding its steps
+costs fewer calls than the pairs. One backward pass over the 2**N polled sets (Held
 & Karp 1962) gives the exhaustive statistics and the brute-force optimum;
 the two spanning-tree pairs instead descend by an exact bound read off
 one Prim order (_prim, also greedy_prim's), in O(N**2) time, O(N) memory.
@@ -155,31 +156,29 @@ class _Attach:
 
 def _walk(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
-) -> Iterator[tuple[int, list[float], int]]:
-    """(node, its distances to the nodes before it, its budget) for each node
-    of one polling order: n for the first node, then under ADDITIVE the
-    node's decay terms to that row, folded. Under MIN and MAX a monotone
-    budget is read off one distance of the row, its least or its greatest:
-    one budget call per node. Each row is computed once and not kept."""
+) -> tuple[tuple[tuple[int, int], ...], list[tuple[float, int]] | None]:
+    """(node, its budget) for each node of one polling order, n for the
+    first, and the order's Topology.nearest_links if the walk computed them,
+    else None. Under MIN and MAX a monotone budget is one partner's: the
+    nearest's, read off the node's link (no distance rows), or the
+    farthest's, off the greatest of the node's distances to the nodes before
+    it. ADDITIVE folds the decay terms of those distances."""
     kernel = _Attach(model, rule, topology)
     order = _check_permutation(schedule, topology.size)
-    budget, distances_from = model.budget, topology.distances_from
+    budget, first = model.budget, (order[0], kernel.n)
     if rule is ConditioningRule.ADDITIVE:
         pairs, fold = kernel.pairs, kernel.fold
         budget_of = lambda ds: fold(pairs(ds))
     elif (rule is ConditioningRule.MIN) == (model.beta >= 0):  # the nearest partner sets it
-        budget_of = lambda ds: budget(min(ds))
-    else:  # the farthest partner sets it
-
-        def budget_of(ds: list[float]) -> int:
-            if min(ds) == 0:
-                budget(0.0)  # raises where budget(0) is singular, as a fold would
-            return budget(max(ds))
-
-    yield order[0], [], kernel.n
-    for k in range(1, len(order)):
-        ds = distances_from(order[k], islice(order, k))
-        yield order[k], ds, budget_of(ds)
+        links = topology.nearest_links(order)
+        return (first, *((v, budget(d)) for v, (d, _) in zip(order[1:], links[1:]))), links
+    else:  # the farthest partner sets it; a fold would meet each coincident pair's d = 0
+        if len(set(topology.positions)) < topology.size:
+            budget(0.0)  # raises where budget(0) is singular
+        budget_of = lambda ds: budget(max(ds))
+    distances_from = topology.distances_from
+    rest = ((order[k], budget_of(distances_from(order[k], islice(order, k)))) for k in range(1, len(order)))
+    return (first, *rest), None
 
 
 def evaluate(
@@ -190,7 +189,7 @@ def evaluate(
 ) -> BitReport:
     """Per-node budgets and total bits for one polling order: n for the first
     node, then each node's pair values to the nodes before it, folded."""
-    per_node = tuple((v, bits) for v, _, bits in _walk(model, rule, topology, schedule))
+    per_node = _walk(model, rule, topology, schedule)[0]
     return BitReport(per_node=per_node, total=sum(bits for _, bits in per_node))
 
 

@@ -12,11 +12,9 @@ A gather run walks a schedule, budgets each node against the already
 polled set, encodes the low bits, and decodes against the reconstructed
 reading of the nearest prior node. Reconstructed (not true) readings feed
 later references, so decoding errors propagate as they would in a real
-collector. Budgets and references are data-independent: one walk computes
-each node's distances to the nodes polled before it, once, and reads from
-that row both its budget (the bit report always matches schedule.evaluate
-on the same inputs) and its reference, the nearest by (distance, id), as
-Topology.nearest_links gives it.
+collector. Budgets and references are data-independent, so one walk per
+schedule gives both: the bit report is schedule.evaluate's, and each node's
+reference is its nearest earlier node by (distance, id), Topology.nearest_links'.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .codec import Reading, decode, encode
 # conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
 from .correlation import ConditioningRule, ModelSpec, conditioned_bits  # noqa: F401
 from .schedule import BitReport, _walk
-from .topology import Topology, nearest
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,11 @@ def _walk_references(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
 ) -> tuple[BitReport, list[int]]:
     """evaluate's report, and each node's decode reference: its nearest earlier
-    node by (distance, id), by the rule Topology.nearest_links also uses
-    (topology.nearest); -1 for the first. Both read the one distance row the
-    walk computes for each node."""
-    order, per_node, refs = [], [], []
-    for v, ds, bits in _walk(model, rule, topology, schedule):  # checks the schedule
-        refs.append(nearest(ds, order)[1])
-        order.append(v)
-        per_node.append((v, bits))
-    return BitReport(per_node=tuple(per_node), total=sum(bits for _, bits in per_node)), refs
+    node by (distance, id), from Topology.nearest_links; -1 for the first.
+    Where the nearest partner sets the budgets, the walk's own links serve."""
+    per_node, links = _walk(model, rule, topology, schedule)  # checks the schedule
+    refs = [u for _, u in links or topology.nearest_links([v for v, _ in per_node])]
+    return BitReport(per_node=per_node, total=sum(bits for _, bits in per_node)), refs
 
 
 def _decode_all(report: BitReport, refs: Sequence[int], field: SensorField) -> GatherResult:

@@ -1,13 +1,15 @@
 """Node placement and pairwise Euclidean distances, computed on demand from
-the positions; overflowing distances rejected, the field plan cached."""
+the positions; overflowing distances rejected. Each node's nearest earlier
+node along an order comes from one sorted sweep (nearest_links), and the
+field plan, one such sweep, is cached."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from math import dist
+from math import dist, nextafter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -66,8 +68,38 @@ class Topology:
 
     def nearest_links(self, order: Sequence[int]) -> list[tuple[float, int]]:
         """(d, u) for each node of the permutation `order`: its nearest earlier
-        node u by (distance, id), at d; (inf, -1) for the first."""
-        return [nearest(self.distances_from(v, islice(order, k)), order) for k, v in enumerate(order)]
+        node u by (distance, id), at d; (inf, -1) for the first.
+
+        A projection search (Friedman, Baskett & Shustek 1975): the nodes met
+        so far are kept sorted on the coordinate of larger span, and each node
+        scans out from its place on both sides until the gap g on that
+        coordinate exceeds reach, the float after the best distance found.
+        dist takes the same rounded g, |g| is at most the norm dist rounds,
+        and that norm errs by < 1 ulp (math.hypot's, documented since CPython
+        3.10), so dist returns at least the float before |g|. Once |g| > reach
+        that is more than best, for this node and every node past it (|g|
+        grows along a side). Gaps up to reach are scanned, so an equally near
+        node of lower id is found.
+        """
+        positions, keys, ids, links = self.positions, [], [], []  # keys[k]: ids[k]'s sort coordinate
+        xs, ys = zip(*positions)
+        axis = 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1  # a column sorts on y
+        for v in order:
+            p = positions[v]
+            c = p[axis]
+            at, best, reach, near = bisect_left(keys, c), math.inf, math.inf, -1
+            for side in (range(at, len(keys)), range(at - 1, -1, -1)):
+                for j in side:
+                    if abs(keys[j] - c) > reach:  # rounding is symmetric: |keys[j] - c| == |c - keys[j]|
+                        break
+                    u = ids[j]
+                    d = dist(p, positions[u])
+                    if d < best or d == best and u < near:
+                        best, near, reach = d, u, nextafter(d, math.inf)
+            keys.insert(at, c)
+            ids.insert(at, v)
+            links.append((best, near))
+        return links
 
     @cached_property
     def field_plan(self) -> tuple[tuple[int, int, float], ...]:
@@ -75,17 +107,6 @@ class Topology:
         0 in increasing distance from node 0 (ties by id), as nearest_links."""
         order = [0, *sorted(range(1, self.size), key=self.distances_from(0, range(self.size)).__getitem__)]
         return tuple((v, u, d) for v, (d, u) in zip(order[1:], self.nearest_links(order)[1:]))
-
-
-def nearest(ds: list[float], ids: Sequence[int]) -> tuple[float, int]:
-    """(d, u): the least distance of ds, where ds[k] is node ids[k]'s, and the
-    lowest id among the nodes at it; (inf, -1) for an empty ds."""
-    if not ds:
-        return math.inf, -1
-    d = min(ds)
-    if ds.count(d) == 1:
-        return d, ids[ds.index(d)]
-    return d, min(u for u, x in zip(ids, ds) if x == d)  # coincident distances
 
 
 def load_topology(source: str | Path | Iterable[str]) -> Topology:

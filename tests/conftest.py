@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 
@@ -21,6 +22,18 @@ def random_topology(rng: random.Random, n_nodes: int, scale: float = 10.0) -> To
     return Topology.from_positions(
         [(rng.uniform(0, scale), rng.uniform(0, scale)) for _ in range(n_nodes)]
     )
+
+
+def oracle_nearest_links(topology: Topology, order) -> list[tuple[float, int]]:
+    """Independent quadratic oracle for Topology.nearest_links: each node's
+    full row of distances to the nodes before it, its least distance and the
+    lowest id at it; (inf, -1) for the first."""
+    links = []
+    for k, v in enumerate(order):
+        ds = topology.distances_from(v, order[:k])
+        d = min(ds, default=math.inf)
+        links.append((d, min((u for u, x in zip(order, ds) if x == d), default=-1)))
+    return links
 
 
 def mst_weight(weights) -> int:

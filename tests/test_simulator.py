@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from bitgather import (
 from bitgather.codec import Reading, decode, encode
 from bitgather.simulator import _walk_references
 
-from conftest import random_topology
+from conftest import oracle_nearest_links, random_topology
 
 MIN, MAX, ADD = ConditioningRule.MIN, ConditioningRule.MAX, ConditioningRule.ADDITIVE
 
@@ -169,23 +170,25 @@ walk_models = st.sampled_from([
 @settings(max_examples=80, deadline=None)
 @given(grid_layouts, walk_models, st.randoms(use_true_random=False), st.integers(0, 10**6))
 def test_one_walk_gives_the_report_and_the_nearest_references(points, model_rule, rng, seed):
-    """The walk's report is evaluate's, its references are nearest_links',
-    and gather decodes each field as the sweep's matching row reports it."""
+    """The walk's report is evaluate's, its references are the quadratic
+    oracle's nearest links, and gather decodes each field as the sweep's
+    matching row reports it."""
     model, rule = model_rule
     topo = Topology.from_positions(points)
     order = list(range(topo.size))
     rng.shuffle(order)
     report, refs = _walk_references(model, rule, topo, order)
     assert report == evaluate(model, rule, topo, order)
-    assert refs == [u for _, u in topo.nearest_links(order)]
+    links = oracle_nearest_links(topo, order)
+    assert refs == [u for _, u in links]
     smoothness, seeds = [0.0, 1.5], [seed, seed + 1]
     rows = iter(fidelity_sweep(model, rule, topo, order, smoothness, seeds))
     for L in smoothness:
         for s in seeds:
             field = generate_field(topo, model.n, L, s)
             result = gather(model, rule, topo, order, field)
-            recon = list(field.readings)  # oracle: decode against nearest_links
-            for (v, bits), (_, u) in zip(report.per_node[1:], topo.nearest_links(order)[1:]):
+            recon = list(field.readings)  # oracle: decode against the oracle's links
+            for (v, bits), (_, u) in zip(report.per_node[1:], links[1:]):
                 sent = encode(Reading(field.readings[v], model.n), bits)
                 recon[v] = decode(Reading(recon[u], model.n), sent).value
             assert result.bit_report == report
@@ -193,18 +196,30 @@ def test_one_walk_gives_the_report_and_the_nearest_references(points, model_rule
             assert next(rows) == (L, s, report.total, result.exact_count, result.max_abs_error)
 
 
-def test_a_sweep_computes_n_squared_distances(monkeypatch):
-    """One walk gives the budgets and the references (N(N-1)/2 distances);
-    the field plan takes N more for its order and N(N-1)/2 for its links."""
-    topo = random_topology(random.Random(35), 30)
-    order = random.Random(36).sample(range(30), 30)
-    returned, distances_from = [], Topology.distances_from
+def test_distance_counts_of_row_walks_and_sorted_sweeps(monkeypatch):
+    """ADDITIVE, and MAX with beta > 0 (the farthest partner), walk a row of
+    distances per node: N(N-1)/2 in all. Under MIN with beta > 0 the nearest
+    partner sets each budget, so the sweep's walk, references and field plan
+    read sorted sweeps instead: fewer than N**2/8 distances on a uniform
+    layout and on an axis-aligned column, where the old rows made N**2."""
+    calls = []
 
-    def counted(self, i, nodes):
-        row = distances_from(self, i, nodes)
-        returned.append(len(row))
-        return row
+    def counted(p, q):
+        calls.append(None)
+        return math.dist(p, q)
 
-    monkeypatch.setattr(Topology, "distances_from", counted)
-    fidelity_sweep(GaussianDecayModel(n=12, alpha=0.9, beta=0.3), MIN, topo, order, [1.0, 2.0], [0, 1])
-    assert sum(returned) == 30 * 30
+    monkeypatch.setattr("bitgather.topology.dist", counted)
+    model = GaussianDecayModel(n=12, alpha=0.9, beta=0.3)
+    topo, order = random_topology(random.Random(35), 30), random.Random(36).sample(range(30), 30)
+    for rule in (ADD, MAX):
+        calls.clear()
+        evaluate(model, rule, topo, order)
+        assert len(calls) == 30 * 29 // 2
+    rng = random.Random(37)
+    uniform = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(400)]
+    column = [(1.0, rng.uniform(0, 10)) for _ in range(400)]
+    for points in (uniform, column):
+        calls.clear()
+        order = rng.sample(range(400), 400)
+        fidelity_sweep(model, MIN, Topology.from_positions(points), order, [1.0, 2.0], [0, 1])
+        assert len(calls) < 400 * 400 // 8

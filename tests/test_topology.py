@@ -16,7 +16,7 @@ from bitgather import (
     optimize,
 )
 
-from conftest import random_topology
+from conftest import oracle_nearest_links, random_topology
 
 
 def test_three_four_five():
@@ -138,6 +138,32 @@ def test_distances_on_demand_are_exact(points, rng):
         plan.append((v, u, d))
         assigned.append(v)
     assert topo.field_plan == tuple(plan)
+
+
+# Integer grids tie many distances, so the lowest id decides; columns and rows
+# put every node on one coordinate; uniform layouts are large enough to prune.
+grid_points = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=80).map(
+    lambda cells: [(float(x), float(y)) for x, y in cells])
+line_points = st.builds(
+    lambda c, coords, column: [(c, v) if column else (v, c) for v in coords],
+    near_coordinates,
+    st.lists(st.one_of(st.integers(-5, 5).map(float), st.floats(-10, 10)), min_size=1, max_size=60),
+    st.booleans(),
+)
+uniform_points = st.builds(
+    lambda size, seed: [(r.uniform(0, 10), r.uniform(0, 10)) for r in [random.Random(seed)] for _ in range(size)],
+    st.integers(50, 300),
+    st.integers(0, 2**32),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(near_layouts, grid_points, line_points, uniform_points), st.randoms(use_true_random=False))
+def test_nearest_links_equal_the_quadratic_oracle(points, rng):
+    topo = Topology.from_positions(points)
+    order = list(range(topo.size))
+    rng.shuffle(order)
+    assert topo.nearest_links(order) == oracle_nearest_links(topo, order)
 
 
 TOP = 1.7976931348623157e308
