@@ -11,18 +11,17 @@ Both depend on distance only, so the pairwise budget is symmetric by
 construction. Both are monotone in d: non-decreasing for beta > 0,
 non-increasing for beta < 0, constant for beta = 0. So a budget is a
 staircase of at most n + 1 values; budget_steps tabulates its steps, and
-a lookup in that table replaces a closure call per pair. Conditioning on
+a lookup in that table replaces a budget call per pair. Conditioning on
 a set of already-transmitted nodes uses one of three rules: nearest prior
 node (MIN), farthest prior node (MAX), or a summed exponential term
 (ADDITIVE, Gaussian-decay parameters only): the exact sum of the prior
 nodes' decay terms, rounded once, so their polling order does not matter.
 By monotonicity a MIN or MAX budget is the budget of one prior node's
 distance, the least or the greatest.
-Each model binds one budget closure at construction, model.budget(d),
-shared by pairwise_bits and the hot loops. Each closure holds its whole
-formula inline, the snapped ceiling and the clamp included, so a pair's
-budget costs one Python call; clamped_ceil states that rounding rule once,
-for ADDITIVE's decay_bits.
+Each model's budget(d) is a plain method, shared by pairwise_bits and
+the hot loops. clamped_ceil states the rounding rule, a snapped ceiling
+clamped to [0, n], once: both budgets and ADDITIVE's decay_bits call it,
+so a pair's budget costs the method and that one helper.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ class _Checked:
                 raise ValueError(f"{name}{k} must be finite, got {value!r}")
         if not self.alpha > 0:
             raise ValueError(f"alpha{k} must be positive")
-        vars(self).update(self._bind())  # frozen: set the closures directly
-
-    def __reduce__(self):  # closures do not pickle; construction rebuilds them
-        return type(self), (self.n, self.alpha, self.beta)
 
 
 def _bad_distance(d: float) -> ValueError:
@@ -75,27 +70,16 @@ class PowerLawModel(_Checked):
     beta: float
     _subscript: ClassVar[str] = "1"
 
-    def _bind(self):
-        n, alpha, beta = self.n, self.alpha, self.beta
-        inf, ceil, snap = math.inf, math.ceil, CEIL_SNAP
-
-        def budget(d: float) -> int:  # clamped_ceil(alpha * ceil(d**beta), n), both ceilings snapped, inline
-            if not 0.0 <= d < inf:
-                raise _bad_distance(d)
-            if d == 0 and beta < 0:
-                raise ValueError("d = 0 with negative exponent is singular")
-            try:
-                x = d**beta
-            except OverflowError:  # d**beta beyond the float range: the staircase tops out
-                return n
-            k = round(x)
-            raw = alpha * (k if -snap <= x - k <= snap else ceil(x))
-            if not 0 < raw < n:
-                return n if raw >= n else 0
-            k = round(raw)
-            return k if -snap <= raw - k <= snap else ceil(raw)
-
-        return dict(budget=budget)
+    def budget(self, d: float) -> int:
+        if not 0.0 <= d < math.inf:
+            raise _bad_distance(d)
+        if d == 0 and self.beta < 0:
+            raise ValueError("d = 0 with negative exponent is singular")
+        try:
+            x = d**self.beta
+        except OverflowError:  # d**beta beyond the float range: the staircase tops out
+            return self.n
+        return clamped_ceil(self.alpha * clamped_ceil(x, math.inf), self.n)  # the inner ceiling is not capped
 
 
 @dataclass(frozen=True)
@@ -107,32 +91,23 @@ class GaussianDecayModel(_Checked):
     beta: float
     _subscript: ClassVar[str] = "2"
 
-    def _bind(self):
-        n, alpha, neg_beta = self.n, self.alpha, -self.beta
-        inf, ceil, exp, snap = math.inf, math.ceil, math.exp, CEIL_SNAP
+    def decay_term(self, d: float) -> float:  # saturates to inf where it overflows (beta < 0)
+        try:
+            return math.exp(-self.beta * d * d)
+        except OverflowError:
+            return math.inf
 
-        def decay_term(d: float) -> float:  # saturates to inf where it overflows (beta < 0)
-            try:
-                return exp(neg_beta * d * d)
-            except OverflowError:
-                return inf
+    def decay_bits(self, s: float) -> int:  # for a summed decay term s
+        return clamped_ceil(self.n * (1.0 - self.alpha * s), self.n)
 
-        def decay_bits(s: float) -> int:  # for a summed decay term s
-            return clamped_ceil(n * (1.0 - alpha * s), n)
-
-        def budget(d: float) -> int:  # decay_bits(decay_term(d)), inline
-            if not 0.0 <= d < inf:
-                raise _bad_distance(d)
-            try:
-                raw = n * (1.0 - alpha * exp(neg_beta * d * d))
-            except OverflowError:  # the term is +inf: the budget is clamped to 0
-                return 0
-            if not 0 < raw < n:
-                return n if raw >= n else 0
-            k = round(raw)
-            return k if -snap <= raw - k <= snap else ceil(raw)
-
-        return dict(budget=budget, decay_term=decay_term, decay_bits=decay_bits)
+    def budget(self, d: float) -> int:  # decay_bits(decay_term(d)), without their two frames
+        if not 0.0 <= d < math.inf:
+            raise _bad_distance(d)
+        try:
+            s = math.exp(-self.beta * d * d)
+        except OverflowError:  # the term is +inf: the budget is clamped to 0
+            return 0
+        return clamped_ceil(self.n * (1.0 - self.alpha * s), self.n)
 
 
 ModelSpec = Union[PowerLawModel, GaussianDecayModel]
@@ -147,9 +122,9 @@ class ConditioningRule(Enum):
 def clamped_ceil(raw: float, n: int) -> int:
     """Whole bits for a raw budget: its snapped ceiling clamped to [0, n].
 
-    The rounding rule: decay_bits calls it, and both budget closures write
-    the same steps inline. +inf gives n and -inf gives 0, the exact clamped
-    values, so an overflow upstream can pass on an infinity.
+    The one rounding rule: both budgets and decay_bits call it. +inf gives n
+    and -inf gives 0, the exact clamped values, so an overflow upstream can
+    pass on an infinity; n = inf leaves the ceiling uncapped.
     """
     if raw >= n:
         return n
@@ -182,7 +157,7 @@ def budget_steps(model: ModelSpec, zero: bool) -> tuple[list[float], list[int]]:
     every finite d > 0, and for d = 0 when `zero` is set.
 
     Each step's smallest distance is found by bisecting over float bit
-    patterns with model.budget as the oracle, which trusts the closure to be
+    patterns with model.budget as the oracle, which trusts the method to be
     monotone. A step costs at most 63 calls and the two ends one each, so
     at most 64n + 2 in all. The search starts at 0.0 when `zero` is set,
     which raises where budget(0) is singular, else at the smallest positive float.

@@ -13,9 +13,9 @@ attains each.
 
 Under every rule a node's budget depends only on the set polled before
 it: its pair values to those nodes (pairwise budgets, or decay terms
-under ADDITIVE) folded by min, max, or an exact sum rounded once.
-_Attach holds that fold and the pair table, built on first use. A budget
-is monotone in distance, so under MIN and MAX a walk (evaluate, and the
+under ADDITIVE) folded by min, max, or an exact sum rounded once: _pair_rows
+gives the pair values, _fold the fold and _table the mirrored pair table. A
+budget is monotone in distance, so under MIN and MAX a walk (evaluate, and the
 simulator's gather and sweep) reads each node's budget off one distance:
 its nearest earlier node's, from one sorted sweep of the order
 (Topology.nearest_links), or the farthest of its prefix; under ADDITIVE
@@ -44,7 +44,6 @@ import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, partial
 from itertools import islice, repeat
 from statistics import fmean
 from typing import Callable, Iterable, Iterator, Sequence
@@ -104,54 +103,46 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
     return order
 
 
-def _pair_budgets(model: ModelSpec, topology: Topology) -> Callable[[Iterable[float]], Iterator[int]]:
-    """The pairwise budget of each distance in a row: a lookup in the model's
-    step table when finding its steps, at most 64n + 2 budget calls, costs
-    less than the N(N-1)/2 pair calls it replaces; else model.budget per pair."""
-    size = topology.size
-    if 64 * model.n + 2 >= size * (size - 1) // 2:
-        return partial(map, model.budget)
-    # only coincident nodes are at distance 0, where the budget may be singular
-    steps, vals = budget_steps(model, zero=len(set(topology.positions)) < size)
-    return lambda ds: map(vals.__getitem__, map(bisect_right, repeat(steps), ds))
+def _pair_rows(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology
+) -> Callable[[int, Iterable[int]], Iterator]:
+    """row(u, nodes): u's pair value to each of `nodes`, computed on demand.
 
-
-class _Attach:
-    """A node's budget given the polled set: fold(pairs(distances)).
-
-    pairs maps distances to the polled partners' values: their pairwise
-    budgets (_pair_budgets), or under ADDITIVE their decay terms. fold
-    reduces a nonempty set of values to the budget: min, max, or under
-    ADDITIVE the budget of their exact sum rounded once (decay_sum). pairs
-    and rows, the O(N**2) pair table, are built on first read.
+    Under ADDITIVE the values are decay terms, else pairwise budgets: a
+    lookup in the model's step table when finding its steps, at most 64n + 2
+    budget calls, costs less than the N(N-1)/2 pair calls it replaces; else
+    model.budget per pair.
     """
+    size, distances_from = topology.size, topology.distances_from
+    if rule is ConditioningRule.ADDITIVE:
+        require_decay(model)
+        pair = model.decay_term
+    elif 64 * model.n + 2 >= size * (size - 1) // 2:
+        pair = model.budget
+    else:
+        # only coincident nodes are at distance 0, where the budget may be singular
+        steps, vals = budget_steps(model, zero=len(set(topology.positions)) < size)
+        return lambda u, nodes: map(vals.__getitem__, map(bisect_right, repeat(steps), distances_from(u, nodes)))
+    return lambda u, nodes: map(pair, distances_from(u, nodes))
 
-    def __init__(self, model: ModelSpec, rule: ConditioningRule, topology: Topology):
-        self.model, self.rule, self.topology = model, rule, topology
-        self.n, self.size = model.n, topology.size
-        if rule is ConditioningRule.ADDITIVE:
-            require_decay(model)
-            decay_bits = model.decay_bits
-            self.fold = lambda terms: decay_bits(decay_sum(terms))
-        else:
-            self.fold = min if rule is ConditioningRule.MIN else max
 
-    @cached_property
-    def pairs(self) -> Callable[[Iterable[float]], Iterator]:
-        if self.rule is ConditioningRule.ADDITIVE:
-            return partial(map, self.model.decay_term)
-        return _pair_budgets(self.model, self.topology)
+def _fold(model: ModelSpec, rule: ConditioningRule) -> Callable[[Iterable], int]:
+    """Reduces a nonempty set of pair values to the budget: min, max, or under
+    ADDITIVE the budget of their exact sum rounded once (decay_sum)."""
+    if rule is ConditioningRule.ADDITIVE:
+        require_decay(model)
+        decay_bits = model.decay_bits
+        return lambda terms: decay_bits(decay_sum(terms))
+    return min if rule is ConditioningRule.MIN else max
 
-    @cached_property
-    def rows(self) -> list[list]:
-        """Every pair's budget, or decay term under ADDITIVE, computed once
-        per unordered pair and mirrored; 0 on the diagonal."""
-        rows: list[list] = []
-        pairs, distances_from = self.pairs, self.topology.distances_from
-        for i in range(self.size):
-            tail = distances_from(i, range(i + 1, self.size))
-            rows.append([*map(operator.itemgetter(i), rows), 0, *pairs(tail)])
-        return rows
+
+def _table(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> list[list]:
+    """Every pair's _pair_rows value, computed once per unordered pair and
+    mirrored; 0 on the diagonal."""
+    row, size, rows = _pair_rows(model, rule, topology), topology.size, []
+    for i in range(size):
+        rows.append([*map(operator.itemgetter(i), rows), 0, *row(i, range(i + 1, size))])
+    return rows
 
 
 def _walk(
@@ -163,22 +154,21 @@ def _walk(
     nearest's, read off the node's link (no distance rows), or the
     farthest's, off the greatest of the node's distances to the nodes before
     it. ADDITIVE folds the decay terms of those distances."""
-    kernel = _Attach(model, rule, topology)
+    fold = _fold(model, rule)  # checks an ADDITIVE model before the order
     order = _check_permutation(schedule, topology.size)
-    budget, first = model.budget, (order[0], kernel.n)
+    budget, first = model.budget, (order[0], model.n)
     if rule is ConditioningRule.ADDITIVE:
-        pairs, fold = kernel.pairs, kernel.fold
-        budget_of = lambda ds: fold(pairs(ds))
+        row = _pair_rows(model, rule, topology)
+        budget_of = lambda k: fold(row(order[k], islice(order, k)))
     elif (rule is ConditioningRule.MIN) == (model.beta >= 0):  # the nearest partner sets it
         links = topology.nearest_links(order)
         return (first, *((v, budget(d)) for v, (d, _) in zip(order[1:], links[1:]))), links
     else:  # the farthest partner sets it; a fold would meet each coincident pair's d = 0
         if len(set(topology.positions)) < topology.size:
             budget(0.0)  # raises where budget(0) is singular
-        budget_of = lambda ds: budget(max(ds))
-    distances_from = topology.distances_from
-    rest = ((order[k], budget_of(distances_from(order[k], islice(order, k)))) for k in range(1, len(order)))
-    return (first, *rest), None
+        distances_from = topology.distances_from
+        budget_of = lambda k: budget(max(distances_from(order[k], islice(order, k))))
+    return (first, *((order[k], budget_of(k)) for k in range(1, len(order)))), None
 
 
 def evaluate(
@@ -195,20 +185,20 @@ def evaluate(
 
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     """Pairwise budgets for every node pair; symmetric, 0 on the diagonal."""
-    return _Attach(model, ConditioningRule.MIN, topology).rows
+    return _table(model, ConditioningRule.MIN, topology)
 
 
-def _total_fn(kernel: _Attach) -> Callable[[Sequence[int]], int]:
-    """Total bits of one permutation, equal to evaluate().total: a ranked scan
-    (about H_N probes per node on a random order), or under ADDITIVE a fold
-    of each node's prefix."""
-    rows, n, fold = kernel.rows, kernel.n, kernel.fold
-    if kernel.rule is ConditioningRule.ADDITIVE:
+def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Callable[[Sequence[int]], int]:
+    """Total bits of one permutation, equal to evaluate().total, from the
+    rule's _table: a ranked scan (about H_N probes per node on a random
+    order), or under ADDITIVE a fold of each node's prefix."""
+    n, fold = model.n, _fold(model, rule)
+    if rule is ConditioningRule.ADDITIVE:
         # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
         return lambda order: n + sum(
             fold(map(rows[order[k]].__getitem__, islice(order, k))) for k in range(1, len(order)))
     ids = list(range(len(rows)))  # shared, so the ranked lists hold the same ints
-    down = kernel.rule is ConditioningRule.MAX
+    down = rule is ConditioningRule.MAX
     ranked = [sorted(ids[:v] + ids[v + 1 :], key=r.__getitem__, reverse=down) for v, r in enumerate(rows)]
     pos = ids[:]  # pos[u]: u's position in the order being scored
 
@@ -245,8 +235,7 @@ def _exhaustive(
     size = topology.size
     if size > EXHAUSTIVE_LIMIT:
         raise InfeasibleError(f"exhaustive enumeration refused for N={size} > {EXHAUSTIVE_LIMIT}; {advice}")
-    kernel = _Attach(model, rule, topology)
-    rows, fold = kernel.rows, kernel.fold
+    rows, fold = _table(model, rule, topology), _fold(model, rule)
     ids, full = range(size), (1 << size) - 1
     weights = [math.factorial(k) * math.factorial(size - 1 - k) for k in ids]
 
@@ -254,7 +243,7 @@ def _exhaustive(
         """(v, budget(v | S)) for each node v outside the set S, in id order."""
         members = [u for u in ids if s >> u & 1]
         out = [v for v in ids if not s >> v & 1]
-        return [(v, fold(map(rows[v].__getitem__, members)) if s else kernel.n) for v in out]
+        return [(v, fold(map(rows[v].__getitem__, members)) if s else model.n) for v in out]
 
     lo, hi, acc = [0] * (full + 1), [0] * (full + 1), 0
     for s in range(full - 1, -1, -1):  # every superset of s comes first
@@ -306,7 +295,7 @@ def _sample(
         raise ValueError("sampling needs an explicit seed")
     if count > SAMPLE_LIMIT:
         raise InfeasibleError(f"sampling refused: more than {SAMPLE_LIMIT} schedules")
-    total_of = _total_fn(_Attach(model, rule, topology))
+    total_of = _total_fn(model, rule, _table(model, rule, topology))
     totals, lo, hi, argmin, argmax = [], math.inf, -math.inf, (), ()
     for order in islice(_shuffles(seed, topology.size), count):
         totals.append(t := total_of(order))
@@ -363,12 +352,6 @@ def _prim(start: int, size: int, row: Callable, pick: Callable, merge: Callable)
     return order, attached
 
 
-def _pair_rows(model: ModelSpec, topology: Topology) -> Callable[[int, Iterable[int]], Iterator[int]]:
-    """row(u, nodes): u's pairwise budget to each of `nodes`, computed on demand."""
-    pairs, distances_from = _pair_budgets(model, topology), topology.distances_from
-    return lambda u, nodes: pairs(distances_from(u, nodes))
-
-
 def _spanning_descent(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> tuple[int, ...]:
     """The lexicographically first optimal schedule of a _SPANNING pair.
 
@@ -391,7 +374,7 @@ def _spanning_descent(model: ModelSpec, rule: ConditioningRule, topology: Topolo
     if size * size > SEARCH_WORK_LIMIT:
         raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
     pick, hop_of = (min, max) if rule is ConditioningRule.MIN else (max, min)
-    row = _pair_rows(model, topology)
+    row = _pair_rows(model, rule, topology)
     q, links = _prim(0, size, row, pick, pick)  # pick is the pair's rule: min or max
     # `apart`: no polled node on that side; `level`: the node is polled, its path empty
     apart, level = (math.inf, -math.inf) if rule is ConditioningRule.MIN else (-math.inf, math.inf)
@@ -459,7 +442,7 @@ def optimize(
     elif strategy == "greedy_prim":
         if (rule, objective) in _SPANNING:  # the Prim order from node 0, links its budgets
             pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-            order, links = _prim(0, n_nodes, _pair_rows(model, topology), pick, pick)
+            order, links = _prim(0, n_nodes, _pair_rows(model, rule, topology), pick, pick)
             bits = [model.n, *links]
             return tuple(order), BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
         if not force:
@@ -468,14 +451,14 @@ def optimize(
                 "and the max rule with objective maximize; pass force=True to run "
                 "it as a heuristic"
             )
-        kernel = _Attach(model, rule, topology)  # under MIN and MAX its rows are the budgets
-        table = budget_matrix(model, topology) if rule is ConditioningRule.ADDITIVE else kernel.rows
+        scores = _table(model, rule, topology)  # under MIN and MAX the budgets
+        table = budget_matrix(model, topology) if rule is ConditioningRule.ADDITIVE else scores
         row = lambda u, vs: map(table[u].__getitem__, vs)
         # cheapest-first orders aim low: to maximize a MIN total, dearest-first ones follow
         aims = (min, max) if (rule, objective) == (ConditioningRule.MIN, "maximize") else (min,)
         candidates = [tuple(_prim(s, n_nodes, row, aim, min)[0]) for aim in aims for s in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
-        best = pick(candidates, key=_total_fn(kernel))
+        best = pick(candidates, key=_total_fn(model, rule, scores))
     elif strategy == "random_restart":
         stats = _sample(model, rule, topology, count, seed)
         best = stats.argmin if objective == "minimize" else stats.argmax

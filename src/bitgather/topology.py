@@ -1,7 +1,7 @@
 """Node placement and pairwise Euclidean distances, computed on demand from
-the positions; overflowing distances rejected. Each node's nearest earlier
-node along an order comes from one sorted sweep (nearest_links), and the
-field plan, one such sweep, is cached."""
+the positions and never stored as a matrix; overflowing distances rejected.
+Each node's nearest earlier node along an order comes from one sorted sweep
+(nearest_links), and the field plan, one such sweep, is cached."""
 
 from __future__ import annotations
 
@@ -22,8 +22,7 @@ class TopologyError(ValueError):
 class Topology:
     """Immutable 2-D node layout that holds O(N): positions[i] is the (x, y)
     coordinate of node i, and each distance is computed when read, exactly
-    symmetric. distances, the full matrix, is built on its first read; no
-    library code reads it. Safe for concurrent reads.
+    symmetric. Safe for concurrent reads.
     """
 
     positions: tuple[tuple[float, float], ...]
@@ -55,11 +54,6 @@ class Topology:
         same differences as hypot(xi - xj, yi - yj) and returns that value."""
         p, positions = self.positions[i], self.positions
         return [dist(p, positions[j]) for j in nodes]
-
-    @cached_property
-    def distances(self) -> tuple[tuple[float, ...], ...]:
-        """The full symmetric matrix of distances_from rows."""
-        return tuple(tuple(self.distances_from(i, range(self.size))) for i in range(self.size))
 
     def distance(self, i: int, j: int) -> float:
         if not (0 <= i < self.size and 0 <= j < self.size):

@@ -1,4 +1,4 @@
-"""The incremental attach kernel against the direct definition.
+"""The schedule and simulator fast paths against the direct definition.
 
 Every fast path in schedule.py and simulator.py is compared with the slow
 path built on conditioned_bits: itertools.permutations for enumeration,
@@ -40,7 +40,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather.correlation import decay_sum
-from bitgather.schedule import _Attach, _shuffles, _total_fn
+from bitgather.schedule import _shuffles, _table, _total_fn
 
 from conftest import mst_weight, oracle_descent, random_topology
 
@@ -257,7 +257,7 @@ def test_single_order_paths_match_direct_budgets(instance, rng):
     report = evaluate(model, rule, topo, order)
     assert report.per_node == tuple(zip(order, budgets))
     assert report.total == sum(budgets)
-    assert _total_fn(_Attach(model, rule, topo))(order) == sum(budgets)
+    assert _total_fn(model, rule, _table(model, rule, topo))(order) == sum(budgets)
 
 
 @SETTINGS
@@ -315,7 +315,7 @@ def test_shuffles_are_pinned():
 )
 def test_total_fn_matches_evaluate(instance, rng):
     model, rule, topo = instance
-    total_of = _total_fn(_Attach(model, rule, topo))  # one scorer for several orders
+    total_of = _total_fn(model, rule, _table(model, rule, topo))  # one scorer for several orders
     order = list(range(topo.size))
     for _ in range(5):
         rng.shuffle(order)
@@ -534,7 +534,7 @@ def test_greedy_prim_is_exact_for_max_maximize(instance):
 def test_prim_order_matches_its_definition_past_the_gate(instance):
     """Past the step-table gate (64n + 2 <= 258 < 276 <= N(N-1)/2) Prim reads
     its pair budgets off the table; the order is still the one whose every
-    link is picked from the closure's budgets, ties to the lowest id."""
+    link is picked from model.budget's values, ties to the lowest id."""
     model, rule, topo = instance
     pick, size = (min if rule is MIN else max), topo.size
     weights = [[pairwise_bits(model, topo.distance(i, j)) for j in range(size)] for i in range(size)]

@@ -1,6 +1,6 @@
 """Per-pair fast paths against their literal definitions.
 
-The budget closure is checked against the formulas written out here, the
+Each model's budget method is checked against the formulas written out here, the
 half-matrix topology against hypot on every ordered pair, the cached field
 plan against the generator that searched the assigned set for every node,
 and `bits` against a double loop over pairwise_bits, 0 on the diagonal.
@@ -102,8 +102,8 @@ def _gauss_at(n, raw):
     return GaussianDecayModel(n=n, alpha=1.0 - raw / n, beta=0.0)
 
 
-# (model, d, budget) at the rounding edges. Each closure writes the
-# snap-then-ceil rule inline, power-law twice: on d**beta and on alpha times it.
+# (model, d, budget) at the rounding edges. Both budgets round through
+# clamped_ceil's snap-then-ceil rule, power-law twice: on d**beta and on alpha times it.
 ROUNDING_EDGES = [
     # d**beta within CEIL_SNAP of 3, above and below, snaps to 3; 2e-9 away does not
     (PowerLawModel(n=64, alpha=1.0, beta=1.0), 3 + 5e-10, 3),
@@ -160,7 +160,7 @@ def table_models(draw):
 @settings(max_examples=40, deadline=None)
 @given(table_models(), st.lists(st.floats(0.0, MAX_FLOAT), max_size=40), st.booleans())
 def test_step_table_matches_the_closure(model, drawn, zero):
-    """budget_steps reads the closure off its table at every step, at the 300
+    """budget_steps reads model.budget off its table at every step, at the 300
     floats on each side of it, at the range's ends and at random distances.
     Its bisection makes at most 64n + 2 calls, and from 0 it raises where
     budget(0) is singular."""
@@ -204,10 +204,10 @@ def test_from_positions_is_exactly_symmetric(points):
         with pytest.raises(TopologyError, match=f"nodes {i} and {j} overflows"):
             Topology.from_positions(points)
         return
-    rows = Topology.from_positions(points).distances
+    topo = Topology.from_positions(points)
     for (i, j), d in hypot.items():
-        assert rows[i][j] == d
-        assert math.copysign(1.0, rows[i][j]) == math.copysign(1.0, d)
+        assert topo.distance(i, j) == d
+        assert math.copysign(1.0, topo.distance(i, j)) == math.copysign(1.0, d)
 
 
 def oracle_plan(topology):

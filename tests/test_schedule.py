@@ -17,7 +17,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather import schedule
-from bitgather.schedule import EXHAUSTIVE_LIMIT, _Attach, _total_fn
+from bitgather.schedule import EXHAUSTIVE_LIMIT, _table, _total_fn
 
 from conftest import mst_weight, random_topology
 
@@ -73,7 +73,7 @@ class TestEvaluate:
                 rule = rng.choice([MIN, MAX, ADD])
             order = list(range(topo.size))
             rng.shuffle(order)
-            assert _total_fn(_Attach(m, rule, topo))(order) == evaluate(m, rule, topo, order).total
+            assert _total_fn(m, rule, _table(m, rule, topo))(order) == evaluate(m, rule, topo, order).total
 
 
 class TestStats:
@@ -254,16 +254,16 @@ def test_sampling_refusals(collinear3, unit_staircase, call):
         call(unit_staircase, collinear3)
 
 
-def _count_budget_calls(model, closure: str = "budget") -> list[float]:
-    """Wrap the model's pairwise budget (or another per-distance closure, such
+def _count_budget_calls(model, method: str = "budget") -> list[float]:
+    """Wrap the model's pairwise budget (or another per-distance method, such
     as decay_term); returns the distances it is asked for."""
-    calls, budget = [], getattr(model, closure)
+    calls, budget = [], getattr(model, method)
 
     def counted(d: float):
         calls.append(d)
         return budget(d)
 
-    vars(model)[closure] = counted  # frozen: set the closure directly, as the model does
+    vars(model)[method] = counted  # frozen: shadow the method in the instance's own dict
     return calls
 
 
@@ -276,14 +276,20 @@ def test_exhaustive_stats_compute_each_pair_budget_once(rule):
     assert len(calls) == 8 * 7 // 2
 
 
-@pytest.mark.parametrize("rule, objective", [(MIN, "maximize"), (MAX, "minimize")])
+@pytest.mark.parametrize("rule, objective", [(MIN, "maximize"), (MAX, "minimize"), (ADD, "minimize")])
 def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
     """Every Prim start and the scoring share one pair table; the report's
-    walk adds one budget call per node."""
-    m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
+    walk adds one budget call per node. ADDITIVE builds two tables: Prim's
+    budgets off the step table (64n + 2 < N(N-1)/2), and the scoring's decay
+    terms, one per pair; the report's walk folds each pair's term once more."""
+    m = GaussianDecayModel(5, 0.9, 0.3) if rule is ADD else PowerLawModel(n=5, alpha=1.0, beta=1.0)
     calls = _count_budget_calls(m)
+    terms = _count_budget_calls(m, "decay_term") if rule is ADD else []
     optimize(m, rule, random_topology(random.Random(32), 40), objective, "greedy_prim", force=True)
     assert len(calls) <= 40 * 39 // 2
+    if rule is ADD:
+        assert len(calls) <= 64 * 5 + 2
+        assert len(terms) <= 40 * 39
 
 
 _SHUFFLED = random.Random(34).sample(range(30), 30)
@@ -291,7 +297,7 @@ _PAIRS, _NODES = 30 * 29 // 2, 29
 
 
 @pytest.mark.parametrize(
-    "closure, run, count",
+    "method, run, count",
     [
         ("budget", lambda m, topo: evaluate(m, MIN, topo, _SHUFFLED), _NODES),
         ("budget", lambda m, topo: evaluate(m, MAX, topo, _SHUFFLED), _NODES),
@@ -302,13 +308,13 @@ _PAIRS, _NODES = 30 * 29 // 2, 29
     ],
     ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max", "sweep-min"],
 )
-def test_evaluate_and_prim_compute_each_pair_once(closure, run, count):
+def test_evaluate_and_prim_compute_each_pair_once(method, run, count):
     """Under MIN and MAX a walk reads each node's budget off one distance:
     one call per node but the first. The ADDITIVE prefix fold, and Prim's
     running link below the step-table gate (64n + 2 >= N(N-1)/2), call the
-    pair closure once per unordered pair: no pair twice, and no table besides."""
+    pair method once per unordered pair: no pair twice, and no table besides."""
     m = GaussianDecayModel(n=12, alpha=0.9, beta=0.3)
-    calls = _count_budget_calls(m, closure)
+    calls = _count_budget_calls(m, method)
     run(m, random_topology(random.Random(33), 30))
     assert len(calls) == count
 
@@ -316,7 +322,7 @@ def test_evaluate_and_prim_compute_each_pair_once(closure, run, count):
 @pytest.mark.parametrize("size, tabled", [(23, False), (24, True)])
 def test_budget_matrix_bisects_only_above_the_gate(size, tabled):
     """With n = 4 the gate is 64n + 2 = 258 calls: N = 23 has 253 pairs, so
-    each pair calls the closure once, in row order; N = 24 has 276, and the
+    each pair calls model.budget once, in row order; N = 24 has 276, and the
     step table's bisection makes at most 258 calls."""
     m = PowerLawModel(n=4, alpha=1.0, beta=1.0)
     topo = random_topology(random.Random(35), size)
@@ -338,7 +344,7 @@ def test_refused_brute_force_computes_no_budget():
     # one node past the polled-set pass's limit, under every rule
     topo = Topology.from_positions([(float(i), 0.0) for i in range(EXHAUSTIVE_LIMIT + 1)])
     g = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
-    g_calls = _count_budget_calls(g, "decay_term")  # the ADDITIVE pair table's closure
+    g_calls = _count_budget_calls(g, "decay_term")  # the ADDITIVE pair table's method
     refusals = [
         lambda: schedule_stats(m, MIN, topo, "exhaustive"),
         lambda: schedule_stats(m, MAX, topo, "exhaustive"),

@@ -28,7 +28,7 @@ def test_three_four_five():
 def test_single_node():
     topo = load_topology(["id,x,y", "0,1.0,1.0"])
     assert topo.size == 1
-    assert topo.distances == ((0.0,),)
+    assert topo.distances_from(0, range(topo.size)) == [0.0]
 
 
 def test_ids_may_arrive_out_of_order():
@@ -121,12 +121,13 @@ near_layouts = st.lists(st.tuples(near_coordinates, near_coordinates), min_size=
 def test_distances_on_demand_are_exact(points, rng):
     topo = Topology.from_positions(points)
     n = topo.size
+    rows = [topo.distances_from(i, range(n)) for i in range(n)]
     for i in range(n):
-        assert topo.distance(i, i) == topo.distances[i][i] == 0.0
+        assert topo.distance(i, i) == rows[i][i] == 0.0
         for j in range(i + 1, n):
             d = hypot_of(points, i, j)
             assert topo.distance(i, j) == topo.distance(j, i) == d
-            assert topo.distances[i][j] == topo.distances[j][i] == d
+            assert rows[i][j] == rows[j][i] == d
     order = list(range(n))
     rng.shuffle(order)
     expected = [min(((hypot_of(points, v, u), u) for u in order[:k]), default=(math.inf, -1))
