@@ -23,8 +23,8 @@ it folds the prefix. The pair table, Prim and the spanning descent read
 pairwise budgets off the model's step table where finding its steps
 costs fewer calls than the pairs. One backward pass over the 2**N polled sets (Held
 & Karp 1962) gives the exhaustive statistics and the brute-force optimum;
-the two spanning-tree pairs instead descend by an exact bound read off
-one Prim order (_prim, also greedy_prim's), in O(N**2) time, O(N) memory.
+the two spanning-tree pairs instead run greedy_prim's _prim again, keyed
+by an exact bound read off its first order: O(N**2) time, O(N) memory.
 Sampled permutations are scored by a scan of each node's row ranked best
 first (ADDITIVE folds its prefix).
 
@@ -44,7 +44,7 @@ import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from statistics import fmean
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -64,8 +64,8 @@ from .topology import Topology
 # 16 * 2**15 = 524,288 at N = 16; beyond that exhaustive stats and brute
 # force outside the spanning pairs are refused.
 EXHAUSTIVE_LIMIT = 16
-# Work units the spanning-pair descent may spend: N * N, one Prim order and,
-# per poll, one row of pair budgets and O(N) scans; past N = 2000 it is refused.
+# Work units the spanning-pair brute force may spend: N * N, two Prim passes, the
+# second keyed by walks along the first's order; past N = 2000 refused before any budget.
 SEARCH_WORK_LIMIT = 2000**2
 # Sampled schedules (stats, optimize --strategy random_restart); one total is kept per sample.
 SAMPLE_LIMIT = 10**6
@@ -337,23 +337,28 @@ def schedule_stats(
 _SPANNING = {(ConditioningRule.MIN, "minimize"), (ConditioningRule.MAX, "maximize")}
 
 
-def _prim(start: int, size: int, row: Callable, pick: Callable, merge: Callable) -> tuple[list[int], list]:
-    """Prim order of nodes 0..size-1 from `start`, and each later node's link
-    when polled: row(u, nodes) gives u's pair values to `nodes`, merge (min or
-    max) folds them into the links, and pick polls the first extreme (lowest id)."""
+def _prim(
+    start: int, size: int, row: Callable, pick: Callable, merge: Callable, key: Callable | None = None
+) -> tuple[list[int], list]:
+    """Nodes 0..size-1 polled from `start`, and each later node's link when
+    polled: row(u, nodes) gives u's pair values to `nodes`, merge (min or
+    max) folds them into the links, and pick polls the first extreme (lowest
+    id) of the links (a Prim order) or of key(order, pending, links) if given."""
     pending = [v for v in range(size) if v != start]  # unpolled, in id order
     links = [*row(start, pending)]  # links[k]: pending[k]'s
     order, attached = [start], []
     while pending:
-        k = links.index(pick(links))
+        scores = links if key is None else key(order, pending, links)
+        k = scores.index(pick(scores))
         order.append(pending.pop(k))
         attached.append(links.pop(k))
         links = [*map(merge, links, row(order[-1], pending))]
     return order, attached
 
 
-def _spanning_descent(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> tuple[int, ...]:
-    """The lexicographically first optimal schedule of a _SPANNING pair.
+def _descent(rule: ConditioningRule, q: list[int], edges: list) -> Callable:
+    """The _prim key under which it polls a _SPANNING pair's lexicographically
+    first optimal schedule; q is the pair's Prim order from node 0, edges its links.
 
     Each prefix's best completion is exact: its total plus the min (max)
     spanning tree of the unpolled nodes and one node for the prefix, whose
@@ -365,41 +370,33 @@ def _spanning_descent(model: ModelSpec, rule: ConditioningRule, topology: Topolo
 
     hop[v] is the best, over polled p, of the bottleneck between p and v,
     and bottleneck paths lie on any optimal spanning tree (Hu 1961). Along
-    a Prim order q with links l, the bottleneck of q_i and q_j, i < j, is
-    the max (min, to maximize) of l_{i+1..j}: each poll reads hop off the
-    nearest polled nodes along q, two O(N) scans, so O(N**2) time and O(N)
-    memory. Refused before any budget is computed for N * N > SEARCH_WORK_LIMIT.
+    q, with edges[k] joining q_k and q_{k+1}, the bottleneck of two nodes is
+    the max (min, to maximize) of the edges between them. Each poll walks
+    out along q on both sides, storing the new bottleneck while it is
+    strictly better. Past the first stored hop that is no better, the new
+    one only gets worse, and the stored one equals it (set from behind) or
+    only gets better (from ahead), so the walk stops there, as at any polled
+    node. With _prim's rows that is O(N**2) time and O(N) memory.
     """
-    size = topology.size
-    if size * size > SEARCH_WORK_LIMIT:
-        raise InfeasibleError(f"brute force refused for N={size}: above the search's work limit")
-    pick, hop_of = (min, max) if rule is ConditioningRule.MIN else (max, min)
-    row = _pair_rows(model, rule, topology)
-    q, links = _prim(0, size, row, pick, pick)  # pick is the pair's rule: min or max
-    # `apart`: no polled node on that side; `level`: the node is polled, its path empty
-    apart, level = (math.inf, -math.inf) if rule is ConditioningRule.MIN else (-math.inf, math.inf)
-    edges = [*links, apart]  # edges[k] joins q_k and q_{k+1}
-    polled = [True, *repeat(False, size - 1)]  # by position in q; q_0 is node 0
-    at = sorted(range(size), key=q.__getitem__)  # at[v]: v's position in q
-    rest, order = list(range(1, size)), [0]
-    link = [*row(0, rest)]  # link[k]: rest[k]'s budget given the prefix
-    while rest:
-        # hop by position in q: from the nearest polled node before it, then after it
-        hop, h = [level] * size, level
-        for k in range(1, size):
-            hop[k] = h = level if polled[k] else hop_of(h, edges[k - 1])
-        h = apart
-        for k in range(size - 1, 0, -1):
-            h = level if polled[k] else hop_of(h, edges[k])
-            hop[k] = pick(hop[k], h)
-        bounds = [b - hop[at[v]] for v, b in zip(rest, link)]  # each less the prefix's total and tree weight
-        k = bounds.index(pick(bounds))  # index: the first, lowest id
-        v = rest.pop(k)
-        del link[k]
-        order.append(v)
-        polled[at[v]] = True
-        link = [*map(pick, link, row(v, rest))]
-    return tuple(order)
+    hop_of, better = (max, operator.lt) if rule is ConditioningRule.MIN else (min, operator.gt)
+    level = -math.inf if rule is ConditioningRule.MIN else math.inf  # a polled node's hop: its path is empty
+    at = sorted(range(len(q)), key=q.__getitem__)  # at[v]: v's position in q
+    hop = [*accumulate(edges, hop_of, initial=level)]  # by position in q, with node 0 polled
+
+    def bounds(order: list[int], pending: list[int], links: list) -> list:
+        p = at[order[-1]]  # the node polled last
+        hop[p] = level
+        # walking right, q_k's edge back to q_{k-1} is edges[k - 1]; walking left, edges[k]
+        for walk, back in ((range(p + 1, len(q)), -1), (range(p - 1, -1, -1), 0)):
+            h = level
+            for k in walk:
+                h = hop_of(h, edges[k + back])
+                if not better(h, hop[k]):
+                    break
+                hop[k] = h
+        return [b - hop[at[v]] for v, b in zip(pending, links)]  # each less the prefix's total and tree weight
+
+    return bounds
 
 
 def optimize(
@@ -416,35 +413,38 @@ def optimize(
     """Search for a schedule optimizing total bits.
 
     brute_force is exact and returns the lexicographically first optimal
-    schedule. For the MIN rule minimized and the MAX rule maximized it
-    descends by an exact spanning-tree bound in O(N**2) time and O(N)
-    memory, refused for N > 2000 (SEARCH_WORK_LIMIT); for every other pair
-    it is the exhaustive statistics' argmin or argmax, from one pass over
-    the 2**N polled sets, refused for N > EXHAUSTIVE_LIMIT. greedy_prim is
-    exact for the MIN rule with objective "minimize" and the MAX rule with
-    "maximize": the Prim order from node 0 totals n plus the min (max)
-    spanning tree weight. For other pairs it is refused unless `force` is
-    set; then it runs as a heuristic that tries every start node and keeps
+    schedule. For the MIN rule minimized and the MAX rule maximized it reruns
+    greedy_prim's Prim loop keyed by an exact spanning-tree bound, in O(N**2)
+    time and O(N) memory, refused for N > 2000 (SEARCH_WORK_LIMIT); for every
+    other pair it is the exhaustive statistics' argmin or argmax, from one
+    pass over the 2**N polled sets, refused for N > EXHAUSTIVE_LIMIT.
+    greedy_prim is exact for the MIN rule with objective "minimize" and the
+    MAX rule with "maximize": the Prim order from node 0 totals n plus the min
+    (max) spanning tree weight. For other pairs it is refused unless `force`
+    is set; then it runs as a heuristic that tries every start node and keeps
     the best MIN-rule Prim order (dearest link first too, for the MIN rule
     maximized), all on one budget table. random_restart keeps the best of
-    `count` seeded random permutations. Among equal totals the first
-    schedule tried wins. Except for exact greedy_prim, evaluate() reports.
+    `count` seeded random permutations. Among equal totals the first schedule
+    tried wins. The exact Prim searches report n plus their links, the others
+    evaluate().
     """
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"unknown objective {objective!r}")
     n_nodes = topology.size
+    if strategy in ("brute_force", "greedy_prim") and (rule, objective) in _SPANNING:
+        if strategy == "brute_force" and n_nodes * n_nodes > SEARCH_WORK_LIMIT:
+            raise InfeasibleError(f"brute force refused for N={n_nodes}: above the search's work limit")
+        pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
+        row = _pair_rows(model, rule, topology)
+        order, links = _prim(0, n_nodes, row, pick, pick)  # the Prim order from node 0
+        if strategy == "brute_force":  # poll again, by the bound read off that order
+            order, links = _prim(0, n_nodes, row, pick, pick, _descent(rule, order, links))
+        bits = [model.n, *links]  # each link is its node's budget
+        return tuple(order), BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
     if strategy == "brute_force":
-        if (rule, objective) in _SPANNING:
-            best = _spanning_descent(model, rule, topology)
-        else:
-            stats = _exhaustive(model, rule, topology, "use random_restart or greedy_prim")
-            best = stats.argmin if objective == "minimize" else stats.argmax
+        stats = _exhaustive(model, rule, topology, "use random_restart or greedy_prim")
+        best = stats.argmin if objective == "minimize" else stats.argmax
     elif strategy == "greedy_prim":
-        if (rule, objective) in _SPANNING:  # the Prim order from node 0, links its budgets
-            pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-            order, links = _prim(0, n_nodes, _pair_rows(model, rule, topology), pick, pick)
-            bits = [model.n, *links]
-            return tuple(order), BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
         if not force:
             raise ValueError(
                 "greedy_prim is only exact for the min rule with objective minimize "

@@ -581,6 +581,9 @@ def test_spanning_pairs_searched_past_the_old_limit(instance):
 
 
 _TWINS = [(float(i % 3), float(i // 3)) for i in range(9)] + [(1.0, 1.0)]
+# gaps 12, 11, ..., 2 along a line: the Prim order from node 0 is the line, and
+# each poll's bottlenecks beat node 0's all the way out, the longest hop walks
+_LINE = [(x, 0.0) for x in itertools.accumulate(map(float, range(12, 1, -1)), initial=0.0)]
 
 
 @SETTINGS
@@ -599,6 +602,11 @@ _TWINS = [(float(i % 3), float(i // 3)) for i in range(9)] + [(1.0, 1.0)]
      (3.9, 3.8), (2.7, 0.6)], PowerLawModel, 4, 0.5, 1.0, MIN)
 @example(_TWINS, PowerLawModel, 5, 1.0, 0.5, MAX)
 @example([(0.0, 0.0)] * 3 + _TWINS, GaussianDecayModel, 12, 0.9, 0.3, MIN)
+@example(_LINE, PowerLawModel, 16, 1.0, 1.0, MIN)  # links 12, 11, ..., 2
+@example([(x / 24, y) for x, y in _LINE], PowerLawModel, 16, 1.0, -1.0, MAX)  # links 2, 3, 3, 3, 3, 4, ..., 12
+# beta = 0: every budget and every bound ties, so the order is 0..N-1
+@example(_TWINS[:9], PowerLawModel, 5, 1.5, 0.0, MIN)
+@example(_TWINS[:9], PowerLawModel, 5, 1.5, 0.0, MAX)
 def test_spanning_brute_force_equals_the_cubic_descent(positions, cls, n, alpha, beta, rule):
     """Both spanning pairs at N 8-60, on uniform and integer-grid layouts
     (tied budgets, d = 0): brute force, one Prim order read at every step,

@@ -304,15 +304,20 @@ _PAIRS, _NODES = 30 * 29 // 2, 29
         ("decay_term", lambda m, topo: evaluate(m, ADD, topo, _SHUFFLED), _PAIRS),
         ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "greedy_prim"), _PAIRS),
         ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "greedy_prim"), _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "brute_force"), 2 * _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "brute_force"), 2 * _PAIRS),
         ("budget", lambda m, topo: fidelity_sweep(m, MIN, topo, _SHUFFLED, [1.0], [0, 1]), _NODES),
     ],
-    ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max", "sweep-min"],
+    ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max", "brute-min", "brute-max",
+         "sweep-min"],
 )
 def test_evaluate_and_prim_compute_each_pair_once(method, run, count):
     """Under MIN and MAX a walk reads each node's budget off one distance:
     one call per node but the first. The ADDITIVE prefix fold, and Prim's
     running link below the step-table gate (64n + 2 >= N(N-1)/2), call the
-    pair method once per unordered pair: no pair twice, and no table besides."""
+    pair method once per unordered pair: no pair twice, and no table besides.
+    Spanning brute force is two Prim passes, the second keyed by the first's
+    order, and reports their links: no closing walk."""
     m = GaussianDecayModel(n=12, alpha=0.9, beta=0.3)
     calls = _count_budget_calls(m, method)
     run(m, random_topology(random.Random(33), 30))
