@@ -17,12 +17,14 @@ Exit codes: 0 success, 2 configuration error, 3 input/output error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import shlex
 import sys
+from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .correlation import (
     ConditioningRule,
@@ -30,7 +32,7 @@ from .correlation import (
     PowerLawModel,
     pairwise_bits,
 )
-from .schedule import SAMPLE_LIMIT, InfeasibleError, budget_matrix, evaluate, optimize, schedule_stats
+from .schedule import SAMPLE_LIMIT, InfeasibleError, budget_tails, evaluate, optimize, schedule_stats
 from .simulator import fidelity_sweep
 from .topology import TopologyError, load_topology
 
@@ -157,18 +159,33 @@ def _header(command: str, cfg: dict[str, Any]) -> str:
     return f"# bitgather {command} " + " ".join(words)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(header: str, lines: Iterable[str], out: str | None) -> None:
+    """Writes each line as `lines` gives it; `out` is opened only now, once
+    the handler that made `lines` has returned with every check done."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
-def _cmd_bits(cfg: dict[str, Any], model) -> list[str]:
-    rows = budget_matrix(model, load_topology(cfg["topology"]))
-    text = {b: str(b) for b in set().union(*rows)}  # only the budgets that occur
-    return [",".join(map(text.__getitem__, row)) for row in rows]
+def _cmd_bits(cfg: dict[str, Any], model) -> Iterator[str]:
+    topo = load_topology(cfg["topology"])
+    # each distinct budget's text is made once; every error is raised here
+    return _mirrored(budget_tails(model, topo, functools.cache(str)), topo.size)
+
+
+def _mirrored(tails: Iterable[list[str]], size: int) -> Iterator[str]:
+    """The lines of the symmetric matrix with "0" on its diagonal, from the
+    rows of its strict upper triangle: row i's items past the diagonal are
+    column i, the next items of the lines below, whose earlier halves grow
+    until each is written and dropped (at most N**2 / 4 items held)."""
+    heads = [[] for _ in range(size)]
+    for i, tail in enumerate(tails):
+        line, heads[i] = heads[i], None
+        deque(map(list.append, heads[i + 1 :], tail), 0)  # consumed at C level, nothing kept
+        line.append("0")
+        line.extend(tail)
+        yield ",".join(line)
 
 
 def _cmd_sweep(cfg: dict[str, Any], model) -> list[str]:
@@ -257,7 +274,7 @@ def _cmd_stats(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
 
 
 # command -> (handler, help line, options in the order the header echoes them)
-_COMMANDS: dict[str, tuple[Callable[..., list[str]], str, list[_Option]]] = {
+_COMMANDS: dict[str, tuple[Callable[..., Iterable[str]], str, list[_Option]]] = {
     "bits": (_cmd_bits, "pairwise budget matrix (CSV) for a topology", [_TOPOLOGY, *_MODEL]),
     "sweep": (_cmd_sweep, "distance-vs-budget table (TSV) for plotting the model curve", [
         *_MODEL,
@@ -320,7 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         model = _build_model(cfg)
         built = (model, _build_rule(cfg)) if "rule" in cfg else (model,)
         lines = _COMMANDS[args.command][0](cfg, *built)
-        _emit([_header(args.command, cfg), *lines], args.out)
+        _emit(_header(args.command, cfg), lines, args.out)
     except (ValueError, InfeasibleError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (TopologyError, OSError)):

@@ -14,13 +14,14 @@ attains each.
 Under every rule a node's budget depends only on the set polled before
 it: its pair values to those nodes (pairwise budgets, or decay terms
 under ADDITIVE) folded by min, max, or an exact sum rounded once: _pair_rows
-gives the pair values, _fold the fold and _table the mirrored pair table. A
+gives the pair values, _fold the fold, _table the mirrored pair table and
+budget_tails its upper triangle a row at a time, for bits to stream. A
 budget is monotone in distance, so under MIN and MAX a walk (evaluate, and the
 simulator's gather and sweep) reads each node's budget off one distance:
 its nearest earlier node's, from one sorted sweep of the order
 (Topology.nearest_links), or the farthest of its prefix; under ADDITIVE
-it folds the prefix. The pair table, Prim and the spanning descent read
-pairwise budgets off the model's step table where finding its steps
+it folds the prefix. The pair rows (the table, bits, Prim and the spanning
+descent) read pairwise budgets off the model's step table where finding its steps
 costs fewer calls than the pairs. One backward pass over the 2**N polled sets (Held
 & Karp 1962) gives the exhaustive statistics and the brute-force optimum;
 the two spanning-tree pairs instead run greedy_prim's _prim again, keyed
@@ -45,7 +46,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from statistics import fmean
 from typing import Callable, Iterable, Iterator, Sequence
 
 # conditioned_bits, pairwise_bits: unused here, bound for bench/tracer.py to patch.
@@ -67,7 +67,7 @@ EXHAUSTIVE_LIMIT = 16
 # Work units the spanning-pair brute force may spend: N * N, two Prim passes, the
 # second keyed by walks along the first's order; past N = 2000 refused before any budget.
 SEARCH_WORK_LIMIT = 2000**2
-# Sampled schedules (stats, optimize --strategy random_restart); one total is kept per sample.
+# Sampled schedules (stats, optimize --strategy random_restart); each total is summed as it is drawn.
 SAMPLE_LIMIT = 10**6
 
 
@@ -104,25 +104,34 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
 
 
 def _pair_rows(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, label: Callable | None = None
 ) -> Callable[[int, Iterable[int]], Iterator]:
     """row(u, nodes): u's pair value to each of `nodes`, computed on demand.
 
     Under ADDITIVE the values are decay terms, else pairwise budgets: a
     lookup in the model's step table when finding its steps, at most 64n + 2
     budget calls, costs less than the N(N-1)/2 pair calls it replaces; else
-    model.budget per pair.
+    model.budget per pair. Either way a budget singular at distance 0 raises
+    here, before any row, where nodes coincide. With `label` a row gives
+    label(value) for each value: on the step table, each step's once.
     """
     size, distances_from = topology.size, topology.distances_from
+    # only coincident nodes are at distance 0, where the budget may be singular
+    zero = len(set(topology.positions)) < size
     if rule is ConditioningRule.ADDITIVE:
         require_decay(model)
         pair = model.decay_term
     elif 64 * model.n + 2 >= size * (size - 1) // 2:
         pair = model.budget
+        if zero:
+            pair(0.0)
     else:
-        # only coincident nodes are at distance 0, where the budget may be singular
-        steps, vals = budget_steps(model, zero=len(set(topology.positions)) < size)
+        steps, vals = budget_steps(model, zero=zero)
+        if label is not None:
+            vals = [*map(label, vals)]
         return lambda u, nodes: map(vals.__getitem__, map(bisect_right, repeat(steps), distances_from(u, nodes)))
+    if label is not None:
+        return lambda u, nodes: map(label, map(pair, distances_from(u, nodes)))
     return lambda u, nodes: map(pair, distances_from(u, nodes))
 
 
@@ -186,6 +195,14 @@ def evaluate(
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     """Pairwise budgets for every node pair; symmetric, 0 on the diagonal."""
     return _table(model, ConditioningRule.MIN, topology)
+
+
+def budget_tails(model: ModelSpec, topology: Topology, label: Callable) -> Iterator[list]:
+    """budget_matrix's strict upper triangle, a row at a time: label(budget)
+    for node i's budget to each of nodes i+1..N-1, each row made when it is
+    read. Every error is raised by this call, before any row."""
+    row, size = _pair_rows(model, ConditioningRule.MIN, topology, label), topology.size
+    return ([*row(i, range(i + 1, size))] for i in range(size))
 
 
 def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Callable[[Sequence[int]], int]:
@@ -296,14 +313,20 @@ def _sample(
     if count > SAMPLE_LIMIT:
         raise InfeasibleError(f"sampling refused: more than {SAMPLE_LIMIT} schedules")
     total_of = _total_fn(model, rule, _table(model, rule, topology))
-    totals, lo, hi, argmin, argmax = [], math.inf, -math.inf, (), ()
-    for order in islice(_shuffles(seed, topology.size), count):
-        totals.append(t := total_of(order))
-        if t < lo:
-            lo, argmin = t, tuple(order)
-        if t > hi:
-            hi, argmax = t, tuple(order)
-    return ScheduleStats(fmean(totals), lo, hi, argmin, argmax, count, exhaustive=False)
+    lo, hi, argmin, argmax = math.inf, -math.inf, (), ()
+
+    def totals() -> Iterator[int]:
+        nonlocal lo, hi, argmin, argmax
+        for order in islice(_shuffles(seed, topology.size), count):
+            t = total_of(order)
+            if t < lo:
+                lo, argmin = t, tuple(order)
+            if t > hi:
+                hi, argmax = t, tuple(order)
+            yield t
+
+    mean = math.fsum(totals()) / count  # statistics.fmean of the totals, none of them kept
+    return ScheduleStats(mean, lo, hi, argmin, argmax, count, exhaustive=False)
 
 
 def schedule_stats(

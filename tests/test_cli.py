@@ -1,10 +1,14 @@
 import random
 import shlex
+import tracemalloc
 
 import pytest
 
+from bitgather import PowerLawModel
 from bitgather.cli import main
 from bitgather.schedule import EXHAUSTIVE_LIMIT
+
+from conftest import random_topology
 
 
 @pytest.fixture
@@ -52,6 +56,73 @@ def test_bits_matrix_is_symmetric(capsys, topo_line3):
     for i in range(3):
         for j in range(3):
             assert matrix[i][j] == matrix[j][i]
+
+
+def write_topology(path, positions):
+    path.write_text("id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(positions)))
+    return str(path)
+
+
+@pytest.mark.parametrize("size, tabled", [(23, False), (24, True)], ids=["per-pair", "step-table"])
+def test_bits_equals_the_double_loop_at_the_gate(capsys, tmp_path, monkeypatch, size, tabled):
+    """As budget_matrix: with n = 4 the gate is 64n + 2 = 258 budget calls, so
+    N = 23 (253 pairs) calls the budget once per pair, in row order, and
+    N = 24 (276 pairs) reads the step table; each line is the double loop's row."""
+    topo = random_topology(random.Random(35), size)
+    path = write_topology(tmp_path / "nodes.csv", topo.positions)
+    m = PowerLawModel(n=4, alpha=1.0, beta=1.0)
+    want = [",".join(str(m.budget(topo.distance(i, j)) if i != j else 0) for j in range(size))
+            for i in range(size)]
+    calls, budget = [], PowerLawModel.budget
+
+    def counted(self, d):
+        calls.append(d)
+        return budget(self, d)
+
+    monkeypatch.setattr(PowerLawModel, "budget", counted)
+    code, out = run(capsys, ["bits", "--topology", path, "--model", "1", "--n", "4"])
+    assert code == 0
+    assert data_lines(out) == want
+    if tabled:
+        assert len(calls) <= 64 * 4 + 2
+    else:
+        assert calls == [topo.distance(i, j) for i in range(size) for j in range(i + 1, size)]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("size", [3, 62], ids=["per-pair", "step-table"])
+def test_bits_writes_nothing_before_an_error(capsys, tmp_path, size, to_file):
+    """budget(0) is singular for a power law with beta < 0: on both sides of
+    the gate (n = 5: 3 pairs, and 1891 > 322 at N = 62) bits exits 2 before
+    its first byte, though the last two nodes alone coincide and every
+    earlier row could be written."""
+    rng = random.Random(size)
+    points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(size - 1)]
+    path = write_topology(tmp_path / "twins.csv", [*points, points[-1]])
+    out = tmp_path / "bits.csv"
+    argv = ["bits", "--beta", "-0.5", "--topology", path, *(["--out", str(out)] if to_file else [])]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: d = 0 with negative exponent is singular\n")
+    assert not out.exists()
+
+
+def test_bits_holds_less_than_the_table(tmp_path):
+    """bits to a file holds the earlier halves of the lines not yet written,
+    each item one of a few shared texts, and writes each line as it is made:
+    below 6 N**2 bytes at N = 300, where the mirrored table and all its lines
+    came to 1.05 MB."""
+    size = 300
+    path = write_topology(tmp_path / "nodes.csv", random_topology(random.Random(300), size).positions)
+    argv = ["bits", "--topology", path, "--model", "2", "--n", "12", "--beta", "0.5",
+            "--out", str(tmp_path / "bits.csv")]
+    assert main(argv) == 0  # the parser is built once, outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * size * size
 
 
 def test_sweep_staircase(capsys):

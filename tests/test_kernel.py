@@ -265,6 +265,8 @@ def test_single_order_paths_match_direct_budgets(instance, rng):
     st.one_of(
         st.tuples(instances(max_nodes=8), st.integers(1, 40)),
         st.tuples(instances(min_nodes=9, max_nodes=40), st.integers(1, 4)),  # swap draws 4 to 6 bits wide
+        # totals past 2**53 round: the mean summed as drawn must still be fmean's
+        st.tuples(instances(max_nodes=8, widths=st.sampled_from([2**52 + 1, 2**53])), st.integers(1, 40)),
     ),
     st.integers(0, 2**32),
 )
