@@ -6,6 +6,10 @@ bits, the one closest to a reference reading (bins of size 2**b). Splicing
 the reference's high bits onto the payload would fail on carry boundaries
 (e.g. reference 15, true value 16), so nearest-codeword decoding is used;
 it is exact whenever |true - reference| <= 2**(b-1) - 1.
+
+`nearest` is the one statement of that rule, on plain ints: `decode` checks
+its Reading and Codeword and calls it, and the simulator's gather loop calls
+it once per node with no Reading or Codeword built.
 """
 
 from __future__ import annotations
@@ -49,6 +53,19 @@ def encode(reading: Reading, budget: int) -> Codeword:
     return Codeword(payload=reading.value & ((1 << budget) - 1), bits=budget)
 
 
+def nearest(reference: int, payload: int, b: int, n: int) -> int:
+    """The n-bit value nearest `reference` whose low b bits are `payload`
+    (0 <= b <= n, 0 <= payload < 2**b); ties break toward the smaller one.
+    With b = 0 nothing was sent, so the reference stands."""
+    if not b:
+        return reference
+    step = 1 << b
+    # candidates are payload + k * step; the distance is convex in k, so the
+    # nearest k (rounded half down) clamped to [0, 2**(n-b) - 1] is the nearest candidate
+    k = max(0, min((reference - payload + (step >> 1) - 1) // step, (1 << (n - b)) - 1))
+    return payload + k * step
+
+
 def decode(reference: Reading, codeword: Codeword) -> Reading:
     """Nearest value to the reference matching the codeword's low bits.
 
@@ -58,14 +75,7 @@ def decode(reference: Reading, codeword: Codeword) -> Reading:
     b = codeword.bits
     if b > n:
         raise ValueError(f"codeword bits {b} exceed reference width {n}")
-    if b == 0:
-        return reference
-    step = 1 << b
-    k_max = (1 << (n - b)) - 1
-    # candidates are payload + k * step; the distance is convex in k, so the
-    # nearest k (rounded half down) clamped to [0, k_max] is the nearest candidate
-    k = max(0, min((reference.value - codeword.payload + (step >> 1) - 1) // step, k_max))
-    return Reading(value=codeword.payload + k * step, width=n)
+    return Reading(value=nearest(reference.value, codeword.payload, b, n), width=n)
 
 
 def correctness_radius(bits: int) -> int:

@@ -7,14 +7,18 @@ distance and L tunes smoothness (L = 0 gives a constant field). This gives
 a Lipschitz-style bound tying data deltas to distance, the same premise
 the budget models encode. The order and the links depend on the layout
 alone, so every field draws along one cached plan (Topology.field_plan).
+Each draw is random.randint's, made inline from getrandbits by the rule
+randrange uses, so a field rests on random.Random(seed).getrandbits alone.
 
 A gather run walks a schedule, budgets each node against the already
-polled set, encodes the low bits, and decodes against the reconstructed
+polled set, sends the low bits, and decodes against the reconstructed
 reading of the nearest prior node. Reconstructed (not true) readings feed
 later references, so decoding errors propagate as they would in a real
 collector. Budgets and references are data-independent, so one walk per
 schedule gives both: the bit report is schedule.evaluate's, and each node's
 reference is its nearest earlier node by (distance, id), Topology.nearest_links'.
+The decode loop runs on plain ints: each node's payload is its reading's low
+bits, decoded by codec.nearest, the rule codec.decode applies to a Reading.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codec import Reading, decode, encode
+# encode and decode are unused here but stay bound: bench/tracer.py patches them.
+from .codec import Reading, decode, encode, nearest  # noqa: F401
 # conditioned_bits is unused here but stays bound: bench/tracer.py patches it.
 from .correlation import ConditioningRule, ModelSpec, conditioned_bits  # noqa: F401
 from .schedule import BitReport, _walk
@@ -57,17 +62,27 @@ def generate_field(
         raise ValueError("smoothness must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    # randint(lo, lo + w - 1) is lo plus the first of getrandbits(w.bit_length())
+    # draws that is below w: the same numbers, without randint's three frames
+    getrandbits = random.Random(seed).getrandbits
     top = (1 << n) - 1
     readings = [0] * topology.size
-    readings[0] = rng.randint(0, top)
+    value = getrandbits(n + 1)  # w = top + 1
+    while value > top:
+        value = getrandbits(n + 1)
+    readings[0] = value
     for v, near, d in topology.field_plan:
         reach = smoothness * d
         if reach == math.inf:
             raise ValueError(f"smoothness {smoothness!r} overflows the field spread")
         spread = math.ceil(reach)
-        value = readings[near] + rng.randint(-spread, spread)
-        readings[v] = max(0, min(value, top))
+        w = 2 * spread + 1
+        k = w.bit_length()
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        value = readings[near] + r - spread
+        readings[v] = 0 if value < 0 else top if value > top else value
     return SensorField(
         readings=tuple(readings), width=n, smoothness=smoothness, seed=seed
     )
@@ -86,13 +101,11 @@ def _walk_references(
 
 def _decode_all(report: BitReport, refs: Sequence[int], field: SensorField) -> GatherResult:
     """Reconstruct every reading along a walked schedule and its decode references."""
-    n = field.width
-    recon = list(field.readings)  # the first node sends all n bits: exact
-    for k, ((node, bits), ref) in enumerate(zip(report.per_node, refs)):
-        if k:
-            truth = Reading(field.readings[node], n)
-            recon[node] = decode(Reading(recon[ref], n), encode(truth, bits)).value
-    errors = [abs(a - b) for a, b in zip(recon, field.readings)]
+    n, truths = field.width, field.readings
+    recon = list(truths)  # the first node sends all n bits: exact
+    for (node, bits), ref in zip(report.per_node[1:], refs[1:]):
+        recon[node] = nearest(recon[ref], truths[node] & ((1 << bits) - 1), bits, n)
+    errors = [abs(a - b) for a, b in zip(recon, truths)]
     return GatherResult(
         bit_report=report,
         reconstructed=tuple(recon),
@@ -116,6 +129,8 @@ def gather(
         )
     if field.width != model.n:
         raise ValueError(f"field width {field.width} != model n {model.n}")
+    for value in field.readings:  # the decode loop takes them as plain ints
+        Reading(value, field.width)
     return _decode_all(*_walk_references(model, rule, topology, schedule), field)
 
 

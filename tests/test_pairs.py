@@ -15,7 +15,7 @@ import struct
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitgather import (
@@ -240,7 +240,18 @@ def oracle_field(topology, n, smoothness, seed):
 grid = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
 
 
+_FIELD_GRID = [(0, 0), (1, 0), (3, 2), (2, 3), (0, 3), (3, 3)]
+
+
 @SETTINGS
+# one-word and multi-word getrandbits draws: node 0 draws n + 1 bits, two
+# 32-bit words at n = 32 and 33 and three at 64; later nodes draw a few bits,
+# one word, except at smoothness 1e12, where each spread is above 2**32
+@example(_FIELD_GRID, 32, 1.5, 7)
+@example(_FIELD_GRID, 33, 2.5, 8)
+@example(_FIELD_GRID, 64, 3.0, 9)
+@example(_FIELD_GRID, 64, 1e12, 10)
+@example(_FIELD_GRID, 33, 1e12, 11)
 @given(
     grid,
     st.integers(1, 16),

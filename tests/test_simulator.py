@@ -120,6 +120,18 @@ class TestGather:
         with pytest.raises(ValueError, match="width"):
             gather(unit_staircase, MIN, collinear3, [0, 1, 2], field)
 
+    @pytest.mark.parametrize("bad", [99, -3])
+    @pytest.mark.parametrize("size, at", [(1, 0), (3, 0), (3, 1)])
+    def test_out_of_range_reading_rejected(self, unit_staircase, size, at, bad):
+        # at N=1 no node decodes against the bad reading; at N=3 it is the
+        # first or the middle node polled
+        topo = Topology.from_positions([(float(x), 0.0) for x in range(size)])
+        readings = [1] * size
+        readings[at] = bad
+        field = SensorField(readings=tuple(readings), width=5, smoothness=0.0, seed=0)
+        with pytest.raises(ValueError, match=rf"^value {bad} out of range for 5 bits$"):
+            gather(unit_staircase, MIN, topo, list(range(size)), field)
+
 
 class TestFidelitySweep:
     def test_zero_smoothness_rows_are_exact(self, collinear3):
@@ -164,6 +176,7 @@ walk_models = st.sampled_from([
     (GaussianDecayModel(n=6, alpha=0.9, beta=0.7), MIN),
     (GaussianDecayModel(n=6, alpha=0.9, beta=0.7), MAX),
     (GaussianDecayModel(n=6, alpha=0.9, beta=0.7), ADD),
+    (GaussianDecayModel(n=64, alpha=0.9, beta=0.7), MIN),  # masks wider than a machine word
 ])
 
 
