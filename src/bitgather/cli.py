@@ -10,8 +10,9 @@ configuration above its output as a comment line, so any output file
 documents how to regenerate itself. All randomness flows from explicit
 seeds; nothing reads the clock.
 
-Exit codes: 0 success, 2 configuration error, 3 input/output error,
-4 infeasible request (e.g. exhaustive enumeration on a large topology).
+Exit codes: 0 success (also when stdout's reader closes early), 2
+configuration error, 3 input/output error, 4 infeasible request (e.g.
+exhaustive enumeration on a large topology).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import shlex
 import sys
 from collections import deque
@@ -338,6 +340,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         built = (model, _build_rule(cfg)) if "rule" in cfg else (model,)
         lines = _COMMANDS[args.command][0](cfg, *built)
         _emit(_header(args.command, cfg), lines, args.out)
+    except BrokenPipeError:  # the reader closed early (`bits | head -1`): stop quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail
+        return EXIT_OK
     except (ValueError, InfeasibleError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (TopologyError, OSError)):

@@ -1,9 +1,14 @@
+import os
 import random
 import shlex
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import bitgather
 from bitgather import PowerLawModel
 from bitgather.cli import main
 from bitgather.schedule import EXHAUSTIVE_LIMIT
@@ -123,6 +128,20 @@ def test_bits_holds_less_than_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6 * size * size
+
+
+def test_bits_to_a_reader_that_closes_early_exits_0(tmp_path):
+    """`bits | head -1`: the reader closes after one line, and the run stops
+    quietly with exit 0, as under SIGPIPE. At N = 300 the output (about
+    260 KB) is far more than one pipe buffer, so a later write meets the
+    closed pipe."""
+    path = write_topology(tmp_path / "nodes.csv", random_topology(random.Random(300), 300).positions)
+    argv = [sys.executable, "-m", "bitgather.cli", "bits", "--topology", path, "--model", "2", "--n", "12", "--beta", "0.5"]
+    env = {**os.environ, "PYTHONPATH": str(Path(bitgather.__file__).resolve().parents[1])}
+    with subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"# bitgather bits ")
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
 
 
 def test_sweep_staircase(capsys):

@@ -1,0 +1,220 @@
+"""Pinned CLI checks. Each row of ROWS runs one bitgather call in a fresh
+interpreter, with its timeout, and checks its stdout sha256 or its exit code.
+Every output is a pure function of layout, model and seed, so a digest holds
+on every platform and Python. Run from the repository root:
+
+    PYTHONPATH=src python -m pytest -q -W error tools/test_pinned.py
+"""
+
+import functools
+import hashlib
+import json
+import math
+import os
+import random
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def uniform(size: int, seed: int = 0) -> list[tuple[float, float]]:
+    r = random.Random(seed)
+    return [(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(size)]
+
+
+def twins() -> list[tuple[float, float]]:
+    nodes = uniform(61)
+    nodes.insert(40, nodes[7])  # node 40 sits on node 7
+    return nodes
+
+
+# Each header echoes topology=<name>, so a renamed layout changes every digest.
+LAYOUTS = {
+    **{f"n{size}.csv": functools.partial(uniform, size) for size in (10, 14, 16, 17, 40, 500, 2000, 2001)},
+    "n200_seed3.csv": functools.partial(uniform, 200, 3),
+    "twins.csv": twins,
+}
+
+
+class Row(NamedTuple):
+    layout: str
+    argv: str  # "{order}" stands for the layout's ids shuffled by random.Random(0)
+    timeout: float  # seconds, interpreter start included
+    expect: str | int  # a stdout sha256 (and exit 0), or an exit code; a refusal writes no stdout
+    stderr: str | None = None  # all that a refusal prints, where pinned
+
+
+SINGULAR = "error: d = 0 with negative exponent is singular"
+# The spanning MIN pair at N=2000, and the greedy_prim run whose total it must equal.
+SPANNING_MIN = Row("n2000.csv", "optimize --strategy brute_force --rule min", 60,
+                   "04a6e87f88ccc0ce5e639fee357d807e6c7964636c800b123875aa0d7c20ffb6")
+PRIM_MIN = Row("n2000.csv", "optimize --strategy greedy_prim --rule min", 60, 0)
+
+# Times quoted below were measured on a 2-vCPU Xeon VM under Python 3.11.7.
+ROWS = [
+    # Exhaustive stats, under every rule, and brute force outside the two
+    # spanning-tree pairs pass over the 2**N polled sets instead of the N!
+    # schedules; the spanning pairs descend one path by an exact bound. Each
+    # call at N=10 takes about 0.1-0.15 s, a hard pair at N=14 about 0.3-0.55 s
+    # and exhaustive additive stats at N=16 (the limit) about 1.3-2.1 s. N=17
+    # is refused before any budget is computed.
+    Row("n10.csv", "stats --mode exhaustive --model 1 --rule min", 5, 0),
+    Row("n10.csv", "stats --mode exhaustive --model 1 --rule max", 5, 0),
+    Row("n10.csv", "stats --mode exhaustive --model 2 --rule additive", 5, 0),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule min --objective minimize", 5, 0),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule min --objective maximize", 5, 0),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule max --objective minimize", 5, 0),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule max --objective maximize", 5, 0),
+    Row("n10.csv", "optimize --strategy brute_force --model 2 --rule additive --objective minimize", 5, 0),
+    Row("n10.csv", "optimize --strategy brute_force --model 2 --rule additive --objective maximize", 5, 0),
+    Row("n14.csv", "optimize --strategy brute_force --model 2 --n 12 --beta 0.5 --rule additive --objective minimize", 5, 0),
+    Row("n14.csv", "optimize --strategy brute_force --model 2 --n 12 --beta 0.5 --rule additive --objective maximize", 5, 0),
+    Row("n14.csv", "optimize --strategy brute_force --model 1 --beta 0.5 --rule min --objective maximize", 5, 0),
+    Row("n16.csv", "stats --mode exhaustive --model 2 --rule additive", 10, 0),
+    Row("n17.csv", "stats --mode exhaustive --model 2 --rule additive", 5, 4),
+    # The spanning-pair brute force reruns greedy_prim's Prim loop keyed by
+    # an exact bound, in O(N**2) time and O(N) memory. At N=2000, the largest
+    # N it accepts, each takes about 1.9-2.7 s and greedy_prim about 0.85-1.1 s, so
+    # 60 s catches a return to the O(N**3) descent. The first two digests
+    # were recorded with the descent that scanned the whole order per poll.
+    # Under the default model every Prim link on n2000.csv ties (MIN: all 1;
+    # MAX: all 5), so these two cannot see a wrong hop walk in
+    # schedule._descent. The next three run models whose tree links differ:
+    # deleting the left-hand walk changes the MIN one (1-12 bit links) and
+    # the n200_seed3.csv one, deleting the right-hand walk all three.
+    SPANNING_MIN,
+    Row("n2000.csv", "optimize --strategy brute_force --rule max --objective maximize", 60,
+        "b98f0546d94ca2d23f8c18a6b7282ee3a19d8c58ab30b4f6c4bc15044946fa4a"),
+    Row("n2000.csv", "optimize --strategy brute_force --model 2 --n 12 --beta 50 --rule min", 60,
+        "7d3b472c47c235faa1c8460991fe3d099e151d783c8d27120e57d13481e92b20"),
+    Row("n2000.csv", "optimize --strategy brute_force --model 1 --n 16 --rule max --objective maximize", 60,
+        "51b97922cceb9b63c199eac1170afabb3bf1725d6298694a53ab89f4e2d4d593"),
+    Row("n200_seed3.csv", "optimize --strategy brute_force --model 1 --n 16 --beta 1 --rule max --objective maximize", 60,
+        "7a682f8fe468bbcb5b61205193d6818fd2f4aeaff327aa7cf0e47ffb47b8a9bb"),
+    PRIM_MIN,
+    Row("n2001.csv", "optimize --strategy brute_force --rule min", 5, 4),
+    # Shuffled orders at N=500, which the benchmark's field row does not run.
+    # Each takes about 0.1-0.25 s: 5 s catches a complexity regression, not a
+    # constant factor, which the benchmark measures.
+    Row("n500.csv", "evaluate --model 2 --rule additive --order {order}", 5, 0),
+    Row("n500.csv", "simulate --model 2 --rule additive --order {order}", 5, 0),
+    Row("n500.csv", "simulate --model 2 --rule min --order {order}", 5, 0),
+    # A MIN walk reads each node's budget off its nearest earlier node, and
+    # every simulate decodes against it, from one sorted sweep per order
+    # (Topology.nearest_links); these digests were recorded with a row of
+    # distances per node. Each call takes about 0.15-0.2 s, so 10 s catches a
+    # return to O(N**2) Python-level work only with a large constant.
+    Row("n2000.csv", "simulate --model 2 --rule min --smoothness 0.5,2 --seeds 1,2", 10,
+        "d593021442e3bf44a7bf60c7416a54f54e8f9ec363faa6b8ea8fba2de2a3c3d9"),
+    Row("n2000.csv", "evaluate --model 2 --rule min --order {order}", 10,
+        "e6936061f5350a8d5b421b8aa23e10db421bf5e5eefb90c0141ef2bcddcfad9a"),
+    # bits reads each node's row to the nodes after it off the model's step
+    # table (n=12: 64n + 2 = 770 budget calls, far below the 1,999,000 pairs);
+    # the digest was recorded when the whole mirrored table was built before
+    # printing. It takes about 0.7-0.9 s, so 10 s catches work above O(N**2).
+    Row("n2000.csv", "bits --model 2 --n 12 --beta 0.5", 10,
+        "ed4195876175df5a3dfef0203026a0a094e800db9b22a07b91ec816f960f78e9"),
+    # Sampled schedules come from the package's own Fisher-Yates draws over
+    # random.Random(seed).getrandbits, so these digests, recorded with
+    # random.Random.shuffle's draws, hold on every Python. Each N=40 and N=62
+    # row takes about 0.1-0.2 s; their 30 s only stops a hang.
+    Row("n40.csv", "stats --mode sampled --samples 300 --model 2 --n 12 --beta 0.5 --seed 11 --rule min", 30,
+        "9ae9636965f3a169f4a6108795cd5c1b188dc241d3af3e87487bc1528970b7ae"),
+    Row("n40.csv", "stats --mode sampled --samples 300 --model 2 --n 12 --beta 0.5 --seed 11 --rule max", 30,
+        "3e04aae2a77db4d128c474a5a9461b9723fe753afad37ed39c1427c7cbdc97b4"),
+    Row("n40.csv", "stats --mode sampled --samples 300 --model 2 --n 12 --beta 0.5 --seed 11 --rule additive", 30,
+        "d90d728312e753636f4a1be1eef6b4aad6dad39495aa3b2f703e7fb514d23f07"),
+    Row("n40.csv", "optimize --strategy random_restart --restarts 300 --model 2 --n 12 --beta 0.5 --seed 11 "
+        "--rule min --objective maximize", 30, "29d458d93421186e69a423778d748ecc45bfc67e9e1436d6bf42f62b7b8af3e5"),
+    # Paths from a distance to a budget that no benchmark row reaches, each
+    # digest recorded before the models' budgets became plain methods: forced
+    # greedy_prim (one pair table under MIN and MAX, a budget table and a
+    # decay-term table under ADDITIVE); bits with n=13, where 64n + 2 = 834
+    # >= 780 pairs, so each pair calls the budget (n=12 reads the step
+    # table); and ADDITIVE evaluate on a shuffled order.
+    Row("n40.csv", "optimize --strategy greedy_prim --force-greedy --model 2 --n 12 --beta 0.5 --rule min "
+        "--objective maximize", 30, "f0bbdd5057823c0a9ce38be4d4fe19c223bd68bf10ffe5d8dc0e79e112de523f"),
+    Row("n40.csv", "optimize --strategy greedy_prim --force-greedy --model 2 --n 12 --beta 0.5 --rule max "
+        "--objective minimize", 30, "c106b7d8af8126abe93a10b0362bd800894969db27184777d899e2c62f40aca4"),
+    Row("n40.csv", "optimize --strategy greedy_prim --force-greedy --model 2 --n 12 --beta 0.5 --rule additive "
+        "--objective minimize", 30, "c03e769c326a4e31091b8214e0ac68d759952f22799f104ef2ecf0f6f0e46921"),
+    Row("n40.csv", "bits --model 2 --n 13 --beta 0.5", 30,
+        "3d9eb2ab2a3da5f8b59c305e08ae64be8e78decc542b1b9ec981cc12a67aaa0e"),
+    Row("n40.csv", "evaluate --model 2 --n 12 --beta 0.5 --rule additive --order {order}", 30,
+        "e065ded315c33a6f2061c1dff46e63597c68c7dd6ed8e8578e9885efc22f479c"),
+    # A power law with beta < 0 is singular at d = 0, so two coincident nodes
+    # are refused from every path before the first byte of stdout. At N=62
+    # with n=5 the pair rows and Prim read the step table (64n + 2 = 322
+    # calls < 1891 pairs), which must still see the 0; a MIN-rule walk reads
+    # each node's farthest distance and must check for coincident nodes too,
+    # and a MAX-rule walk reads its nearest off the sorted sweep.
+    Row("twins.csv", "bits --beta -0.5", 30, 2, SINGULAR),
+    Row("twins.csv", "evaluate --beta -0.5 --rule min --order {order}", 30, 2, SINGULAR),
+    Row("twins.csv", "evaluate --beta -0.5 --rule max --order {order}", 30, 2, SINGULAR),
+    Row("twins.csv", "simulate --beta -0.5 --rule min", 30, 2, SINGULAR),
+    Row("twins.csv", "optimize --strategy greedy_prim --beta -0.5 --rule min", 30, 2, SINGULAR),
+    Row("twins.csv", "optimize --strategy brute_force --beta -0.5 --rule min", 30, 2, SINGULAR),
+]
+
+
+@pytest.fixture(scope="session")
+def run(tmp_path_factory):
+    """run(row): the row's finished call, made once per session."""
+    where, orders = tmp_path_factory.mktemp("layouts"), {}
+    for name, make in LAYOUTS.items():
+        nodes = make()
+        (where / name).write_text("id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(nodes)))
+        ids = [*range(len(nodes))]
+        random.Random(0).shuffle(ids)
+        orders[name] = ",".join(map(str, ids))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+    @functools.cache
+    def call(row: Row) -> subprocess.CompletedProcess:
+        argv = [sys.executable, "-m", "bitgather.cli", *shlex.split(row.argv.format(order=orders[row.layout]))]
+        return subprocess.run([*argv, "--topology", row.layout], cwd=where, env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True, timeout=row.timeout)
+
+    return call
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=f"{row.layout} {row.argv}") for row in ROWS])
+def test_row(run, row):
+    got, call = run(row), f"bitgather {row.argv} --topology {row.layout}"
+    if isinstance(row.expect, str):
+        digest = hashlib.sha256(got.stdout).hexdigest()
+        assert (got.returncode, digest) == (0, row.expect), f"{call}: exit {got.returncode}, sha256 {digest}"
+        return
+    assert got.returncode == row.expect, f"{call}: exit {got.returncode}\n{got.stderr.decode()}"
+    if row.expect:
+        assert got.stdout == b"", f"{call} wrote to stdout before its error"
+    if row.stderr is not None:
+        assert got.stderr.decode() == row.stderr + "\n", f"{call}: {got.stderr.decode()}"
+
+
+def test_spanning_brute_force_totals_what_greedy_prim_totals(run):
+    """n plus the minimum spanning tree weight, read off the two rows' stdout."""
+    totals = [[s for s in run(row).stdout.splitlines() if s.startswith(b"# total=")] for row in (SPANNING_MIN, PRIM_MIN)]
+    assert len(totals[0]) == 1 and totals[0] == totals[1], totals
+
+
+# Each workload's full-size outputs against bench/expected.json, one pass
+# each (bench/test_smoke.py runs tiny sizes). A layout holds its positions
+# only, and bits holds only the lines it has not yet written, so field's
+# traced peak is about 1.6 MB; 2.9 MB means bits holds the mirrored N x N
+# table again. Sampled stats sum each total as it is drawn, so search peaks
+# at about 0.1 MB; 0.28 MB means the totals are kept again.
+@pytest.mark.parametrize("workload, peak_mb", [("enumerate", math.inf), ("search", 0.15), ("field", 2.5)])
+def test_full_size_bench_pass(workload, peak_mb):
+    argv = [sys.executable, str(REPO / "bench" / "run.py"), *f"--workload {workload} --seed 0 --seconds 0 --trace 0".split()]
+    got = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, timeout=60)
+    assert got.returncode == 0, got.stderr.decode()
+    result = json.loads(got.stdout.splitlines()[-1])
+    assert result["correct"] is True, result["problems"]
+    assert result["metrics"]["peak_mem_mb"]["value"] <= peak_mb, result["metrics"]
