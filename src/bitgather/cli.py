@@ -4,15 +4,16 @@ Subcommands: bits, sweep, evaluate, optimize, simulate, stats. One table,
 _COMMANDS, declares each: its handler, its help line and its option rows
 (name, converter, default, help); the parser and the config reader read only
 that. Options can come from a flat key=value config file (--config);
-command-line flags win. main then builds the model (and the rule, if the
-command takes one), calls the handler and puts the fully resolved
-configuration above its output as a comment line, so any output file
-documents how to regenerate itself. All randomness flows from explicit
-seeds; nothing reads the clock.
+command-line flags win. main then builds the model, the rule and the
+topology (each for the commands that take it), calls the handler and puts
+the fully resolved configuration above its output as a comment line, so
+any output file documents how to regenerate itself. All randomness flows
+from explicit seeds; nothing reads the clock.
 
 Exit codes: 0 success (also when stdout's reader closes early), 2
 configuration error, 3 input/output error, 4 infeasible request (e.g.
-exhaustive enumeration on a large topology).
+exhaustive enumeration on a large topology). The topology is read before
+any request is judged feasible, so an unreadable topology exits 3, never 4.
 """
 
 from __future__ import annotations
@@ -170,8 +171,7 @@ def _emit(header: str, lines: Iterable[str], out: str | None) -> None:
             fh.write(line + "\n")
 
 
-def _cmd_bits(cfg: dict[str, Any], model) -> Iterator[str]:
-    topo = load_topology(cfg["topology"])
+def _cmd_bits(cfg: dict[str, Any], model, topo) -> Iterator[str]:
     # each distinct budget's text is made once; every error is raised here
     return _mirrored(budget_tails(model, topo, functools.cache(str)), topo.size)
 
@@ -226,13 +226,11 @@ def _report_lines(order: Sequence[int], report) -> list[str]:
     return lines
 
 
-def _cmd_evaluate(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
-    report = evaluate(model, rule, load_topology(cfg["topology"]), cfg["order"])
-    return _report_lines(cfg["order"], report)
+def _cmd_evaluate(cfg: dict[str, Any], model, rule: ConditioningRule, topo) -> list[str]:
+    return _report_lines(cfg["order"], evaluate(model, rule, topo, cfg["order"]))
 
 
-def _cmd_optimize(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
-    topo = load_topology(cfg["topology"])
+def _cmd_optimize(cfg: dict[str, Any], model, rule: ConditioningRule, topo) -> list[str]:
     order, report = optimize(
         model,
         rule,
@@ -246,10 +244,9 @@ def _cmd_optimize(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[st
     return _report_lines(order, report)
 
 
-def _cmd_simulate(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
+def _cmd_simulate(cfg: dict[str, Any], model, rule: ConditioningRule, topo) -> list[str]:
     if model.n > SIMULATE_WIDTH_LIMIT:
         raise InfeasibleError(f"simulate refused: n above {SIMULATE_WIDTH_LIMIT} bits per reading")
-    topo = load_topology(cfg["topology"])
     if cfg["order"] == "identity":  # in place, so the header echoes the full order
         cfg["order"] = list(range(topo.size))
     rows = fidelity_sweep(model, rule, topo, cfg["order"], cfg["smoothness"], cfg["seeds"])
@@ -259,8 +256,7 @@ def _cmd_simulate(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[st
     return lines
 
 
-def _cmd_stats(cfg: dict[str, Any], model, rule: ConditioningRule) -> list[str]:
-    topo = load_topology(cfg["topology"])
+def _cmd_stats(cfg: dict[str, Any], model, rule: ConditioningRule, topo) -> list[str]:
     stats = schedule_stats(
         model, rule, topo, cfg["mode"], count=cfg["samples"], seed=cfg["seed"]
     )
@@ -338,7 +334,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve(args.command, args)
         model = _build_model(cfg)
         built = (model, _build_rule(cfg)) if "rule" in cfg else (model,)
-        lines = _COMMANDS[args.command][0](cfg, *built)
+        topo = (load_topology(cfg["topology"]),) if "topology" in cfg else ()
+        lines = _COMMANDS[args.command][0](cfg, *built, *topo)
         _emit(_header(args.command, cfg), lines, args.out)
     except BrokenPipeError:  # the reader closed early (`bits | head -1`): stop quietly, as on SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail

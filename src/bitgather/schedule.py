@@ -156,28 +156,29 @@ def _table(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> list
 
 def _walk(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, schedule: Sequence[int]
-) -> tuple[tuple[tuple[int, int], ...], list[tuple[float, int]] | None]:
-    """(node, its budget) for each node of one polling order, n for the
-    first, and the order's Topology.nearest_links if the walk computed them,
-    else None. Under MIN and MAX a monotone budget is one partner's: the
-    nearest's, read off the node's link (no distance rows), or the
-    farthest's, off the greatest of the node's distances to the nodes before
-    it. ADDITIVE folds the decay terms of those distances."""
+) -> tuple[BitReport, list[tuple[float, int]] | None]:
+    """The BitReport of one polling order (n bits for the first node), and
+    the order's Topology.nearest_links if the walk computed them, else None.
+    Under MIN and MAX a monotone budget is one partner's: the nearest's,
+    read off the node's link (no distance rows), or the farthest's, off the
+    greatest of the node's distances to the nodes before it. ADDITIVE folds
+    the decay terms of those distances."""
     fold = _fold(model, rule)  # checks an ADDITIVE model before the order
     order = _check_permutation(schedule, topology.size)
-    budget, first = model.budget, (order[0], model.n)
+    budget, later, links = model.budget, range(1, len(order)), None
     if rule is ConditioningRule.ADDITIVE:
         row = _pair_rows(model, rule, topology)
-        budget_of = lambda k: fold(row(order[k], islice(order, k)))
+        bits = [fold(row(order[k], islice(order, k))) for k in later]
     elif (rule is ConditioningRule.MIN) == (model.beta >= 0):  # the nearest partner sets it
         links = topology.nearest_links(order)
-        return (first, *((v, budget(d)) for v, (d, _) in zip(order[1:], links[1:]))), links
+        bits = [budget(d) for d, _ in islice(links, 1, None)]
     else:  # the farthest partner sets it; a fold would meet each coincident pair's d = 0
         if len(set(topology.positions)) < topology.size:
             budget(0.0)  # raises where budget(0) is singular
         distances_from = topology.distances_from
-        budget_of = lambda k: budget(max(distances_from(order[k], islice(order, k))))
-    return (first, *((order[k], budget_of(k)) for k in range(1, len(order)))), None
+        bits = [budget(max(distances_from(order[k], islice(order, k)))) for k in later]
+    bits.insert(0, model.n)
+    return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits)), links
 
 
 def evaluate(
@@ -186,10 +187,10 @@ def evaluate(
     topology: Topology,
     schedule: Sequence[int],
 ) -> BitReport:
-    """Per-node budgets and total bits for one polling order: n for the first
-    node, then each node's pair values to the nodes before it, folded."""
-    per_node = _walk(model, rule, topology, schedule)[0]
-    return BitReport(per_node=per_node, total=sum(bits for _, bits in per_node))
+    """Per-node budgets and total bits for one polling order, _walk's
+    BitReport: n for the first node, then each node's pair values to the
+    nodes before it, folded."""
+    return _walk(model, rule, topology, schedule)[0]
 
 
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
@@ -464,10 +465,7 @@ def optimize(
             order, links = _prim(0, n_nodes, row, pick, pick, _descent(rule, order, links))
         bits = [model.n, *links]  # each link is its node's budget
         return tuple(order), BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
-    if strategy == "brute_force":
-        stats = _exhaustive(model, rule, topology, "use random_restart or greedy_prim")
-        best = stats.argmin if objective == "minimize" else stats.argmax
-    elif strategy == "greedy_prim":
+    if strategy == "greedy_prim":
         if not force:
             raise ValueError(
                 "greedy_prim is only exact for the min rule with objective minimize "
@@ -482,8 +480,9 @@ def optimize(
         candidates = [tuple(_prim(s, n_nodes, row, aim, min)[0]) for aim in aims for s in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
         best = pick(candidates, key=_total_fn(model, rule, scores))
-    elif strategy == "random_restart":
-        stats = _sample(model, rule, topology, count, seed)
+    elif strategy in ("brute_force", "random_restart"):
+        stats = (_exhaustive(model, rule, topology, "use random_restart or greedy_prim")
+                 if strategy == "brute_force" else _sample(model, rule, topology, count, seed))
         best = stats.argmin if objective == "minimize" else stats.argmax
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -94,9 +94,8 @@ def _walk_references(
     """evaluate's report, and each node's decode reference: its nearest earlier
     node by (distance, id), from Topology.nearest_links; -1 for the first.
     Where the nearest partner sets the budgets, the walk's own links serve."""
-    per_node, links = _walk(model, rule, topology, schedule)  # checks the schedule
-    refs = [u for _, u in links or topology.nearest_links([v for v, _ in per_node])]
-    return BitReport(per_node=per_node, total=sum(bits for _, bits in per_node)), refs
+    report, links = _walk(model, rule, topology, schedule)  # checks the schedule
+    return report, [u for _, u in links or topology.nearest_links([v for v, _ in report.per_node])]
 
 
 def _decode_all(report: BitReport, refs: Sequence[int], field: SensorField) -> GatherResult:

@@ -213,6 +213,17 @@ def test_missing_topology_file_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "70000"],
+    ["stats", "--samples", "2000000"],
+    ["optimize", "--strategy", "random_restart", "--restarts", "2000000"],
+])
+def test_missing_topology_exits_3_before_an_infeasible_request(capsys, argv):
+    """Every command reads its topology before it judges a request feasible."""
+    code, out = run(capsys, argv + ["--topology", "/nonexistent/nodes.csv"])
+    assert (code, out) == (3, "")
+
+
 def test_malformed_topology_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,x,y\n0,0,0\n0,1,1\n")

@@ -46,7 +46,7 @@ class Row(NamedTuple):
     layout: str
     argv: str  # "{order}" stands for the layout's ids shuffled by random.Random(0)
     timeout: float  # seconds, interpreter start included
-    expect: str | int  # a stdout sha256 (and exit 0), or an exit code; a refusal writes no stdout
+    expect: str | int  # a stdout sha256 (and exit 0), or a nonzero exit code; a refusal writes no stdout
     stderr: str | None = None  # all that a refusal prints, where pinned
 
 
@@ -54,7 +54,8 @@ SINGULAR = "error: d = 0 with negative exponent is singular"
 # The spanning MIN pair at N=2000, and the greedy_prim run whose total it must equal.
 SPANNING_MIN = Row("n2000.csv", "optimize --strategy brute_force --rule min", 60,
                    "04a6e87f88ccc0ce5e639fee357d807e6c7964636c800b123875aa0d7c20ffb6")
-PRIM_MIN = Row("n2000.csv", "optimize --strategy greedy_prim --rule min", 60, 0)
+PRIM_MIN = Row("n2000.csv", "optimize --strategy greedy_prim --rule min", 60,
+               "f9da72b4bcc48b936d21dd3365312f980954edcb344ca5e7397d4da985ba80b6")
 
 # Times quoted below were measured on a 2-vCPU Xeon VM under Python 3.11.7.
 ROWS = [
@@ -64,19 +65,32 @@ ROWS = [
     # call at N=10 takes about 0.1-0.15 s, a hard pair at N=14 about 0.3-0.55 s
     # and exhaustive additive stats at N=16 (the limit) about 1.3-2.1 s. N=17
     # is refused before any budget is computed.
-    Row("n10.csv", "stats --mode exhaustive --model 1 --rule min", 5, 0),
-    Row("n10.csv", "stats --mode exhaustive --model 1 --rule max", 5, 0),
-    Row("n10.csv", "stats --mode exhaustive --model 2 --rule additive", 5, 0),
-    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule min --objective minimize", 5, 0),
-    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule min --objective maximize", 5, 0),
-    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule max --objective minimize", 5, 0),
-    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule max --objective maximize", 5, 0),
-    Row("n10.csv", "optimize --strategy brute_force --model 2 --rule additive --objective minimize", 5, 0),
-    Row("n10.csv", "optimize --strategy brute_force --model 2 --rule additive --objective maximize", 5, 0),
-    Row("n14.csv", "optimize --strategy brute_force --model 2 --n 12 --beta 0.5 --rule additive --objective minimize", 5, 0),
-    Row("n14.csv", "optimize --strategy brute_force --model 2 --n 12 --beta 0.5 --rule additive --objective maximize", 5, 0),
-    Row("n14.csv", "optimize --strategy brute_force --model 1 --beta 0.5 --rule min --objective maximize", 5, 0),
-    Row("n16.csv", "stats --mode exhaustive --model 2 --rule additive", 10, 0),
+    Row("n10.csv", "stats --mode exhaustive --model 1 --rule min", 5,
+        "fdc2d3f5da15e4ede46234d32e7edf929a6207da4116d74764d081863b06562a"),
+    Row("n10.csv", "stats --mode exhaustive --model 1 --rule max", 5,
+        "59c4530963db74be37f16bb3134e5eefcca1b20ba175d527750ac84ef242abeb"),
+    Row("n10.csv", "stats --mode exhaustive --model 2 --rule additive", 5,
+        "21d2518b38e81328bbfeae727de87a68240ced025965fe956cb2393b6d20794e"),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule min --objective minimize", 5,
+        "0601c3323544f9b2536c5807e8e9a1ba7c08feb1fb65c0bea90fee90a271679b"),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule min --objective maximize", 5,
+        "e17f193a93b1ff77949bc5e7437e5baca2c970b4c8d3395012a2cb217cd80d68"),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule max --objective minimize", 5,
+        "a79f4a555f769bc0d7161eaa8a5376098dced2d5fb84b368d624a76f08bb7b40"),
+    Row("n10.csv", "optimize --strategy brute_force --model 1 --rule max --objective maximize", 5,
+        "e013e47335b6d564e7e764ab275f9250482020c0bb26313f4396fb4334a9cfdb"),
+    Row("n10.csv", "optimize --strategy brute_force --model 2 --rule additive --objective minimize", 5,
+        "c47e5eaffc1f5c34dd893e48ad602770f3327b7494665e870de14b5ee28d9540"),
+    Row("n10.csv", "optimize --strategy brute_force --model 2 --rule additive --objective maximize", 5,
+        "4fd8ce7335cac5179c4d5bb9c68819d6162b55b5c2e9957d16f0f735892f49cc"),
+    Row("n14.csv", "optimize --strategy brute_force --model 2 --n 12 --beta 0.5 --rule additive --objective minimize", 5,
+        "fd2399119b05ba9efa8e1a8f2a8323499e58aa3be64fa940e98376a0ec3f176c"),
+    Row("n14.csv", "optimize --strategy brute_force --model 2 --n 12 --beta 0.5 --rule additive --objective maximize", 5,
+        "9373df42f091c8c610a648f10a66a85653a1ec76dc353cad528f5f980c1cd44b"),
+    Row("n14.csv", "optimize --strategy brute_force --model 1 --beta 0.5 --rule min --objective maximize", 5,
+        "d8f5f4b94c3db4a448d5792dcd7bea762346d95fe4ee28f84637347fd5506858"),
+    Row("n16.csv", "stats --mode exhaustive --model 2 --rule additive", 10,
+        "aa896bff2ce66e9b9af446ef5d32e2e74693ccc8ccaf18176e64acb8e4cab5d8"),
     Row("n17.csv", "stats --mode exhaustive --model 2 --rule additive", 5, 4),
     # The spanning-pair brute force reruns greedy_prim's Prim loop keyed by
     # an exact bound, in O(N**2) time and O(N) memory. At N=2000, the largest
@@ -102,9 +116,19 @@ ROWS = [
     # Shuffled orders at N=500, which the benchmark's field row does not run.
     # Each takes about 0.1-0.25 s: 5 s catches a complexity regression, not a
     # constant factor, which the benchmark measures.
-    Row("n500.csv", "evaluate --model 2 --rule additive --order {order}", 5, 0),
-    Row("n500.csv", "simulate --model 2 --rule additive --order {order}", 5, 0),
-    Row("n500.csv", "simulate --model 2 --rule min --order {order}", 5, 0),
+    Row("n500.csv", "evaluate --model 2 --rule additive --order {order}", 5,
+        "885eef2471e6d3052eda4468338a2268821a99a4052d36b8fc7a58c9c1ffbd0f"),
+    Row("n500.csv", "simulate --model 2 --rule additive --order {order}", 5,
+        "ab98baa0de9d0785166f8caf397c56e4ba59e86390cafcff340bb2269b227f08"),
+    Row("n500.csv", "simulate --model 2 --rule min --order {order}", 5,
+        "b2f7bc2d0bc82f92b02354473e63874fb548a5178c96e7c8fc6d9878e2b401b0"),
+    # Under MAX with beta >= 0 the farthest earlier node sets each budget; at
+    # this slow decay the budgets vary with that distance, so reading the
+    # nearest instead changes both digests.
+    Row("n500.csv", "evaluate --model 2 --n 12 --beta 0.05 --rule max --order {order}", 5,
+        "07a413b7d2b5ca5527f27cf5e01ed0880b93af013e9ac0141f4919ccf8889eae"),
+    Row("n500.csv", "simulate --model 2 --n 12 --beta 0.05 --rule max --order {order}", 5,
+        "7db44df0dae71955b7076b3c80974f4cc30e89d83d253e336d3586addf2b28fb"),
     # A MIN walk reads each node's budget off its nearest earlier node, and
     # every simulate decodes against it, from one sorted sweep per order
     # (Topology.nearest_links); these digests were recorded with a row of
@@ -192,10 +216,14 @@ def test_row(run, row):
         assert (got.returncode, digest) == (0, row.expect), f"{call}: exit {got.returncode}, sha256 {digest}"
         return
     assert got.returncode == row.expect, f"{call}: exit {got.returncode}\n{got.stderr.decode()}"
-    if row.expect:
-        assert got.stdout == b"", f"{call} wrote to stdout before its error"
+    assert got.stdout == b"", f"{call} wrote to stdout before its error"
     if row.stderr is not None:
         assert got.stderr.decode() == row.stderr + "\n", f"{call}: {got.stderr.decode()}"
+
+
+def test_every_success_row_pins_a_digest():
+    """A row that expects exit 0 would pin nothing of what the call writes."""
+    assert [row for row in ROWS if row.expect == 0] == []
 
 
 def test_spanning_brute_force_totals_what_greedy_prim_totals(run):
