@@ -14,31 +14,27 @@ it once per node with no Reading or Codeword built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Reading:
-    """Unsigned n-bit sensor value."""
+class Reading(Frozen):
+    """Unsigned n-bit sensor value: int `value` of int `width` bits."""
 
-    value: int
-    width: int
+    _fields = ("value", "width")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} out of range for {self.width} bits")
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """The low `bits` bits of a reading; bits may be 0 (nothing sent)."""
+class Codeword(Frozen):
+    """The int `payload`: the low `bits` bits of a reading; bits may be 0 (nothing sent)."""
 
-    payload: int
-    bits: int
+    _fields = ("payload", "bits")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.bits < 0:
             raise ValueError("bits must be >= 0")
         if not 0 <= self.payload < (1 << self.bits):

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import ClassVar, Iterable, Union
+from typing import Iterable, Union
 
+from ._frozen import Frozen
 from .topology import Topology
 
 # Values this close to an integer are snapped before the ceiling, so that
@@ -40,10 +39,12 @@ from .topology import Topology
 CEIL_SNAP = 1e-9
 
 
-class _Checked:
-    """Validation shared by both families; errors name alpha1, beta2, ..."""
+class _Checked(Frozen):
+    """Both families' fields (int n, float alpha and beta) and checks; errors name alpha1, beta2, ..."""
 
-    def __post_init__(self) -> None:
+    _fields = ("n", "alpha", "beta")
+
+    def _check(self) -> None:
         k = self._subscript
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -61,14 +62,10 @@ def _bad_distance(d: float) -> ValueError:
     return ValueError(f"distance must be {need}, got {d!r}")
 
 
-@dataclass(frozen=True)
 class PowerLawModel(_Checked):
     """Staircase budget: alpha * ceil(d**beta), capped at n."""
 
-    n: int
-    alpha: float
-    beta: float
-    _subscript: ClassVar[str] = "1"
+    _subscript = "1"
 
     def budget(self, d: float) -> int:
         if not 0.0 <= d < math.inf:
@@ -82,14 +79,10 @@ class PowerLawModel(_Checked):
         return clamped_ceil(self.alpha * clamped_ceil(x, math.inf), self.n)  # the inner ceiling is not capped
 
 
-@dataclass(frozen=True)
 class GaussianDecayModel(_Checked):
     """Saturating budget: ceil(n * (1 - alpha * exp(-beta * d**2)))."""
 
-    n: int
-    alpha: float
-    beta: float
-    _subscript: ClassVar[str] = "2"
+    _subscript = "2"
 
     def decay_term(self, d: float) -> float:  # saturates to inf where it overflows (beta < 0)
         try:
@@ -189,6 +182,8 @@ def decay_sum(terms: Iterable[float]) -> float:
     try:
         return math.fsum(terms)
     except OverflowError:  # fsum can overflow midway on a sum that rounds to the largest float
+        from fractions import Fraction  # only here, so a start-up loads no fractions or decimal
+
         try:  # Fraction(inf), and an exact sum past the float range, raise OverflowError
             return float(sum(map(Fraction, terms)))  # int / int: correctly rounded
         except OverflowError:

@@ -44,9 +44,8 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # conditioned_bits, pairwise_bits: unused here, bound for bench/tracer.py to patch.
 from .correlation import (  # noqa: F401
@@ -77,16 +76,14 @@ class InfeasibleError(RuntimeError):
     sampled schedules, or too many sweep rows or simulated bits."""
 
 
-@dataclass(frozen=True)
-class BitReport:
+class BitReport(NamedTuple):
     """Per-node budgets in polling order plus their sum."""
 
     per_node: tuple[tuple[int, int], ...]  # (node, bits) in polling order
     total: int
 
 
-@dataclass(frozen=True)
-class ScheduleStats:
+class ScheduleStats(NamedTuple):
     mean_total: float
     min_total: int
     max_total: int
@@ -206,15 +203,19 @@ def budget_tails(model: ModelSpec, topology: Topology, label: Callable) -> Itera
     return ([*row(i, range(i + 1, size))] for i in range(size))
 
 
+def _prefix_folds(fold: Callable[[Iterable], int], rows: list[list], order: Sequence[int]) -> Iterator[int]:
+    """Each node's budget along `order` after the first: fold of its _table row at the nodes before it."""
+    # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
+    return (fold(map(rows[order[k]].__getitem__, islice(order, k))) for k in range(1, len(order)))
+
+
 def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Callable[[Sequence[int]], int]:
     """Total bits of one permutation, equal to evaluate().total, from the
     rule's _table: a ranked scan (about H_N probes per node on a random
     order), or under ADDITIVE a fold of each node's prefix."""
     n, fold = model.n, _fold(model, rule)
     if rule is ConditioningRule.ADDITIVE:
-        # islice: order[:k] fills CPython 3.11's 20-item tuple cache, never reused
-        return lambda order: n + sum(
-            fold(map(rows[order[k]].__getitem__, islice(order, k))) for k in range(1, len(order)))
+        return lambda order: n + sum(_prefix_folds(fold, rows, order))
     ids = list(range(len(rows)))  # shared, so the ranked lists hold the same ints
     down = rule is ConditioningRule.MAX
     ranked = [sorted(ids[:v] + ids[v + 1 :], key=r.__getitem__, reverse=down) for v, r in enumerate(rows)]
@@ -449,8 +450,8 @@ def optimize(
     the best MIN-rule Prim order (dearest link first too, for the MIN rule
     maximized), all on one budget table. random_restart keeps the best of
     `count` seeded random permutations. Among equal totals the first schedule
-    tried wins. The exact Prim searches report n plus their links, the others
-    evaluate().
+    tried wins. The exact Prim searches report n plus their links, forced
+    greedy_prim folds each prefix of its scoring table, the others evaluate().
     """
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -480,7 +481,9 @@ def optimize(
         candidates = [tuple(_prim(s, n_nodes, row, aim, min)[0]) for aim in aims for s in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
         best = pick(candidates, key=_total_fn(model, rule, scores))
-    elif strategy in ("brute_force", "random_restart"):
+        bits = [model.n, *_prefix_folds(_fold(model, rule), scores, best)]  # the report off the same table
+        return best, BitReport(per_node=tuple(zip(best, bits)), total=sum(bits))
+    if strategy in ("brute_force", "random_restart"):
         stats = (_exhaustive(model, rule, topology, "use random_restart or greedy_prim")
                  if strategy == "brute_force" else _sample(model, rule, topology, count, seed))
         best = stats.argmin if objective == "minimize" else stats.argmax

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # encode and decode are unused here but stay bound: bench/tracer.py patches them.
 from .codec import Reading, decode, encode, nearest  # noqa: F401
@@ -36,16 +35,14 @@ from .schedule import BitReport, _walk
 from .topology import Topology
 
 
-@dataclass(frozen=True)
-class SensorField:
+class SensorField(NamedTuple):
     readings: tuple[int, ...]
     width: int
     smoothness: float
     seed: int
 
 
-@dataclass(frozen=True)
-class GatherResult:
+class GatherResult(NamedTuple):
     bit_report: BitReport
     reconstructed: tuple[int, ...]
     exact_count: int
@@ -128,8 +125,10 @@ def gather(
         )
     if field.width != model.n:
         raise ValueError(f"field width {field.width} != model n {model.n}")
-    for value in field.readings:  # the decode loop takes them as plain ints
-        Reading(value, field.width)
+    top = 1 << field.width  # the decode loop takes the readings as plain ints; Reading rejects a bad one
+    for value in field.readings:
+        if not 0 <= value < top:
+            Reading(value, field.width)
     return _decode_all(*_walk_references(model, rule, topology, schedule), field)
 
 

@@ -7,26 +7,26 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import dist, nextafter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
+
 
 class TopologyError(ValueError):
     """Malformed node-placement input (bad file, bad ids, bad coordinates)."""
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Immutable 2-D node layout that holds O(N): positions[i] is the (x, y)
-    coordinate of node i, and each distance is computed when read, exactly
-    symmetric. Safe for concurrent reads.
+class Topology(Frozen):
+    """Immutable 2-D node layout that holds O(N): positions, a tuple of float
+    pairs, holds the (x, y) coordinate of node i at index i, and each distance
+    is computed when read, exactly symmetric. Safe for concurrent reads.
     """
 
-    positions: tuple[tuple[float, float], ...]
+    _fields = ("positions",)
 
     @property
     def size(self) -> int:

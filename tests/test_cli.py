@@ -144,6 +144,17 @@ def test_bits_to_a_reader_that_closes_early_exits_0(tmp_path):
         assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
+    """Start-up cost: a fresh isolated interpreter (no site, no environment)
+    imports the CLI without generating dataclass code or loading fractions,
+    which only decay_sum's overflow fallback uses."""
+    src = str(Path(bitgather.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import bitgather.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_sweep_staircase(capsys):
     code, out = run(capsys, ["sweep", "--model", "1", "--d-max", "8", "--d-step", "0.1"])
     assert code == 0

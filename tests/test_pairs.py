@@ -19,8 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitgather import (
+    BitReport,
+    Codeword,
+    GatherResult,
     GaussianDecayModel,
     PowerLawModel,
+    Reading,
+    ScheduleStats,
+    SensorField,
     Topology,
     TopologyError,
     generate_field,
@@ -134,11 +140,72 @@ def test_budget_closure_at_the_rounding_edges(model, d, bits):
     assert oracle_budget(model, d) == model.budget(d) == pairwise_bits(model, d) == bits
 
 
-def test_models_pickle_and_rebuild_their_closure():
-    for model in (PowerLawModel(n=5, alpha=1.0, beta=1.0), GaussianDecayModel(7, 1.0, 0.5)):
-        copy = pickle.loads(pickle.dumps(model))
-        assert copy == model
-        assert [copy.budget(d) for d in (0.5, 2.0, 9.0)] == [model.budget(d) for d in (0.5, 2.0, 9.0)]
+# (type, fields in order, one field changed, repr): each repr is the text the
+# type printed as a frozen dataclass
+VALUE_TYPES = [
+    (Reading, {"value": 5, "width": 4}, {"value": 6}, "Reading(value=5, width=4)"),
+    (Codeword, {"payload": 3, "bits": 2}, {"bits": 3}, "Codeword(payload=3, bits=2)"),
+    (PowerLawModel, {"n": 5, "alpha": 1.0, "beta": 1.0}, {"beta": 2.0}, "PowerLawModel(n=5, alpha=1.0, beta=1.0)"),
+    (GaussianDecayModel, {"n": 7, "alpha": 1.0, "beta": 0.5}, {"n": 8},
+     "GaussianDecayModel(n=7, alpha=1.0, beta=0.5)"),
+    (Topology, {"positions": ((0.0, 0.0), (3.0, 4.0))}, {"positions": ((0.0, 0.0),)},
+     "Topology(positions=((0.0, 0.0), (3.0, 4.0)))"),
+    (BitReport, {"per_node": ((0, 5), (1, 3)), "total": 8}, {"total": 9},
+     "BitReport(per_node=((0, 5), (1, 3)), total=8)"),
+    (ScheduleStats,
+     {"mean_total": 7.5, "min_total": 6, "max_total": 9, "argmin": (0, 1), "argmax": (1, 0),
+      "sample_count": 2, "exhaustive": True},
+     {"exhaustive": False},
+     "ScheduleStats(mean_total=7.5, min_total=6, max_total=9, argmin=(0, 1), argmax=(1, 0), "
+     "sample_count=2, exhaustive=True)"),
+    (SensorField, {"readings": (1, 2), "width": 4, "smoothness": 0.5, "seed": 7}, {"seed": 8},
+     "SensorField(readings=(1, 2), width=4, smoothness=0.5, seed=7)"),
+    (GatherResult,
+     {"bit_report": BitReport(((0, 5), (1, 3)), 8), "reconstructed": (1, 2), "exact_count": 2, "max_abs_error": 0},
+     {"max_abs_error": 1},
+     "GatherResult(bit_report=BitReport(per_node=((0, 5), (1, 3)), total=8), reconstructed=(1, 2), "
+     "exact_count=2, max_abs_error=0)"),
+]
+
+
+def test_value_types_keep_their_semantics():
+    """Each of the nine value types is built by keyword or by position,
+    compares and hashes by value, prints its fields, refuses assignment and
+    survives a pickle round trip; a model's copy rebuilds its closure."""
+    for cls, fields, changed, shown in VALUE_TYPES:
+        value = cls(**fields)
+        assert cls(*fields.values()) == value and hash(cls(*fields.values())) == hash(value)
+        assert value != cls(**{**fields, **changed}) and not value == cls(**{**fields, **changed})
+        assert repr(value) == shown
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, fields[name])
+        copy = pickle.loads(pickle.dumps(value))
+        assert (type(copy), copy, repr(copy)) == (cls, value, shown)
+        if cls in (PowerLawModel, GaussianDecayModel):
+            assert [copy.budget(d) for d in (0.5, 2.0, 9.0)] == [value.budget(d) for d in (0.5, 2.0, 9.0)]
+    assert PowerLawModel(5, 1.0, 1.0) != GaussianDecayModel(5, 1.0, 1.0)  # equal fields, other type
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Reading(16, 4), "value 16 out of range for 4 bits"),
+        (lambda: Reading(value=0, width=0), "width must be >= 1"),
+        (lambda: Codeword(4, 2), "payload 4 out of range for 2 bits"),
+        (lambda: Codeword(payload=0, bits=-1), "bits must be >= 0"),
+        (lambda: PowerLawModel(0, 1.0, 1.0), "n must be >= 1"),
+        (lambda: GaussianDecayModel(2**53 + 1, 1.0, 1.0), "n must be at most 2**53"),
+        (lambda: PowerLawModel(n=5, alpha=math.nan, beta=1.0), "alpha1 must be finite, got nan"),
+        (lambda: GaussianDecayModel(n=5, alpha=1.0, beta=math.inf), "beta2 must be finite, got inf"),
+        (lambda: PowerLawModel(5, -1.0, 1.0), "alpha1 must be positive"),
+        (lambda: GaussianDecayModel(5, 0.0, 1.0), "alpha2 must be positive"),
+    ],
+)
+def test_value_types_keep_their_validation_messages(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def _bits(d):

@@ -278,10 +278,10 @@ def test_exhaustive_stats_compute_each_pair_budget_once(rule):
 
 @pytest.mark.parametrize("rule, objective", [(MIN, "maximize"), (MAX, "minimize"), (ADD, "minimize")])
 def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
-    """Every Prim start and the scoring share one pair table; the report's
-    walk adds one budget call per node. ADDITIVE builds two tables: Prim's
-    budgets off the step table (64n + 2 < N(N-1)/2), and the scoring's decay
-    terms, one per pair; the report's walk folds each pair's term once more."""
+    """Every Prim start and the scoring share one pair table, and the report
+    folds each node's prefix of the scoring table, with no call of its own.
+    ADDITIVE builds two tables: Prim's budgets off the step table
+    (64n + 2 < N(N-1)/2), and the scoring's decay terms, one per pair."""
     m = GaussianDecayModel(5, 0.9, 0.3) if rule is ADD else PowerLawModel(n=5, alpha=1.0, beta=1.0)
     calls = _count_budget_calls(m)
     terms = _count_budget_calls(m, "decay_term") if rule is ADD else []
@@ -289,7 +289,7 @@ def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
     assert len(calls) <= 40 * 39 // 2
     if rule is ADD:
         assert len(calls) <= 64 * 5 + 2
-        assert len(terms) <= 40 * 39
+        assert len(terms) == 40 * 39 // 2
 
 
 _SHUFFLED = random.Random(34).sample(range(30), 30)

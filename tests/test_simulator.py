@@ -120,7 +120,7 @@ class TestGather:
         with pytest.raises(ValueError, match="width"):
             gather(unit_staircase, MIN, collinear3, [0, 1, 2], field)
 
-    @pytest.mark.parametrize("bad", [99, -3])
+    @pytest.mark.parametrize("bad", [99, -3, 32])
     @pytest.mark.parametrize("size, at", [(1, 0), (3, 0), (3, 1)])
     def test_out_of_range_reading_rejected(self, unit_staircase, size, at, bad):
         # at N=1 no node decodes against the bad reading; at N=3 it is the
@@ -131,6 +131,11 @@ class TestGather:
         field = SensorField(readings=tuple(readings), width=5, smoothness=0.0, seed=0)
         with pytest.raises(ValueError, match=rf"^value {bad} out of range for 5 bits$"):
             gather(unit_staircase, MIN, topo, list(range(size)), field)
+
+    def test_readings_at_the_range_ends_accepted(self, unit_staircase):
+        topo = Topology.from_positions([(0.0, 0.0), (9.0, 0.0)])  # 9 apart: the second node sends all 5 bits
+        field = SensorField(readings=(0, 31), width=5, smoothness=0.0, seed=0)
+        assert gather(unit_staircase, MIN, topo, [0, 1], field).reconstructed == (0, 31)
 
 
 class TestFidelitySweep:
