@@ -26,8 +26,9 @@ costs fewer calls than the pairs. One backward pass over the 2**N polled sets (H
 & Karp 1962) gives the exhaustive statistics and the brute-force optimum;
 the two spanning-tree pairs instead run greedy_prim's _prim again, keyed
 by an exact bound read off its first order: O(N**2) time, O(N) memory.
-Sampled permutations are scored by a scan of each node's row ranked best
-first (ADDITIVE folds its prefix).
+Sampled permutations are scored by one backward scan of the order: each
+node reads its first earlier partner off its row ranked best first
+(ADDITIVE folds its prefix).
 
 "Average" statistics are the mean over uniformly random schedules, drawn
 by this module's own Fisher-Yates shuffle over a seeded Mersenne Twister:
@@ -174,8 +175,13 @@ def _walk(
             budget(0.0)  # raises where budget(0) is singular
         distances_from = topology.distances_from
         bits = [budget(max(distances_from(order[k], islice(order, k)))) for k in later]
-    bits.insert(0, model.n)
-    return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits)), links
+    return _report(model.n, order, bits), links
+
+
+def _report(n: int, order: Sequence[int], later: Iterable[int]) -> BitReport:
+    """The BitReport of `order` from n for the first node and `later`'s budgets for the rest."""
+    bits = [n, *later]
+    return BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
 
 
 def evaluate(
@@ -211,24 +217,26 @@ def _prefix_folds(fold: Callable[[Iterable], int], rows: list[list], order: Sequ
 
 def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Callable[[Sequence[int]], int]:
     """Total bits of one permutation, equal to evaluate().total, from the
-    rule's _table: a ranked scan (about H_N probes per node on a random
-    order), or under ADDITIVE a fold of each node's prefix."""
+    rule's _table. Under MIN and MAX one backward scan: from the last node
+    down to the third, each node clears its flag in a copy of `every`, so
+    the flags still set are the nodes polled before it, and adds its pair
+    value to the first of them in its row ranked best first (about H_N
+    probes per node on a random order); the second node's one pair value is
+    read directly. Under ADDITIVE each prefix is folded."""
     n, fold = model.n, _fold(model, rule)
     if rule is ConditioningRule.ADDITIVE:
         return lambda order: n + sum(_prefix_folds(fold, rows, order))
     ids = list(range(len(rows)))  # shared, so the ranked lists hold the same ints
     down = rule is ConditioningRule.MAX
     ranked = [sorted(ids[:v] + ids[v + 1 :], key=r.__getitem__, reverse=down) for v, r in enumerate(rows)]
-    pos = ids[:]  # pos[u]: u's position in the order being scored
+    every = [True] * len(rows)
 
     def scanned(order: Sequence[int]) -> int:
-        for k, v in enumerate(order):
-            pos[v] = k
-        t = n
-        for k in range(1, len(order)):
-            v = order[k]
+        before, t = every[:], n + (rows[order[1]][order[0]] if len(order) > 1 else 0)
+        for v in reversed(order[2:]):
+            before[v] = False
             for u in ranked[v]:
-                if pos[u] < k:
+                if before[u]:
                     t += rows[v][u]
                     break
         return t
@@ -238,10 +246,10 @@ def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Cal
 
 def _exhaustive(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, advice: str
-) -> ScheduleStats:
+) -> tuple[ScheduleStats, list[list]]:
     """Exact statistics over all N! schedules from one backward pass over
-    the 2**N polled sets (Held & Karp 1962); refused, with `advice`, for
-    N > EXHAUSTIVE_LIMIT before any budget is computed.
+    the 2**N polled sets (Held & Karp 1962), and the _table they read;
+    refused, with `advice`, for N > EXHAUSTIVE_LIMIT before any budget is computed.
 
     A node's budget depends only on the set S polled before it, so the least
     and greatest totals of the nodes after S are g(S) = best over v not in S
@@ -279,7 +287,7 @@ def _exhaustive(
         return tuple(order)
 
     count = math.factorial(size)
-    return ScheduleStats(acc / count, lo[0], hi[0], first(lo), first(hi), count, exhaustive=True)
+    return ScheduleStats(acc / count, lo[0], hi[0], first(lo), first(hi), count, exhaustive=True), rows
 
 
 def _shuffles(seed: int, size: int) -> Iterator[list[int]]:
@@ -304,17 +312,19 @@ def _shuffles(seed: int, size: int) -> Iterator[list[int]]:
 def _sample(
     model: ModelSpec, rule: ConditioningRule, topology: Topology,
     count: int | None, seed: int | None,
-) -> ScheduleStats:
-    """Statistics over `count` seeded shuffles, each scored as it is drawn:
-    _shuffles' own Fisher-Yates over getrandbits(k) with rejection, the draws
-    of random.shuffle on CPython 3.10-3.13 but not tied to its internals."""
+) -> tuple[ScheduleStats, list[list]]:
+    """Statistics over `count` seeded shuffles, each scored as it is drawn,
+    and the _table they were scored on: _shuffles' own Fisher-Yates over
+    getrandbits(k) with rejection, the draws of random.shuffle on CPython
+    3.10-3.13 but not tied to its internals."""
     if count is None or count < 1:
         raise ValueError("sampling needs count >= 1")
     if seed is None:
         raise ValueError("sampling needs an explicit seed")
     if count > SAMPLE_LIMIT:
         raise InfeasibleError(f"sampling refused: more than {SAMPLE_LIMIT} schedules")
-    total_of = _total_fn(model, rule, _table(model, rule, topology))
+    rows = _table(model, rule, topology)
+    total_of = _total_fn(model, rule, rows)
     lo, hi, argmin, argmax = math.inf, -math.inf, (), ()
 
     def totals() -> Iterator[int]:
@@ -328,7 +338,7 @@ def _sample(
             yield t
 
     mean = math.fsum(totals()) / count  # statistics.fmean of the totals, none of them kept
-    return ScheduleStats(mean, lo, hi, argmin, argmax, count, exhaustive=False)
+    return ScheduleStats(mean, lo, hi, argmin, argmax, count, exhaustive=False), rows
 
 
 def schedule_stats(
@@ -351,11 +361,11 @@ def schedule_stats(
     mode="sampled" draws `count` uniform permutations from `seed`.
     """
     if mode == "exhaustive":
-        return _exhaustive(model, rule, topology, "use sampled mode")
+        return _exhaustive(model, rule, topology, "use sampled mode")[0]
 
     if mode != "sampled":
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
-    return _sample(model, rule, topology, count, seed)
+    return _sample(model, rule, topology, count, seed)[0]
 
 
 # (rule, objective) pairs whose optimum is n plus a spanning tree's weight
@@ -450,8 +460,8 @@ def optimize(
     the best MIN-rule Prim order (dearest link first too, for the MIN rule
     maximized), all on one budget table. random_restart keeps the best of
     `count` seeded random permutations. Among equal totals the first schedule
-    tried wins. The exact Prim searches report n plus their links, forced
-    greedy_prim folds each prefix of its scoring table, the others evaluate().
+    tried wins. The exact Prim searches report n plus their links; the others
+    fold each prefix of the pair table they searched on, with no walk.
     """
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -464,8 +474,7 @@ def optimize(
         order, links = _prim(0, n_nodes, row, pick, pick)  # the Prim order from node 0
         if strategy == "brute_force":  # poll again, by the bound read off that order
             order, links = _prim(0, n_nodes, row, pick, pick, _descent(rule, order, links))
-        bits = [model.n, *links]  # each link is its node's budget
-        return tuple(order), BitReport(per_node=tuple(zip(order, bits)), total=sum(bits))
+        return tuple(order), _report(model.n, order, links)  # each link is its node's budget
     if strategy == "greedy_prim":
         if not force:
             raise ValueError(
@@ -473,20 +482,18 @@ def optimize(
                 "and the max rule with objective maximize; pass force=True to run "
                 "it as a heuristic"
             )
-        scores = _table(model, rule, topology)  # under MIN and MAX the budgets
-        table = budget_matrix(model, topology) if rule is ConditioningRule.ADDITIVE else scores
+        rows = _table(model, rule, topology)  # under MIN and MAX the budgets
+        table = budget_matrix(model, topology) if rule is ConditioningRule.ADDITIVE else rows
         row = lambda u, vs: map(table[u].__getitem__, vs)
         # cheapest-first orders aim low: to maximize a MIN total, dearest-first ones follow
         aims = (min, max) if (rule, objective) == (ConditioningRule.MIN, "maximize") else (min,)
         candidates = [tuple(_prim(s, n_nodes, row, aim, min)[0]) for aim in aims for s in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
-        best = pick(candidates, key=_total_fn(model, rule, scores))
-        bits = [model.n, *_prefix_folds(_fold(model, rule), scores, best)]  # the report off the same table
-        return best, BitReport(per_node=tuple(zip(best, bits)), total=sum(bits))
-    if strategy in ("brute_force", "random_restart"):
-        stats = (_exhaustive(model, rule, topology, "use random_restart or greedy_prim")
-                 if strategy == "brute_force" else _sample(model, rule, topology, count, seed))
+        best = pick(candidates, key=_total_fn(model, rule, rows))
+    elif strategy in ("brute_force", "random_restart"):
+        stats, rows = (_exhaustive(model, rule, topology, "use random_restart or greedy_prim")
+                       if strategy == "brute_force" else _sample(model, rule, topology, count, seed))
         best = stats.argmin if objective == "minimize" else stats.argmax
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return best, evaluate(model, rule, topology, best)
+    return best, _report(model.n, best, _prefix_folds(_fold(model, rule), rows, best))  # off the searched table

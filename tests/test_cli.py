@@ -147,11 +147,13 @@ def test_bits_to_a_reader_that_closes_early_exits_0(tmp_path):
 def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
     """Start-up cost: a fresh isolated interpreter (no site, no environment)
     imports the CLI without generating dataclass code or loading fractions,
-    which only decay_sum's overflow fallback uses."""
+    which only decay_sum's overflow fallback uses. -B: -I ignores
+    PYTHONDONTWRITEBYTECODE, and bytecode left under src would make later
+    imports skip compiling, which the benchmark's setup_s times."""
     src = str(Path(bitgather.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import bitgather.cli; "
             "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 

@@ -324,6 +324,67 @@ def test_total_fn_matches_evaluate(instance, rng):
         assert total_of(order) == evaluate(model, rule, topo, order).total
 
 
+_FEW = [
+    [(0.0, 0.0)],
+    [(0.0, 0.0), (1.5, 0.0)],
+    [(0.0, 0.0), (1.5, 0.0), (0.5, 2.0)],
+    [(1.0, 1.0)] * 3,  # all coincident: every budget ties at d = 0
+    [(0.0, 0.0), (2.0, 0.0), (0.0, 0.0), (2.0, 0.5)],
+]
+
+
+@pytest.mark.parametrize("positions", _FEW, ids=["n1", "n2", "n3", "n3-coincident", "n4-twins"])
+@pytest.mark.parametrize(
+    "model, rule",
+    [(PowerLawModel(5, 1.0, 1.0), MIN), (PowerLawModel(5, 1.0, 1.0), MAX),
+     *((GaussianDecayModel(6, 1.0, 0.5), rule) for rule in (MIN, MAX, ADD))],
+    ids=["power-min", "power-max", "gauss-min", "gauss-max", "gauss-additive"],
+)
+def test_total_fn_on_every_order_of_a_few_nodes(positions, model, rule):
+    """At N = 1 and 2 the backward scan's loop is empty, at N = 3 it runs
+    once: the first node's n and the second's one pair value, read directly,
+    decide the total. Coincident nodes tie at d = 0."""
+    topo = Topology.from_positions(positions)
+    total_of = _total_fn(model, rule, _table(model, rule, topo))
+    for order in itertools.permutations(range(topo.size)):
+        assert total_of(order) == evaluate(model, rule, topo, order).total == sum(
+            oracle_budgets(model, rule, topo, order)
+        )
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        instances(max_nodes=40, widths=st.integers(1, 3)),
+        instances(min_nodes=20, max_nodes=40, widths=st.integers(1, 3)),  # long ranked scans
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_total_fn_on_prim_and_shuffled_orders(instance, rng):
+    """Forced greedy_prim scores Prim orders, which poll near nodes first,
+    and sampling scores shuffles. With 1-3 bit budgets ties are everywhere,
+    so a node's first polled partner is one of many equal ones."""
+    model, rule, topo = instance
+    total_of = _total_fn(model, rule, _table(model, rule, topo))
+    weights = pair_weights(model, topo)
+    orders = [oracle_prim(weights, rng.randrange(topo.size), dearest) for dearest in (False, True)]
+    for _ in range(3):
+        orders.append(tuple(rng.sample(range(topo.size), topo.size)))
+    for order in orders:
+        assert total_of(order) == evaluate(model, rule, topo, order).total
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("rule", [MIN, MAX, ADD], ids=["min", "max", "additive"])
+def test_sampled_paths_on_one_and_two_nodes(size, rule):
+    model, topo = GaussianDecayModel(6, 1.0, 0.5), Topology.from_positions(_FEW[1][:size])
+    expected = oracle_sampled(model, rule, topo, 7, 3)
+    assert schedule_stats(model, rule, topo, "sampled", count=7, seed=3) == expected
+    for objective, best in (("minimize", expected.argmin), ("maximize", expected.argmax)):
+        order, report = optimize(model, rule, topo, objective=objective, strategy="random_restart", count=7, seed=3)
+        assert (order, report) == (best, evaluate(model, rule, topo, best))
+
+
 @SETTINGS
 @given(instances(max_nodes=8, rules=(MIN,)))
 def test_single_start_prim_equals_all_starts_and_mst(instance):

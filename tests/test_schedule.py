@@ -292,6 +292,25 @@ def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
         assert len(terms) == 40 * 39 // 2
 
 
+@pytest.mark.parametrize(
+    "method, run, size",
+    [
+        ("decay_term", lambda m, topo: optimize(m, ADD, topo, "minimize", "random_restart", count=5, seed=0), 40),
+        ("decay_term", lambda m, topo: optimize(m, ADD, topo, "maximize", "brute_force"), 10),
+        ("budget", lambda m, topo: optimize(m, MAX, topo, "minimize", "brute_force"), 10),
+    ],
+    ids=["restart-additive", "brute-additive", "brute-max-minimize"],
+)
+def test_searches_report_off_their_table(method, run, size):
+    """random_restart and brute force outside the spanning pairs read the
+    winner's budgets off the pair table they searched, with no closing walk:
+    one call per unordered pair (at N = 10, 64n + 2 >= 45 pairs, so no step table)."""
+    m = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
+    calls = _count_budget_calls(m, method)
+    run(m, random_topology(random.Random(36), size))
+    assert len(calls) == size * (size - 1) // 2
+
+
 _SHUFFLED = random.Random(34).sample(range(30), 30)
 _PAIRS, _NODES = 30 * 29 // 2, 29
 

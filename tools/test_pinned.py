@@ -156,6 +156,16 @@ ROWS = [
         "d90d728312e753636f4a1be1eef6b4aad6dad39495aa3b2f703e7fb514d23f07"),
     Row("n40.csv", "optimize --strategy random_restart --restarts 300 --model 2 --n 12 --beta 0.5 --seed 11 "
         "--rule min --objective maximize", 30, "29d458d93421186e69a423778d748ecc45bfc67e9e1436d6bf42f62b7b8af3e5"),
+    # The benchmark's search shape (model 1, MAX) at N=200, under both
+    # ranked-scan rules, and random_restart reporting off its scoring table;
+    # recorded with the forward scan over a per-order position list and the
+    # closing evaluate walk. Each takes about 0.2-0.3 s.
+    Row("n200_seed3.csv", "stats --mode sampled --samples 2000 --model 1 --n 8 --beta 1 --seed 5 --rule max", 30,
+        "708227474079665c2d1897e1a2bbbda7e3bdd792c70a2084150aa39a7cba9528"),
+    Row("n200_seed3.csv", "stats --mode sampled --samples 2000 --model 1 --n 8 --beta 1 --seed 5 --rule min", 30,
+        "1b7b6839af06428973404b39bed70590dffc0c772ce3e1d95037da2e107ddf2c"),
+    Row("n200_seed3.csv", "optimize --strategy random_restart --restarts 2000 --model 1 --n 8 --beta 1 --seed 5 "
+        "--rule max --objective minimize", 30, "53ed3576413d41c751b5b8ce3c99c4940ba1570a2ca9367bc801c8c2c186b58a"),
     # Paths from a distance to a budget that no benchmark row reaches, each
     # digest recorded before the models' budgets became plain methods: forced
     # greedy_prim (one pair table under MIN and MAX, a budget table and a
