@@ -3,7 +3,8 @@
 Each model's budget method is checked against the formulas written out here, the
 half-matrix topology against hypot on every ordered pair, the cached field
 plan against the generator that searched the assigned set for every node,
-and `bits` against a double loop over pairwise_bits, 0 on the diagonal.
+and `bits` against a double loop over pairwise_bits, 0 on the diagonal;
+its cell grid also against the step-table rows, with its work counted.
 """
 
 import contextlib
@@ -32,8 +33,11 @@ from bitgather import (
     generate_field,
     pairwise_bits,
 )
+import bitgather.topology
+from bitgather import schedule
 from bitgather.cli import main
 from bitgather.correlation import budget_steps
+from bitgather.schedule import budget_tails
 
 SETTINGS = settings(max_examples=50, deadline=None)
 MAX_FLOAT = 1.7976931348623157e308
@@ -362,3 +366,119 @@ def _run(argv):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(argv)
     return buf.getvalue(), code
+
+
+def _near(kind, size, s, rng):
+    """`size` points of a layout kind, in units of the last step s (at least
+    1e-300, so that a subnormal s does not make most nodes coincide)."""
+    unit = max(s, 1e-300)
+    spread = [(rng.uniform(0, 6 * unit), rng.uniform(0, 6 * unit)) for _ in range(size)]
+    if kind == "uniform":
+        return spread
+    if kind == "diagonal":  # pairs just within s at 45 degrees: the corner cells' nodes
+        tilt = [(x * 4, y * 4, rng.uniform(0.9, 1.0) * unit / math.sqrt(2)) for x, y in spread[: size // 2]]
+        return [p for x, y, g in tilt for p in ((x, y), (x + g, y + g))]
+    if kind == "offset":  # cell indices near 1e15, each one exact
+        return [(x + 1e15 * unit, y - 1e15 * unit) for x, y in spread]
+    if kind == "multiples":  # distances at and next to multiples of s
+        return [(rng.randint(0, 12) * s, rng.randint(0, 12) * s) for _ in range(size)]
+    if kind == "boundary":  # pairs at s and the floats on each side, along an axis and diagonally
+        gaps = [math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)]
+        pairs = [((0.0, 3 * k * unit), (g, 3 * k * unit)) for k, g in enumerate(gaps)]
+        pairs += [((30 * unit, 3 * k * unit), (30 * unit + g / math.sqrt(2), 3 * k * unit + g / math.sqrt(2)))
+                  for k, g in enumerate(gaps)]
+        return [p for pair in pairs for p in pair] + spread[6:]
+    if kind == "collinear":
+        return [(x * 4, 0.5 * unit) for x, _ in spread]
+    if kind == "lattice":
+        c = rng.uniform(0.7, 1.5) * unit
+        return [(i % 9 * c, i // 9 * c) for i in range(size)]
+    if kind == "cluster":  # half the nodes in one cell
+        return [(x / 1000, y / 1000) for x, y in spread[: size // 2]] + [(x * 3, y * 3) for x, y in spread[size // 2 :]]
+    if kind == "coincident":
+        return spread[: size // 2] * 2 + spread[: size % 2]
+    # spans near 2**1023: x / h leaves the float range where s is small
+    return [(rng.choice([-1.0, 1.0]) * 2.0**1022, y) for _, y in spread[:3]] + spread[3:]
+
+
+NEAR_KINDS = ["uniform", "diagonal", "offset", "multiples", "boundary", "collinear", "lattice", "cluster", "coincident",
+              "huge"]
+
+
+@st.composite
+def near_cases(draw):
+    """A model (both families, beta below, at and above 0; 0 and most
+    alpha < 1/n give a constant staircase, so they are drawn less often) and
+    a layout kind scaled to its last step s, with N past the 64n + 2 gate."""
+    cls = draw(st.sampled_from([PowerLawModel, GaussianDecayModel]))
+    beta = draw(st.sampled_from([0.0, -1.0, 1.0, 1.0, 1.0])) * draw(st.floats(0.01, 9.0))
+    model = cls(n=draw(st.integers(1, 12)), alpha=draw(st.floats(0.3, 3.0)), beta=beta)
+    steps = budget_steps(model, zero=False)[0]
+    s = steps[-1] if steps else 1.0
+    kind = draw(st.sampled_from(NEAR_KINDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return model, kind, _near(kind, draw(st.integers(40, 70)), min(s, 1e300), rng), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_cases())
+def test_bits_grid_matches_the_rows_and_pairwise_bits(case):
+    """budget_tails against a double loop over pairwise_bits and against the
+    step-table rows. Every layout but the huge one keeps its candidate pairs
+    under half, so the grid must be taken where the layout was scaled to the
+    last step (coincident nodes can add a step at 0); the huge one may fall
+    back. A singular budget raises from the call, before any row."""
+    model, kind, points, s = case
+    topo = Topology.from_positions(points)
+    size = topo.size
+    expected = outcome(lambda: [[str(pairwise_bits(model, topo.distance(i, j))) for j in range(i + 1, size)]
+                                for i in range(size)])
+    got = outcome(budget_tails, model, topo, str)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert [*got] == expected
+    steps, vals = schedule._step_table(model, topo, str)
+    row = schedule._lookup_rows(topo, steps, vals)
+    assert [[*row(i, range(i + 1, size))] for i in range(size)] == expected
+    if steps and steps[-1] == s and kind != "huge":
+        assert schedule._near_rows(topo.positions, steps, vals) is not None
+
+
+def test_bits_grid_falls_back_where_a_cell_index_overflows():
+    """s = 0.0022: 2**1022 / h is past the float range, so the rows are read
+    off the step table, exactly, with no OverflowError. So are they for a
+    last step at the largest float, where s+ is inf."""
+    model = GaussianDecayModel(12, 1.0, 1e6)
+    points = [(-(2.0**1022), 0.0), (2.0**1022, 0.0)] + [(i / 1000, i % 7 / 1000) for i in range(60)]
+    topo = Topology.from_positions(points)
+    steps, vals = schedule._step_table(model, topo, str)
+    assert schedule._near_rows(topo.positions, steps, vals) is None
+    assert schedule._near_rows(topo.positions, [MAX_FLOAT], ["0", "1"]) is None
+    expected = [[str(pairwise_bits(model, topo.distance(i, j))) for j in range(i + 1, 62)] for i in range(62)]
+    assert [*budget_tails(model, topo, str)] == expected
+
+
+def test_bits_computes_only_near_pairs(monkeypatch):
+    """500 uniform nodes on a 10 x 10 square and the field model (s = 2.23):
+    under 40% of the N(N-1)/2 distances are computed. A constant staircase
+    (beta = 0, or beta < 0 with alpha = 1, where every budget clamps to 0)
+    computes none. A power law whose last step (7) spans most of the square
+    reads every pair off the step table. Both distance sources are counted,
+    so a return to every pair reads all of them."""
+    counted = []
+    for module in (schedule, bitgather.topology):
+        monkeypatch.setattr(module, "dist", lambda p, q, real=module.dist: counted.append(1) or real(p, q))
+    r = random.Random(0)
+    topo = Topology.from_positions([(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(500)])
+    [*budget_tails(GaussianDecayModel(12, 1.0, 0.5), topo, str)]
+    assert len(counted) < 0.4 * 500 * 499 / 2
+    del counted[:]
+    for model in (GaussianDecayModel(12, 1.0, 0.0), GaussianDecayModel(12, 1.0, -0.5), PowerLawModel(8, 1.0, 0.0)):
+        rows = [*budget_tails(model, topo, str)]
+        assert rows == [[str(model.budget(1.0))] * (499 - i) for i in range(500)]
+    assert counted == []
+    power = PowerLawModel(8, 1.0, 1.0)
+    assert schedule._near_rows(topo.positions, *schedule._step_table(power, topo, str)) is None
+    [*budget_tails(power, topo, str)]
+    assert len(counted) == 500 * 499 / 2

@@ -141,9 +141,23 @@ ROWS = [
     # bits reads each node's row to the nodes after it off the model's step
     # table (n=12: 64n + 2 = 770 budget calls, far below the 1,999,000 pairs);
     # the digest was recorded when the whole mirrored table was built before
-    # printing. It takes about 0.7-0.9 s, so 10 s catches work above O(N**2).
+    # printing. Past the last step (2.23) every pair has the top budget, so a
+    # cell grid computes only the pairs near enough to be below it: about
+    # 0.6 s, 0.9 s when it computed every pair; 10 s catches work above O(N**2).
     Row("n2000.csv", "bits --model 2 --n 12 --beta 0.5", 10,
         "ed4195876175df5a3dfef0203026a0a094e800db9b22a07b91ec816f960f78e9"),
+    # Digests recorded when every pair was computed: a last step of 0.77,
+    # where the grid computes about 3% of the pairs (0.65 s, 1.05 s before);
+    # a power law whose last step (7) spans most of the layout, where the
+    # rows are read off the step table as before (about 1 s); and beta < 0
+    # with alpha = 1, where every budget clamps to 0 and no distance is
+    # computed (0.4 s, 0.9 s before).
+    Row("n2000.csv", "bits --model 2 --n 20 --alpha 0.3 --beta 3", 10,
+        "4d75a106a2467d99c22e98c99e2646e81cfafa988b35fc60fff3fe1d9a91f6da"),
+    Row("n2000.csv", "bits --model 1 --n 8 --beta 1", 10,
+        "6309d38688f990b6afd2dabbdf4c5a501c09da05ed4e94a0bb51041d8ea329bd"),
+    Row("n2000.csv", "bits --model 2 --beta -0.5", 10,
+        "85969b83c0be3a6e98a8b4b106fa48306ce665390367f3fece3414b8c0f818cd"),
     # Sampled schedules come from the package's own Fisher-Yates draws over
     # random.Random(seed).getrandbits, so these digests, recorded with
     # random.Random.shuffle's draws, hold on every Python. Each N=40 and N=62
