@@ -23,7 +23,7 @@ its nearest earlier node's, from one sorted sweep of the order
 it folds the prefix. The pair rows (the table, bits, Prim and the spanning
 descent) read pairwise budgets off the model's step table where finding its steps
 costs fewer calls than the pairs. Past the table's last step every pair has
-the top budget, so bits computes only the pairs that a cell grid cannot
+the top budget, so bits computes only the pairs that Topology.grid cannot
 certify to be that far apart (_near_rows), where they are few enough to pay.
 One backward pass over the 2**N polled sets (Held
 & Karp 1962) gives the exhaustive statistics and the brute-force optimum;
@@ -50,7 +50,6 @@ import random
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate, chain, islice, repeat
-from math import dist
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # conditioned_bits, pairwise_bits: unused here, bound for bench/tracer.py to patch.
@@ -106,16 +105,15 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
     return order
 
 
-def _step_table(model: ModelSpec, topology: Topology, label: Callable | None = None) -> tuple[list, list] | None:
-    """The model's budget staircase (budget_steps), each value labelled once,
-    where finding its steps, at most 64n + 2 budget calls, costs less than
-    the N(N-1)/2 pair calls it replaces; else None. The search starts at 0
-    where nodes coincide, so a budget singular there raises here."""
+def _step_table(model: ModelSpec, topology: Topology) -> tuple[list, list] | None:
+    """The model's budget staircase (budget_steps) where finding its steps,
+    at most 64n + 2 budget calls, costs less than the N(N-1)/2 pair calls
+    it replaces; else None. The search starts at 0 where nodes coincide, so
+    a budget singular there raises here."""
     size = topology.size
     if 64 * model.n + 2 >= size * (size - 1) // 2:
         return None
-    steps, vals = budget_steps(model, zero=len(set(topology.positions)) < size)
-    return steps, vals if label is None else [*map(label, vals)]
+    return budget_steps(model, zero=len(set(topology.positions)) < size)
 
 
 def _lookup_rows(topology: Topology, steps: list, vals: list) -> Callable[[int, Iterable[int]], Iterator]:
@@ -125,29 +123,25 @@ def _lookup_rows(topology: Topology, steps: list, vals: list) -> Callable[[int, 
 
 
 def _pair_rows(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology, label: Callable | None = None
+    model: ModelSpec, rule: ConditioningRule, topology: Topology
 ) -> Callable[[int, Iterable[int]], Iterator]:
     """row(u, nodes): u's pair value to each of `nodes`, computed on demand.
 
     Under ADDITIVE the values are decay terms, else pairwise budgets: a
     lookup in the model's _step_table where it has one, else model.budget
     per pair. Either way a budget singular at distance 0 raises here,
-    before any row, where nodes coincide. With `label` a row gives
-    label(value) for each value: on the step table, each step's once.
-    """
+    before any row, where nodes coincide."""
     if rule is ConditioningRule.ADDITIVE:
         require_decay(model)
         pair = model.decay_term
     else:
-        table = _step_table(model, topology, label)
+        table = _step_table(model, topology)
         if table is not None:
             return _lookup_rows(topology, *table)
         pair = model.budget
         if len(set(topology.positions)) < topology.size:  # only coincident nodes are at distance 0
             pair(0.0)
     distances_from = topology.distances_from
-    if label is not None:
-        return lambda u, nodes: map(label, map(pair, distances_from(u, nodes)))
     return lambda u, nodes: map(pair, distances_from(u, nodes))
 
 
@@ -225,82 +219,53 @@ def budget_tails(model: ModelSpec, topology: Topology, label: Callable) -> Itera
     read. Every error is raised by this call, before any row.
 
     Where the N(N-1)/2 pairs are at most 64n + 2, each pair calls
-    model.budget. Else, on a constant staircase, each row repeats its one
-    label and no distance is computed; otherwise every pair at distance
-    >= s, the staircase's last step, has the top label: the rows come from
-    _near_rows' cell grid, which computes only the pairs it cannot certify
-    to be that far apart, where they are under half of all pairs, and are
-    read off the step table where they are not.
+    model.budget. Else each step value is labelled once; on a constant
+    staircase each row repeats its one label and no distance is computed;
+    otherwise every pair at distance >= s, the staircase's last step, has
+    the top label: the rows come from _near_rows, which computes only the
+    pairs Topology.grid cannot certify to be that far apart, where they are
+    under half of all pairs, and are read off the step table where they are not.
     """
-    size, table = topology.size, _step_table(model, topology, label)
+    size, table = topology.size, _step_table(model, topology)
     if table is None:
-        row = _pair_rows(model, ConditioningRule.MIN, topology, label)
-    else:
-        steps, vals = table
-        if not steps:
-            return ([vals[0]] * (size - 1 - i) for i in range(size))
-        rows = _near_rows(topology.positions, steps, vals)
-        if rows is not None:
-            return rows
-        row = _lookup_rows(topology, steps, vals)
-    return ([*row(i, range(i + 1, size))] for i in range(size))
+        row = _pair_rows(model, ConditioningRule.MIN, topology)
+        return ([*map(label, row(i, range(i + 1, size)))] for i in range(size))
+    steps, vals = table[0], [*map(label, table[1])]
+    if not steps:
+        return ([vals[0]] * (size - 1 - i) for i in range(size))
+    row = _lookup_rows(topology, steps, vals)
+    return _near_rows(topology, steps, vals) or ([*row(i, range(i + 1, size))] for i in range(size))
 
 
-def _near_rows(positions: Sequence[tuple[float, float]], steps: list, vals: list) -> Iterator[list] | None:
-    """budget_tails' rows from a uniform cell grid, or None where it cannot pay.
+def _near_rows(topology: Topology, steps: list, vals: list) -> Iterator[list] | None:
+    """budget_tails' rows off Topology.grid at the last step s, or None.
 
-    Each row starts as the top value vals[-1]; only the later nodes in the
-    block of cells around the row's node are looked up. The cell side h is
-    a power of two with s+ / h in [2, 4), s the last step and s+ the float
-    after it, so x // h is floor(x / h) exactly, or inf where x / h leaves
-    the float range (then None). Two nodes whose columns are d >= 1 apart
-    have an exact x gap above (d - 1) * h, a float, so the rounded gap that
-    dist takes is at least that; likewise in y. An offset is left out of
-    the block where these two bounds alone give a norm of at least s+,
-    tested in exact integers: a disk of cells, its corners cut. For every
-    pair outside its block the norm dist rounds is then at least s+, and
-    dist errs by < 1 ulp (as in Topology.nearest_links), so it returns at
-    least s, where bisect_right gives len(steps): the top value.
-
-    The grid holds each id once, in its cell, and a node leaves its cell as
-    its row is made, so a block holds only later nodes. A candidate costs
-    up to twice a row's pair (it is gathered and scattered as well), so the
-    grid is used only where its candidate pairs, counted before any row,
-    are under half of the N(N-1)/2 pairs.
-    """
-    size, top = len(positions), vals[-1]
-    far = math.nextafter(steps[-1], math.inf)
-    h = math.ldexp(1.0, math.frexp(far)[1] - 2)  # s >= 2**-1074, so h >= 2**-1074
-    rho = far / h  # exact: h is a power of two
-    xs, ys = zip(*positions)
-    try:  # as_integer_ratio and int raise at inf: s+ or an x / h past the float range
-        p, q = rho.as_integer_ratio()
-        cx = [*map(int, map(operator.floordiv, xs, repeat(h)))]
-        cy = [*map(int, map(operator.floordiv, ys, repeat(h)))]
-    except OverflowError:
+    Each row starts as the top value vals[-1], bisect_right's at distance
+    >= s, and only the later nodes in its node's block are looked up: a
+    node leaves its cell as its row is made. A candidate costs up to twice
+    a row's pair (it is gathered and scattered as well), so the grid is
+    used only where its candidate pairs, counted before any row and no
+    further than half of the N(N-1)/2 pairs, are under half."""
+    grid = topology.grid(steps[-1])
+    if grid is None:
         return None
-    reach = range(-math.ceil(rho), math.ceil(rho) + 1)  # past it, one gap alone is >= s+
-    stride = max(cy) - min(cy) + reach.stop  # so an offset's row never wraps into the next column
-    gaps = [max(abs(d) - 1, 0) ** 2 for d in reach]  # ((d - 1) * h)**2 in units of h**2
-    offsets = [dx * stride + dy for dx, a in zip(reach, gaps) for dy, b in zip(reach, gaps)
-               if (a + b) * q * q < p * p]
-    keys = [*map(operator.add, map(operator.mul, cx, repeat(stride)), cy)]
+    (keys, offsets), size, top = grid, topology.size, vals[-1]
     cells: dict[int, list[int]] = {}
     for v, k in enumerate(keys):
         cells.setdefault(k, []).append(v)
-    get, blocks = cells.get, -size  # each candidate pair is counted from both its nodes' blocks
+    get, blocks, half = cells.get, -size, size * (size - 1) // 2  # a pair counts in both nodes' blocks
     for k, c in cells.items():
         blocks += len(c) * sum(map(len, map(get, map(operator.add, repeat(k), offsets), repeat(()))))
-    if blocks >= size * (size - 1) // 2:
-        return None
-    lookup, at = vals.__getitem__, positions.__getitem__
+        if blocks >= half:  # blocks only grows
+            return None
+    lookup, distances_from = vals.__getitem__, topology.distances_from
 
     def rows() -> Iterator[list]:
-        for i, (xy, k) in enumerate(zip(positions, keys)):
+        for i, k in enumerate(keys):
             del cells[k][0]  # node i, the first of its cell still in it
             near = [*chain.from_iterable(map(get, map(operator.add, repeat(k), offsets), repeat(())))]
             row = [top] * size
-            labels = map(lookup, map(bisect_right, repeat(steps), map(dist, repeat(xy), map(at, near))))
+            labels = map(lookup, map(bisect_right, repeat(steps), distances_from(i, near)))
             deque(map(row.__setitem__, near, labels), 0)
             del row[: i + 1]
             yield row

@@ -1,11 +1,13 @@
 """Node placement and pairwise Euclidean distances, computed on demand from
 the positions and never stored as a matrix; overflowing distances rejected.
 Each node's nearest earlier node along an order comes from one sorted sweep
-(nearest_links), and the field plan, one such sweep, is cached."""
+(nearest_links), and the field plan, one such sweep, is cached. One cell
+grid (grid) certifies pairs at least s apart. All distances are computed here."""
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from functools import cached_property
 from itertools import repeat
@@ -100,6 +102,38 @@ class Topology(Frozen):
             ids.insert(at, v)
             links.append((best, near))
         return links
+
+    def grid(self, s: float) -> tuple[list[int], list[int]] | None:
+        """A uniform cell grid certified at s > 0: (keys, offsets), node v's
+        cell key at keys[v], where every pair whose keys differ by no offset
+        is at distance >= s; None where s+, the float after s, or a cell
+        index leaves the float range.
+
+        The cell side h is a power of two with s+ / h in [2, 4), so x // h
+        is floor(x / h) exactly, or inf where x / h leaves the float range.
+        Two nodes whose columns are d >= 1 apart have an exact x gap above
+        (d - 1) * h, a float, so the rounded gap that dist takes is at least
+        that; likewise in y. An offset is left out where these two bounds
+        alone give a norm of at least s+, tested in exact integers: a disk of
+        cells, its corners cut. For every pair outside it the norm dist
+        rounds is then at least s+, and dist errs by < 1 ulp (as in
+        nearest_links), so it returns at least s."""
+        far = nextafter(s, math.inf)
+        h = math.ldexp(1.0, math.frexp(far)[1] - 2)  # s >= 2**-1074, so h >= 2**-1074
+        rho = far / h  # exact: h is a power of two
+        xs, ys = zip(*self.positions)
+        try:  # as_integer_ratio and int raise at inf: s+ or an x / h past the float range
+            p, q = rho.as_integer_ratio()
+            cx = [*map(int, map(operator.floordiv, xs, repeat(h)))]
+            cy = [*map(int, map(operator.floordiv, ys, repeat(h)))]
+        except OverflowError:
+            return None
+        reach = range(-math.ceil(rho), math.ceil(rho) + 1)  # past it, one gap alone is >= s+
+        stride = max(cy) - min(cy) + reach.stop  # key = column * stride + row: no offset's row wraps
+        gaps = [max(abs(d) - 1, 0) ** 2 for d in reach]  # ((d - 1) * h)**2 in units of h**2
+        offsets = [dx * stride + dy for dx, a in zip(reach, gaps) for dy, b in zip(reach, gaps)
+                   if (a + b) * q * q < p * p]
+        return [*map(operator.add, map(operator.mul, cx, repeat(stride)), cy)], offsets
 
     @cached_property
     def field_plan(self) -> tuple[tuple[int, int, float], ...]:

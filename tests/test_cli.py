@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import shlex
@@ -155,6 +156,20 @@ def test_cli_import_loads_no_dataclasses_inspect_or_fractions():
             "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_package_imports_only_the_standard_library():
+    """bitgather declares no runtime dependency (dependencies = []): every
+    absolute import in its modules names a standard-library module."""
+    imported = set()
+    for path in Path(bitgather.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    assert ("topology.py", "math") in imported
+    assert [(path, name) for path, name in sorted(imported) if name.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def test_sweep_staircase(capsys):

@@ -4,11 +4,13 @@ Each model's budget method is checked against the formulas written out here, the
 half-matrix topology against hypot on every ordered pair, the cached field
 plan against the generator that searched the assigned set for every node,
 and `bits` against a double loop over pairwise_bits, 0 on the diagonal;
-its cell grid also against the step-table rows, with its work counted.
+its cell grid also against the step-table rows, with its work counted, and
+Topology.grid's certificate pair by pair.
 """
 
 import contextlib
 import io
+import itertools
 import math
 import pickle
 import random
@@ -438,11 +440,11 @@ def test_bits_grid_matches_the_rows_and_pairwise_bits(case):
         assert got == expected
         return
     assert [*got] == expected
-    steps, vals = schedule._step_table(model, topo, str)
-    row = schedule._lookup_rows(topo, steps, vals)
+    steps, vals = schedule._step_table(model, topo)
+    row = schedule._lookup_rows(topo, steps, [*map(str, vals)])
     assert [[*row(i, range(i + 1, size))] for i in range(size)] == expected
     if steps and steps[-1] == s and kind != "huge":
-        assert schedule._near_rows(topo.positions, steps, vals) is not None
+        assert schedule._near_rows(topo, steps, vals) is not None
 
 
 def test_bits_grid_falls_back_where_a_cell_index_overflows():
@@ -452,11 +454,38 @@ def test_bits_grid_falls_back_where_a_cell_index_overflows():
     model = GaussianDecayModel(12, 1.0, 1e6)
     points = [(-(2.0**1022), 0.0), (2.0**1022, 0.0)] + [(i / 1000, i % 7 / 1000) for i in range(60)]
     topo = Topology.from_positions(points)
-    steps, vals = schedule._step_table(model, topo, str)
-    assert schedule._near_rows(topo.positions, steps, vals) is None
-    assert schedule._near_rows(topo.positions, [MAX_FLOAT], ["0", "1"]) is None
+    steps, vals = schedule._step_table(model, topo)
+    assert schedule._near_rows(topo, steps, vals) is None
+    assert schedule._near_rows(topo, [MAX_FLOAT], ["0", "1"]) is None
     expected = [[str(pairwise_bits(model, topo.distance(i, j))) for j in range(i + 1, 62)] for i in range(62)]
     assert [*budget_tails(model, topo, str)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_cases())
+def test_grid_certifies_every_pair_outside_the_block(case):
+    """Topology.grid at the last step s: every ordered pair whose key
+    difference is not an offset is at distance >= s. Only the huge layout
+    may leave the float range."""
+    _, kind, points, s = case
+    topo = Topology.from_positions(points)
+    grid = topo.grid(s)
+    assert grid is not None or kind == "huge"
+    if grid is None:
+        return
+    keys, offsets = grid
+    block = set(offsets)
+    for i, j in itertools.permutations(range(topo.size), 2):
+        if keys[j] - keys[i] not in block:
+            assert topo.distance(i, j) >= s
+
+
+def test_grid_is_none_past_the_float_range():
+    """s = 0.0022 puts 2**1022 / h past the float range; at the largest float s+ is inf."""
+    topo = Topology.from_positions([(-(2.0**1022), 0.0), (2.0**1022, 0.0)] + [(i / 1000, 0.0) for i in range(60)])
+    assert topo.grid(0.0022) is None
+    assert topo.grid(MAX_FLOAT) is None
+    assert topo.grid(1e300) is not None
 
 
 def test_bits_computes_only_near_pairs(monkeypatch):
@@ -464,11 +493,11 @@ def test_bits_computes_only_near_pairs(monkeypatch):
     under 40% of the N(N-1)/2 distances are computed. A constant staircase
     (beta = 0, or beta < 0 with alpha = 1, where every budget clamps to 0)
     computes none. A power law whose last step (7) spans most of the square
-    reads every pair off the step table. Both distance sources are counted,
-    so a return to every pair reads all of them."""
-    counted = []
-    for module in (schedule, bitgather.topology):
-        monkeypatch.setattr(module, "dist", lambda p, q, real=module.dist: counted.append(1) or real(p, q))
+    reads every pair off the step table. topology holds the one distance
+    source, so a return to every pair reads all of them."""
+    counted, real = [], bitgather.topology.dist
+    assert not hasattr(schedule, "dist")
+    monkeypatch.setattr(bitgather.topology, "dist", lambda p, q: counted.append(1) or real(p, q))
     r = random.Random(0)
     topo = Topology.from_positions([(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(500)])
     [*budget_tails(GaussianDecayModel(12, 1.0, 0.5), topo, str)]
@@ -479,6 +508,6 @@ def test_bits_computes_only_near_pairs(monkeypatch):
         assert rows == [[str(model.budget(1.0))] * (499 - i) for i in range(500)]
     assert counted == []
     power = PowerLawModel(8, 1.0, 1.0)
-    assert schedule._near_rows(topo.positions, *schedule._step_table(power, topo, str)) is None
+    assert schedule._near_rows(topo, *schedule._step_table(power, topo)) is None
     [*budget_tails(power, topo, str)]
     assert len(counted) == 500 * 499 / 2
