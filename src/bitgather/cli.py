@@ -25,7 +25,6 @@ import math
 import os
 import shlex
 import sys
-from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -35,7 +34,7 @@ from .correlation import (
     PowerLawModel,
     pairwise_bits,
 )
-from .schedule import SAMPLE_LIMIT, InfeasibleError, budget_tails, evaluate, optimize, schedule_stats
+from .schedule import SAMPLE_LIMIT, InfeasibleError, evaluate, mirrored, optimize, pair_tails, schedule_stats
 from .simulator import fidelity_sweep
 from .topology import TopologyError, load_topology
 
@@ -173,21 +172,8 @@ def _emit(header: str, lines: Iterable[str], out: str | None) -> None:
 
 def _cmd_bits(cfg: dict[str, Any], model, topo) -> Iterator[str]:
     # each distinct budget's text is made once; every error is raised here
-    return _mirrored(budget_tails(model, topo, functools.cache(str)), topo.size)
-
-
-def _mirrored(tails: Iterable[list[str]], size: int) -> Iterator[str]:
-    """The lines of the symmetric matrix with "0" on its diagonal, from the
-    rows of its strict upper triangle: row i's items past the diagonal are
-    column i, the next items of the lines below, whose earlier halves grow
-    until each is written and dropped (at most N**2 / 4 items held)."""
-    heads = [[] for _ in range(size)]
-    for i, tail in enumerate(tails):
-        line, heads[i] = heads[i], None
-        deque(map(list.append, heads[i + 1 :], tail), 0)  # consumed at C level, nothing kept
-        line.append("0")
-        line.extend(tail)
-        yield ",".join(line)
+    tails = pair_tails(model, ConditioningRule.MIN, topo, functools.cache(str))
+    return map(",".join, mirrored(tails, topo.size, "0"))
 
 
 def _cmd_sweep(cfg: dict[str, Any], model) -> list[str]:

@@ -14,19 +14,20 @@ attains each.
 Under every rule a node's budget depends only on the set polled before
 it: its pair values to those nodes (pairwise budgets, or decay terms
 under ADDITIVE) folded by min, max, or an exact sum rounded once: _pair_rows
-gives the pair values, _fold the fold, _table the mirrored pair table and
-budget_tails its upper triangle a row at a time, for bits to stream. A
-budget is monotone in distance, so under MIN and MAX a walk (evaluate, and the
-simulator's gather and sweep) reads each node's budget off one distance:
+gives the pair values, _fold the fold, pair_tails the pair table's upper
+triangle a row at a time and mirrored its full rows, which _table keeps and
+bits streams. A budget is monotone in distance, so under MIN and MAX a
+walk (evaluate, and the simulator's gather and sweep) reads each node's
+budget off one distance:
 its nearest earlier node's, from one sorted sweep of the order
 (Topology.nearest_links), or the farthest of its prefix; under ADDITIVE
 it folds the prefix. The pair rows (the table, bits, Prim and the spanning
 descent) read pairwise budgets off the model's step table where finding its steps
 costs fewer calls than the pairs. Past the table's last step every pair has
-the top budget, so bits computes only the pairs that Topology.grid cannot
-certify to be that far apart (_near_rows), where they are few enough to pay.
-One backward pass over the 2**N polled sets (Held
-& Karp 1962) gives the exhaustive statistics and the brute-force optimum;
+the top budget, so the table and bits compute only the pairs that
+Topology.grid cannot certify to be that far apart (_near_rows), where they
+are few enough to pay. One backward pass over the 2**N polled sets
+(Held & Karp 1962) gives the exhaustive statistics and the brute-force optimum;
 the two spanning-tree pairs instead run greedy_prim's _prim again, keyed
 by an exact bound read off its first order: O(N**2) time, O(N) memory.
 Sampled permutations are scored by one backward scan of the order: each
@@ -155,13 +156,82 @@ def _fold(model: ModelSpec, rule: ConditioningRule) -> Callable[[Iterable], int]
     return min if rule is ConditioningRule.MIN else max
 
 
+def pair_tails(model: ModelSpec, rule: ConditioningRule, topology: Topology, label: Callable) -> Iterator[list]:
+    """The pair table's strict upper triangle, a row at a time: label(value)
+    for node i's _pair_rows value to each of nodes i+1..N-1, each row made
+    when it is read. Every error is raised by this call, before any row.
+
+    Under ADDITIVE, and where the N(N-1)/2 pairs are at most 64n + 2, each
+    pair's value is computed and labelled. Else each step value is labelled
+    once: a constant staircase repeats its one label and computes no
+    distance; otherwise every pair at distance >= s, the last step, has the
+    top label, and _near_rows computes only the pairs Topology.grid cannot
+    certify to be that far apart where they are under half of all pairs.
+    """
+    size = topology.size
+    table = None if rule is ConditioningRule.ADDITIVE else _step_table(model, topology)
+    if table is None:
+        row = _pair_rows(model, rule, topology)
+        return ([*map(label, row(i, range(i + 1, size)))] for i in range(size))
+    steps, vals = table[0], [*map(label, table[1])]
+    if not steps:
+        return ([vals[0]] * (size - 1 - i) for i in range(size))
+    row = _lookup_rows(topology, steps, vals)
+    return _near_rows(topology, steps[-1], row, vals[-1]) or ([*row(i, range(i + 1, size))] for i in range(size))
+
+
+def _near_rows(topology: Topology, s: float, row: Callable, top) -> Iterator[list] | None:
+    """pair_tails' rows off Topology.grid at the last step s, or None.
+
+    Each row starts as `top`, the value at distance >= s, and reads only the
+    later nodes in its node's block through row, the _lookup_rows lookup: a
+    node leaves its cell as its row is made. A candidate costs up to twice a
+    row's pair (it is gathered and scattered as well), so the grid is used
+    only where its candidate pairs, counted before any row and no further
+    than half of the N(N-1)/2 pairs, are under half."""
+    grid = topology.grid(s)
+    if grid is None:
+        return None
+    (keys, offsets), size = grid, topology.size
+    cells: dict[int, list[int]] = {}
+    for v, k in enumerate(keys):
+        cells.setdefault(k, []).append(v)
+    get, blocks, half = cells.get, -size, size * (size - 1) // 2  # a pair counts in both nodes' blocks
+    for k, c in cells.items():
+        blocks += len(c) * sum(map(len, map(get, map(operator.add, repeat(k), offsets), repeat(()))))
+        if blocks >= half:  # blocks only grows
+            return None
+
+    def rows() -> Iterator[list]:
+        for i, k in enumerate(keys):
+            del cells[k][0]  # node i, the first of its cell still in it
+            near = [*chain.from_iterable(map(get, map(operator.add, repeat(k), offsets), repeat(())))]
+            line = [top] * size
+            deque(map(line.__setitem__, near, row(i, near)), 0)
+            del line[: i + 1]
+            yield line
+
+    return rows()
+
+
+def mirrored(tails: Iterable[list], size: int, zero) -> Iterator[list]:
+    """The rows of the symmetric table with `zero` on its diagonal, from the
+    rows of its strict upper triangle: row i's items past the diagonal are
+    column i, the next items of the rows below, whose earlier halves grow
+    until each is yielded (at most N**2 / 4 items held for rows not yet
+    yielded)."""
+    heads = [[] for _ in range(size)]
+    for i, tail in enumerate(tails):
+        line, heads[i] = heads[i], None
+        deque(map(list.append, heads[i + 1 :], tail), 0)  # consumed at C level, nothing kept
+        line.append(zero)
+        line.extend(tail)
+        yield line
+
+
 def _table(model: ModelSpec, rule: ConditioningRule, topology: Topology) -> list[list]:
-    """Every pair's _pair_rows value, computed once per unordered pair and
-    mirrored; 0 on the diagonal."""
-    row, size, rows = _pair_rows(model, rule, topology), topology.size, []
-    for i in range(size):
-        rows.append([*map(operator.itemgetter(i), rows), 0, *row(i, range(i + 1, size))])
-    return rows
+    """Every pair's _pair_rows value: pair_tails' rows, mirrored, 0 on the diagonal."""
+    return [*mirrored(pair_tails(model, rule, topology, operator.pos), topology.size, 0)]
 
 
 def _walk(
@@ -211,66 +281,6 @@ def evaluate(
 def budget_matrix(model: ModelSpec, topology: Topology) -> list[list[int]]:
     """Pairwise budgets for every node pair; symmetric, 0 on the diagonal."""
     return _table(model, ConditioningRule.MIN, topology)
-
-
-def budget_tails(model: ModelSpec, topology: Topology, label: Callable) -> Iterator[list]:
-    """budget_matrix's strict upper triangle, a row at a time: label(budget)
-    for node i's budget to each of nodes i+1..N-1, each row made when it is
-    read. Every error is raised by this call, before any row.
-
-    Where the N(N-1)/2 pairs are at most 64n + 2, each pair calls
-    model.budget. Else each step value is labelled once; on a constant
-    staircase each row repeats its one label and no distance is computed;
-    otherwise every pair at distance >= s, the staircase's last step, has
-    the top label: the rows come from _near_rows, which computes only the
-    pairs Topology.grid cannot certify to be that far apart, where they are
-    under half of all pairs, and are read off the step table where they are not.
-    """
-    size, table = topology.size, _step_table(model, topology)
-    if table is None:
-        row = _pair_rows(model, ConditioningRule.MIN, topology)
-        return ([*map(label, row(i, range(i + 1, size)))] for i in range(size))
-    steps, vals = table[0], [*map(label, table[1])]
-    if not steps:
-        return ([vals[0]] * (size - 1 - i) for i in range(size))
-    row = _lookup_rows(topology, steps, vals)
-    return _near_rows(topology, steps, vals) or ([*row(i, range(i + 1, size))] for i in range(size))
-
-
-def _near_rows(topology: Topology, steps: list, vals: list) -> Iterator[list] | None:
-    """budget_tails' rows off Topology.grid at the last step s, or None.
-
-    Each row starts as the top value vals[-1], bisect_right's at distance
-    >= s, and only the later nodes in its node's block are looked up: a
-    node leaves its cell as its row is made. A candidate costs up to twice
-    a row's pair (it is gathered and scattered as well), so the grid is
-    used only where its candidate pairs, counted before any row and no
-    further than half of the N(N-1)/2 pairs, are under half."""
-    grid = topology.grid(steps[-1])
-    if grid is None:
-        return None
-    (keys, offsets), size, top = grid, topology.size, vals[-1]
-    cells: dict[int, list[int]] = {}
-    for v, k in enumerate(keys):
-        cells.setdefault(k, []).append(v)
-    get, blocks, half = cells.get, -size, size * (size - 1) // 2  # a pair counts in both nodes' blocks
-    for k, c in cells.items():
-        blocks += len(c) * sum(map(len, map(get, map(operator.add, repeat(k), offsets), repeat(()))))
-        if blocks >= half:  # blocks only grows
-            return None
-    lookup, distances_from = vals.__getitem__, topology.distances_from
-
-    def rows() -> Iterator[list]:
-        for i, k in enumerate(keys):
-            del cells[k][0]  # node i, the first of its cell still in it
-            near = [*chain.from_iterable(map(get, map(operator.add, repeat(k), offsets), repeat(())))]
-            row = [top] * size
-            labels = map(lookup, map(bisect_right, repeat(steps), distances_from(i, near)))
-            deque(map(row.__setitem__, near, labels), 0)
-            del row[: i + 1]
-            yield row
-
-    return rows()
 
 
 def _prefix_folds(fold: Callable[[Iterable], int], rows: list[list], order: Sequence[int]) -> Iterator[int]:

@@ -119,6 +119,8 @@ def test_reading_and_codeword_validation():
         Codeword(2, 1)
     with pytest.raises(ValueError):
         Codeword(1, 0)
+    with pytest.raises(TypeError, match=r"^Reading takes exactly the fields value, width$"):
+        Reading(1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -3,9 +3,9 @@
 Each model's budget method is checked against the formulas written out here, the
 half-matrix topology against hypot on every ordered pair, the cached field
 plan against the generator that searched the assigned set for every node,
-and `bits` against a double loop over pairwise_bits, 0 on the diagonal;
-its cell grid also against the step-table rows, with its work counted, and
-Topology.grid's certificate pair by pair.
+and `bits` and budget_matrix against a double loop over pairwise_bits, 0 on
+the diagonal; their cell grid also against the step-table rows, with its
+work counted, and Topology.grid's certificate pair by pair.
 """
 
 import contextlib
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from bitgather import (
     BitReport,
     Codeword,
+    ConditioningRule,
     GatherResult,
     GaussianDecayModel,
     PowerLawModel,
@@ -32,6 +33,10 @@ from bitgather import (
     SensorField,
     Topology,
     TopologyError,
+    budget_matrix,
+    correctness_radius,
+    decode,
+    encode,
     generate_field,
     pairwise_bits,
 )
@@ -39,7 +44,7 @@ import bitgather.topology
 from bitgather import schedule
 from bitgather.cli import main
 from bitgather.correlation import budget_steps
-from bitgather.schedule import budget_tails
+from bitgather.schedule import pair_tails
 
 SETTINGS = settings(max_examples=50, deadline=None)
 MAX_FLOAT = 1.7976931348623157e308
@@ -209,6 +214,21 @@ def test_value_types_keep_their_semantics():
     ],
 )
 def test_value_types_keep_their_validation_messages(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: encode(Reading(1, 4), -1), "budget must be >= 0"),
+        (lambda: decode(Reading(1, 4), Codeword(0, 5)), "codeword bits 5 exceed reference width 4"),
+        (lambda: correctness_radius(-1), "bits must be >= 0"),
+        (lambda: generate_field(Topology.from_positions([(0.0, 0.0)]), 0, 1.0, 0), "n must be >= 1"),
+    ],
+)
+def test_functions_keep_their_validation_messages(build, message):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message
@@ -425,26 +445,30 @@ def near_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(near_cases())
 def test_bits_grid_matches_the_rows_and_pairwise_bits(case):
-    """budget_tails against a double loop over pairwise_bits and against the
-    step-table rows. Every layout but the huge one keeps its candidate pairs
-    under half, so the grid must be taken where the layout was scaled to the
-    last step (coincident nodes can add a step at 0); the huge one may fall
-    back. A singular budget raises from the call, before any row."""
+    """pair_tails against a double loop over pairwise_bits and against the
+    step-table rows, and budget_matrix against that loop mirrored. Every
+    layout but the huge one keeps its candidate pairs under half, so the grid
+    must be taken where the layout was scaled to the last step (coincident
+    nodes can add a step at 0); the huge one may fall back. A singular budget
+    raises from the call, before any row."""
     model, kind, points, s = case
     topo = Topology.from_positions(points)
     size = topo.size
     expected = outcome(lambda: [[str(pairwise_bits(model, topo.distance(i, j))) for j in range(i + 1, size)]
                                 for i in range(size)])
-    got = outcome(budget_tails, model, topo, str)
+    got = outcome(pair_tails, model, ConditioningRule.MIN, topo, str)
     if isinstance(expected, tuple):
         assert got == expected
         return
     assert [*got] == expected
+    assert budget_matrix(model, topo) == [[pairwise_bits(model, topo.distance(i, j)) if i != j else 0
+                                           for j in range(size)] for i in range(size)]
     steps, vals = schedule._step_table(model, topo)
-    row = schedule._lookup_rows(topo, steps, [*map(str, vals)])
+    labels = [*map(str, vals)]
+    row = schedule._lookup_rows(topo, steps, labels)
     assert [[*row(i, range(i + 1, size))] for i in range(size)] == expected
     if steps and steps[-1] == s and kind != "huge":
-        assert schedule._near_rows(topo, steps, vals) is not None
+        assert schedule._near_rows(topo, s, row, labels[-1]) is not None
 
 
 def test_bits_grid_falls_back_where_a_cell_index_overflows():
@@ -455,10 +479,10 @@ def test_bits_grid_falls_back_where_a_cell_index_overflows():
     points = [(-(2.0**1022), 0.0), (2.0**1022, 0.0)] + [(i / 1000, i % 7 / 1000) for i in range(60)]
     topo = Topology.from_positions(points)
     steps, vals = schedule._step_table(model, topo)
-    assert schedule._near_rows(topo, steps, vals) is None
-    assert schedule._near_rows(topo, [MAX_FLOAT], ["0", "1"]) is None
+    assert schedule._near_rows(topo, steps[-1], schedule._lookup_rows(topo, steps, vals), vals[-1]) is None
+    assert schedule._near_rows(topo, MAX_FLOAT, schedule._lookup_rows(topo, [MAX_FLOAT], ["0", "1"]), "1") is None
     expected = [[str(pairwise_bits(model, topo.distance(i, j))) for j in range(i + 1, 62)] for i in range(62)]
-    assert [*budget_tails(model, topo, str)] == expected
+    assert [*pair_tails(model, ConditioningRule.MIN, topo, str)] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -490,24 +514,32 @@ def test_grid_is_none_past_the_float_range():
 
 def test_bits_computes_only_near_pairs(monkeypatch):
     """500 uniform nodes on a 10 x 10 square and the field model (s = 2.23):
-    under 40% of the N(N-1)/2 distances are computed. A constant staircase
-    (beta = 0, or beta < 0 with alpha = 1, where every budget clamps to 0)
-    computes none. A power law whose last step (7) spans most of the square
-    reads every pair off the step table. topology holds the one distance
-    source, so a return to every pair reads all of them."""
+    bits' rows and budget_matrix each compute under 40% of the N(N-1)/2
+    distances. A constant staircase (beta = 0, or beta < 0 with alpha = 1,
+    where every budget clamps to 0) computes none. A power law whose last
+    step (7) spans most of the square reads every pair off the step table.
+    topology holds the one distance source, so a return to every pair reads
+    all of them."""
     counted, real = [], bitgather.topology.dist
     assert not hasattr(schedule, "dist")
     monkeypatch.setattr(bitgather.topology, "dist", lambda p, q: counted.append(1) or real(p, q))
     r = random.Random(0)
     topo = Topology.from_positions([(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(500)])
-    [*budget_tails(GaussianDecayModel(12, 1.0, 0.5), topo, str)]
+    field = GaussianDecayModel(12, 1.0, 0.5)
+    [*pair_tails(field, ConditioningRule.MIN, topo, str)]
+    assert len(counted) < 0.4 * 500 * 499 / 2
+    del counted[:]
+    budget_matrix(field, topo)
     assert len(counted) < 0.4 * 500 * 499 / 2
     del counted[:]
     for model in (GaussianDecayModel(12, 1.0, 0.0), GaussianDecayModel(12, 1.0, -0.5), PowerLawModel(8, 1.0, 0.0)):
-        rows = [*budget_tails(model, topo, str)]
-        assert rows == [[str(model.budget(1.0))] * (499 - i) for i in range(500)]
+        top = model.budget(1.0)
+        rows = [*pair_tails(model, ConditioningRule.MIN, topo, str)]
+        assert rows == [[str(top)] * (499 - i) for i in range(500)]
+        assert budget_matrix(model, topo) == [[top] * i + [0] + [top] * (499 - i) for i in range(500)]
     assert counted == []
     power = PowerLawModel(8, 1.0, 1.0)
-    assert schedule._near_rows(topo, *schedule._step_table(power, topo)) is None
-    [*budget_tails(power, topo, str)]
+    steps, vals = schedule._step_table(power, topo)
+    assert schedule._near_rows(topo, steps[-1], schedule._lookup_rows(topo, steps, vals), vals[-1]) is None
+    [*pair_tails(power, ConditioningRule.MIN, topo, str)]
     assert len(counted) == 500 * 499 / 2

@@ -47,6 +47,8 @@ def test_non_finite_coordinate_rejected():
         load_topology(["id,x,y", "0,nan,0"])
     with pytest.raises(TopologyError, match="line 2"):
         load_topology(["id,x,y", "0,inf,0"])
+    with pytest.raises(TopologyError, match=r"^non-finite coordinate for node 0$"):
+        Topology.from_positions([(math.nan, 0.0)])
 
 
 def test_empty_input_rejected():
@@ -54,6 +56,8 @@ def test_empty_input_rejected():
         load_topology([])
     with pytest.raises(TopologyError, match="empty"):
         load_topology(["id,x,y"])
+    with pytest.raises(TopologyError, match=r"^topology needs at least one node$"):
+        Topology.from_positions([])
 
 
 def test_bad_header_rejected():

@@ -158,6 +158,17 @@ ROWS = [
         "6309d38688f990b6afd2dabbdf4c5a501c09da05ed4e94a0bb51041d8ea329bd"),
     Row("n2000.csv", "bits --model 2 --beta -0.5", 10,
         "85969b83c0be3a6e98a8b4b106fa48306ce665390367f3fece3414b8c0f818cd"),
+    # Sampled stats build the mirrored pair table from the rows bits reads:
+    # on the field model (last step 2.23) the cell grid computes only the
+    # near pairs (about 0.9-1.1 s, 1.05-1.35 s when the table computed every
+    # pair), and beta < 0 with alpha = 1 is a constant staircase whose table
+    # computes no distance (about 0.5-0.55 s, 0.95-1.1 s before). Digests
+    # recorded when the table computed every pair; 10 s catches work far
+    # above O(N**2).
+    Row("n2000.csv", "stats --mode sampled --samples 200 --model 2 --n 12 --beta 0.5 --rule min", 10,
+        "da9d240936fb68e49f9cf57c44ff037489b0f3212db8ebf400ed126f4f7dbbc5"),
+    Row("n2000.csv", "stats --mode sampled --samples 200 --model 2 --beta -0.5 --rule max", 10,
+        "67aa5a246c82c9796348f5a0d37d2f54880409b0c62381e5cd5c8d2a9bc6de4a"),
     # Sampled schedules come from the package's own Fisher-Yates draws over
     # random.Random(seed).getrandbits, so these digests, recorded with
     # random.Random.shuffle's draws, hold on every Python. Each N=40 and N=62
