@@ -27,8 +27,9 @@ costs fewer calls than the pairs. Past the table's last step every pair has
 the top budget, so the table and bits compute only the pairs that
 Topology.grid cannot certify to be that far apart (_near_rows), where they
 are few enough to pay. One backward pass over the 2**N polled sets
-(Held & Karp 1962) gives the exhaustive statistics and the brute-force optimum;
-the two spanning-tree pairs instead run greedy_prim's _prim again, keyed
+(Held & Karp 1962) gives the exhaustive statistics and the brute-force optimum,
+under MIN and MAX by about one C-level merge of a pair-table row per set; the
+two spanning-tree pairs instead run greedy_prim's _prim again, keyed
 by an exact bound read off its first order: O(N**2) time, O(N) memory.
 Sampled permutations are scored by one backward scan of the order: each
 node reads its first earlier partner off its row ranked best first
@@ -65,7 +66,7 @@ from .correlation import (  # noqa: F401
 )
 from .topology import Topology
 
-# The polled-set pass folds a budget for each node and polled set,
+# The polled-set pass reads a budget for each node and polled set,
 # 16 * 2**15 = 524,288 at N = 16; beyond that exhaustive stats and brute
 # force outside the spanning pairs are refused.
 EXHAUSTIVE_LIMIT = 16
@@ -114,7 +115,7 @@ def _step_table(model: ModelSpec, topology: Topology) -> tuple[list, list] | Non
     size = topology.size
     if 64 * model.n + 2 >= size * (size - 1) // 2:
         return None
-    return budget_steps(model, zero=len(set(topology.positions)) < size)
+    return budget_steps(model, zero=topology.coincident)
 
 
 def _lookup_rows(topology: Topology, steps: list, vals: list) -> Callable[[int, Iterable[int]], Iterator]:
@@ -140,7 +141,7 @@ def _pair_rows(
         if table is not None:
             return _lookup_rows(topology, *table)
         pair = model.budget
-        if len(set(topology.positions)) < topology.size:  # only coincident nodes are at distance 0
+        if topology.coincident:
             pair(0.0)
     distances_from = topology.distances_from
     return lambda u, nodes: map(pair, distances_from(u, nodes))
@@ -253,7 +254,7 @@ def _walk(
         links = topology.nearest_links(order)
         bits = [budget(d) for d, _ in islice(links, 1, None)]
     else:  # the farthest partner sets it; a fold would meet each coincident pair's d = 0
-        if len(set(topology.positions)) < topology.size:
+        if topology.coincident:
             budget(0.0)  # raises where budget(0) is singular
         distances_from = topology.distances_from
         bits = [budget(max(distances_from(order[k], islice(order, k)))) for k in later]
@@ -330,8 +331,17 @@ def _exhaustive(
     of budget(v | S) + g(S | {v}). v follows S in |S|! (N - 1 - |S|)!
     schedules, which weights the exact integer sum of all totals. argmin and
     argmax take the lowest optimal v forward from the empty set: the
-    lexicographically first extremes. Budgets are folded afresh from the
-    pair table, so the pass keeps two ints per set.
+    lexicographically first extremes, their budgets folded afresh. The pass
+    keeps two ints per set.
+
+    Under ADDITIVE each budget(v | S) is folded afresh. Under MIN and MAX a
+    stack of N + 1 vectors (O(N**2) ints) holds in vecs[b] every node's
+    budget merged (min or max) over the members >= b of S; counting S down
+    rebuilds only the levels at and below its lowest set bit, about one
+    merge of a row per set. Each node's own entry is 0 under MIN and n under
+    MAX for the pass (0 again after), so the sum takes a member's share back
+    out, and g starts past every total, so a member (S | {v} is S) is never
+    the best. The empty set, every budget n, is closed last.
     """
     size = topology.size
     if size > EXHAUSTIVE_LIMIT:
@@ -346,12 +356,36 @@ def _exhaustive(
         out = [v for v in ids if not s >> v & 1]
         return [(v, fold(map(rows[v].__getitem__, members)) if s else model.n) for v in out]
 
-    lo, hi, acc = [0] * (full + 1), [0] * (full + 1), 0
-    for s in range(full - 1, -1, -1):  # every superset of s comes first
-        outs = budgets(s)
-        acc += sum(b for _, b in outs) * weights[size - len(outs)]
-        lo[s] = min(b + lo[s | 1 << v] for v, b in outs)
-        hi[s] = max(b + hi[s | 1 << v] for v, b in outs)
+    n, top = model.n, model.n * size + 1  # top: past every total, a set's value until it is passed
+    lo, hi, acc = [top] * (full + 1), [-top] * (full + 1), 0
+    lo[full] = hi[full] = 0
+    if rule is ConditioningRule.ADDITIVE:
+        for s in range(full - 1, 0, -1):  # every superset of s comes first
+            outs = budgets(s)
+            acc += sum(b for _, b in outs) * weights[size - len(outs)]
+            lo[s] = min(b + lo[s | 1 << v] for v, b in outs)
+            hi[s] = max(b + hi[s | 1 << v] for v, b in outs)
+    else:
+        merge, own = (min, 0) if rule is ConditioningRule.MIN else (max, n)
+        for v in ids:  # a member's budget folds its own entry, so it reads `own`
+            rows[v][v] = own
+        # the stack for the full set; vecs[size], the merge's identity on [0, n], is never rebuilt
+        vecs = [*accumulate(reversed(rows), lambda f, row: [*map(merge, f, row)], initial=[n - own] * size)][::-1]
+        bits, sums = [1 << v for v in ids], [0] * size  # sums[k]: sum(f) over the sets of k members
+        for s in range(full - 1, 0, -1):
+            h = (s ^ s + 1).bit_length() - 1  # s left out bit h of s + 1 and took every bit below it
+            f = vecs[h] = vecs[h + 1]
+            for b in range(h - 1, -1, -1):
+                f = vecs[b] = [*map(merge, f, rows[b])]
+            nx = [*map(operator.or_, repeat(s), bits)]
+            sums[s.bit_count()] += sum(f)
+            lo[s] = min(map(operator.add, f, map(lo.__getitem__, nx)))  # a member reads lo[s], still top
+            hi[s] = max(map(operator.add, f, map(hi.__getitem__, nx)))
+        for v in ids:
+            rows[v][v] = 0
+        acc = sum((t - own * k * math.comb(size, k)) * weights[k] for k, t in enumerate(sums))
+    acc += n * size * weights[0]  # the empty set: every node's budget is n
+    lo[0], hi[0] = n + min(lo[1 << v] for v in ids), n + max(hi[1 << v] for v in ids)
 
     def first(g: list[int]) -> tuple[int, ...]:
         s, order = 0, []

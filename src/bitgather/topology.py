@@ -34,6 +34,11 @@ class Topology(Frozen):
     def size(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def coincident(self) -> bool:
+        """Whether two nodes share a position: only such a pair is at distance 0."""
+        return len(set(self.positions)) < self.size
+
     @classmethod
     def from_positions(cls, positions: Sequence[tuple[float, float]]) -> "Topology":
         if not positions:

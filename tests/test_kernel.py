@@ -40,7 +40,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather.correlation import decay_sum
-from bitgather.schedule import _shuffles, _table, _total_fn
+from bitgather.schedule import _exhaustive, _shuffles, _table, _total_fn
 
 from conftest import mst_weight, oracle_descent, random_topology
 
@@ -176,6 +176,9 @@ def oracle_gather(model, rule, topo, order, field):
     return total, errors.count(0), max(errors)
 
 
+_PENTAGON = Topology.from_positions([(0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (2.5, 2.0), (1.0, 4.0)])
+
+
 @SETTINGS
 @given(
     st.one_of(
@@ -184,9 +187,18 @@ def oracle_gather(model, rule, topo, order, field):
         instances(max_nodes=7, rules=(ADD,), widths=st.just(2**53)),  # a bit per 2**-53 of sum
     )
 )
+@example((PowerLawModel(5, 1.0, 1.0), MAX, Topology.from_positions([(1.0, 2.0)])))  # the empty set alone
+@example((GaussianDecayModel(12, 1.0, 0.5), MIN, Topology.from_positions([(0.0, 0.0), (1.0, 0.5)])))
+@example((GaussianDecayModel(12, 1.0, 0.5), MAX, Topology.from_positions([(0.0, 0.0), (1.0, 0.5)])))
+@example((PowerLawModel(6, 2.0, 0.0), MIN, _PENTAGON))  # a constant staircase: every budget 2
+@example((PowerLawModel(6, 2.0, 0.0), MAX, _PENTAGON))
+@example((GaussianDecayModel(12, 0.1, -0.1), MIN, _PENTAGON))  # beta < 0: the farthest partner is the cheapest
+@example((GaussianDecayModel(12, 0.1, -0.1), MAX, _PENTAGON))
 def test_exhaustive_stats_match_enumeration(instance):
     model, rule, topo = instance
     assert schedule_stats(model, rule, topo, "exhaustive") == oracle_stats(model, rule, topo)
+    # brute-force optimize reports off the table the pass returns: the pass must leave it as _table built it
+    assert _exhaustive(model, rule, topo, "")[1] == _table(model, rule, topo)
 
 
 # Fixed below the polled-set pass's limit: oracle_mean makes N * 2**(N - 1)

@@ -36,7 +36,7 @@ def twins() -> list[tuple[float, float]]:
 
 # Each header echoes topology=<name>, so a renamed layout changes every digest.
 LAYOUTS = {
-    **{f"n{size}.csv": functools.partial(uniform, size) for size in (10, 14, 16, 17, 40, 500, 2000, 2001)},
+    **{f"n{size}.csv": functools.partial(uniform, size) for size in (8, 10, 12, 14, 16, 17, 40, 50, 500, 2000, 2001)},
     "n200_seed3.csv": functools.partial(uniform, 200, 3),
     "twins.csv": twins,
 }
@@ -91,6 +91,16 @@ ROWS = [
         "d8f5f4b94c3db4a448d5792dcd7bea762346d95fe4ee28f84637347fd5506858"),
     Row("n16.csv", "stats --mode exhaustive --model 2 --rule additive", 10,
         "aa896bff2ce66e9b9af446ef5d32e2e74693ccc8ccaf18176e64acb8e4cab5d8"),
+    # Under MIN and MAX the pass keeps every node's budget as a vector and
+    # merges about one pair-table row onto it per polled set: about
+    # 0.55-0.85 s each at N=16 (0.8-1.45 s when each budget was folded
+    # afresh per set, when these digests were recorded).
+    Row("n16.csv", "stats --mode exhaustive --model 1 --rule min", 10,
+        "7fcaa6fd10491cc1b4471c51a643524a993df15d0449475f8dd3680a5cbc761f"),
+    Row("n16.csv", "stats --mode exhaustive --model 1 --rule max", 10,
+        "71fddb5a2128291a1b22aa331b16272424cb731f00de48660758a8a75efe4287"),
+    Row("n16.csv", "optimize --strategy brute_force --model 1 --rule max --objective minimize", 10,
+        "13686216611424a67eaecaed9f8c64cbbabff528e918ba3acfb470d03607218e"),
     Row("n17.csv", "stats --mode exhaustive --model 2 --rule additive", 5, 4),
     # The spanning-pair brute force reruns greedy_prim's Prim loop keyed by
     # an exact bound, in O(N**2) time and O(N) memory. At N=2000, the largest
