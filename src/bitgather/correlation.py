@@ -11,7 +11,8 @@ Both depend on distance only, so the pairwise budget is symmetric by
 construction. Both are monotone in d: non-decreasing for beta > 0,
 non-increasing for beta < 0, constant for beta = 0. So a budget is a
 staircase of at most n + 1 values; budget_steps tabulates its steps, and
-a lookup in that table replaces a budget call per pair. Conditioning on
+a lookup in that table replaces a budget call per pair (sum_steps does the
+same for decay_bits over a summed decay term). Conditioning on
 a set of already-transmitted nodes uses one of three rules: nearest prior
 node (MIN), farthest prior node (MAX), or a summed exponential term
 (ADDITIVE, Gaussian-decay parameters only): the exact sum of the prior
@@ -174,6 +175,34 @@ def budget_steps(model: ModelSpec, zero: bool) -> tuple[list[float], list[int]]:
     if v_lo != v_top:
         split(lo, v_lo, _TOP, v_top)
     return steps, [v_lo, *vals]
+
+
+def sum_steps(model: GaussianDecayModel) -> list[float]:
+    """decay_bits' staircase over a summed decay term: decay_bits(s) ==
+    n - bisect_right(steps, s) for every s in [0, inf], steps[j] the least s
+    with decay_bits(s) < n - j (inf past the largest float). Each step is
+    seeded where n * (1 - alpha * s) crosses the next value plus CEIL_SNAP,
+    then pinned over float bit patterns (inf's follows the largest float's)
+    with decay_bits as the oracle, galloping out from the seed and then
+    bisecting: a few calls a step. Like budget_steps it trusts monotonicity.
+    """
+    n, alpha, bits = model.n, model.alpha, model.decay_bits
+    steps, lo = [], 0  # decay_bits(0.0) is n
+    while len(steps) < n:
+        v = n - len(steps)  # decay_bits at lo
+        seed = struct.unpack("Q", struct.pack("d", (1.0 - (v - 1 + CEIL_SNAP) / n) / alpha))[0]
+        hi, probe, step = _TOP + 1, min(max(seed, lo + 1), _TOP), 1  # bits(lo) == v > bits(hi)
+        while hi - lo > 1:
+            if not lo < probe < hi:  # the gallop left (lo, hi): bisect from here on
+                probe, step = (lo + hi) // 2, 0
+            if bits(_float(probe)) < v:
+                hi, probe = probe, probe - step
+            else:
+                lo, probe = probe, probe + step
+            step *= 2
+        steps += [_float(hi)] * (v - bits(_float(hi)))
+        lo = hi
+    return steps
 
 
 def decay_sum(terms: Iterable[float]) -> float:

@@ -27,9 +27,11 @@ costs fewer calls than the pairs. Past the table's last step every pair has
 the top budget, so the table and bits compute only the pairs that
 Topology.grid cannot certify to be that far apart (_near_rows), where they
 are few enough to pay. One backward pass over the 2**N polled sets
-(Held & Karp 1962) gives the exhaustive statistics and the brute-force optimum,
-under MIN and MAX by about one C-level merge of a pair-table row per set; the
-two spanning-tree pairs instead run greedy_prim's _prim again, keyed
+(Held & Karp 1962) gives the exhaustive statistics and the brute-force optimum
+at about one C-level row operation per set: under MIN and MAX a merge of a
+pair-table row, under ADDITIVE an update of exact integer sums, each read
+off the integer thresholds of the sum's staircase. The two spanning-tree
+pairs instead run greedy_prim's _prim again, keyed
 by an exact bound read off its first order: O(N**2) time, O(N) memory.
 Sampled permutations are scored by one backward scan of the order: each
 node reads its first earlier partner off its row ranked best first
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -63,6 +65,7 @@ from .correlation import (  # noqa: F401
     decay_sum,
     pairwise_bits,
     require_decay,
+    sum_steps,
 )
 from .topology import Topology
 
@@ -319,83 +322,154 @@ def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Cal
     return scanned
 
 
-def _exhaustive(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology, advice: str
-) -> tuple[ScheduleStats, list[list]]:
-    """Exact statistics over all N! schedules from one backward pass over
-    the 2**N polled sets (Held & Karp 1962), and the _table they read;
-    refused, with `advice`, for N > EXHAUSTIVE_LIMIT before any budget is computed.
-
-    A node's budget depends only on the set S polled before it, so the least
-    and greatest totals of the nodes after S are g(S) = best over v not in S
-    of budget(v | S) + g(S | {v}). v follows S in |S|! (N - 1 - |S|)!
-    schedules, which weights the exact integer sum of all totals. argmin and
-    argmax take the lowest optimal v forward from the empty set: the
-    lexicographically first extremes, their budgets folded afresh. The pass
-    keeps two ints per set.
-
-    Under ADDITIVE each budget(v | S) is folded afresh. Under MIN and MAX a
-    stack of N + 1 vectors (O(N**2) ints) holds in vecs[b] every node's
-    budget merged (min or max) over the members >= b of S; counting S down
-    rebuilds only the levels at and below its lowest set bit, about one
-    merge of a row per set. Each node's own entry is 0 under MIN and n under
-    MAX for the pass (0 again after), so the sum takes a member's share back
-    out, and g starts past every total, so a member (S | {v} is S) is never
-    the best. The empty set, every budget n, is closed last.
+def _exact_sums(model: ModelSpec, rows: list[list], most: int) -> tuple:
+    """Puts _table's ADDITIVE rows on exact negated ints in place: a finite
+    term x becomes -x * scale, scale = 2**e for e the most fractional bits of
+    any term, so a sum t is exact and -t / scale rounds it once, as
+    decay_sum does. Returns (thr, scale, mark): t has budget
+    bisect_left(thr, t), thr holding minus the least int at or past each of
+    sum_steps' steps; where the staircase could have more than `most` steps
+    thr is None and the budget is decay_bits(-t / scale) above mark. Each
+    node's own entry and each inf term become mark, below every finite term
+    and threshold: budget 0.
     """
-    size = topology.size
-    if size > EXHAUSTIVE_LIMIT:
-        raise InfeasibleError(f"exhaustive enumeration refused for N={size} > {EXHAUSTIVE_LIMIT}; {advice}")
-    rows, fold = _table(model, rule, topology), _fold(model, rule)
+    inf = math.inf
+    finite = [*filter(math.isfinite, chain.from_iterable(rows))]  # the diagonal's ints 0 among them
+    scale = 1 << max(x.as_integer_ratio()[1] for x in finite).bit_length() - 1
+    mark = ((1 << 1024) - (1 << 970)) * scale  # the least t whose t / scale rounds to inf
+
+    def exact(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return num * (scale // den)
+
+    thr = None
+    if model.n <= most:
+        thr = []
+        for step in reversed(sum_steps(model)):  # the least t with t / scale >= step:
+            t = mark  # up from the midpoint of step and the float below it
+            if step < inf:
+                (a, b), (c, d) = step.as_integer_ratio(), math.nextafter(step, 0.0).as_integer_ratio()
+                t = (a * d + c * b) * scale // (2 * b * d)
+                while t / scale < step:
+                    t += 1
+            thr.append(-t)
+        thr, mark = tuple(thr), max(-thr[0], exact(max(finite)) + 1)
+    mark = -mark
+    for u, row in enumerate(rows):
+        for v in range(u + 1, len(rows)):
+            row[v] = rows[v][u] = -exact(row[v]) if row[v] < inf else mark
+        row[u] = mark
+    return thr, scale, mark
+
+
+def _polled_sets(
+    model: ModelSpec, rule: ConditioningRule, rows: list[list], pick: Callable | None
+) -> tuple:
+    """_exhaustive's pass over the polled sets S but the empty one, on the
+    rule's _table rows (left as they were): lo[S] and hi[S], the least and
+    greatest totals of the nodes after S (given `pick`, only its own), and
+    sums[k], every node's budgets summed over the sets of k members.
+
+    Counting S down, a vector f holds every node's budget given S, at about
+    one C-level row operation per set. Under ADDITIVE f is read off x, the
+    exact sums over S (_exact_sums): y, the sums over S less node 0, plus
+    node 0's row where S holds node 0. Every other S drops node 0 and keeps
+    y; the others take a row out of y and add rows to it. Under MIN and MAX
+    vecs[b] holds every node's budget merged over the members >= b of S,
+    and only the levels below the bit S left out of S + 1 are rebuilt. Each
+    node's own entry fixes a member's budget at 0 (n under MAX, taken back
+    out of sums), and lo and hi start past every total, so a member
+    (S | {v} is S) is never the best.
+    """
+    size, n, additive = len(rows), model.n, rule is ConditioningRule.ADDITIVE
     ids, full = range(size), (1 << size) - 1
-    weights = [math.factorial(k) * math.factorial(size - 1 - k) for k in ids]
-
-    def budgets(s: int) -> list[tuple[int, int]]:
-        """(v, budget(v | S)) for each node v outside the set S, in id order."""
-        members = [u for u in ids if s >> u & 1]
-        out = [v for v in ids if not s >> v & 1]
-        return [(v, fold(map(rows[v].__getitem__, members)) if s else model.n) for v in out]
-
-    n, top = model.n, model.n * size + 1  # top: past every total, a set's value until it is passed
-    lo, hi, acc = [top] * (full + 1), [-top] * (full + 1), 0
-    lo[full] = hi[full] = 0
-    if rule is ConditioningRule.ADDITIVE:
-        for s in range(full - 1, 0, -1):  # every superset of s comes first
-            outs = budgets(s)
-            acc += sum(b for _, b in outs) * weights[size - len(outs)]
-            lo[s] = min(b + lo[s | 1 << v] for v, b in outs)
-            hi[s] = max(b + hi[s | 1 << v] for v, b in outs)
+    if additive:
+        # a staircase step costs about 30 labels by decay_bits in place of a bisection,
+        # and 2**N / 8 thresholds take under half the memory of lo and hi: the most steps
+        thr, scale, mark = _exact_sums(model, rows, 1 << size >> 3)
+        own, x = 0, [*map(sum, rows)]  # x: every node's exact sum over the full set
+        y = [*map(operator.sub, x, rows[0])]  # y: over its members but node 0
     else:
         merge, own = (min, 0) if rule is ConditioningRule.MIN else (max, n)
         for v in ids:  # a member's budget folds its own entry, so it reads `own`
             rows[v][v] = own
         # the stack for the full set; vecs[size], the merge's identity on [0, n], is never rebuilt
         vecs = [*accumulate(reversed(rows), lambda f, row: [*map(merge, f, row)], initial=[n - own] * size)][::-1]
-        bits, sums = [1 << v for v in ids], [0] * size  # sums[k]: sum(f) over the sets of k members
-        for s in range(full - 1, 0, -1):
-            h = (s ^ s + 1).bit_length() - 1  # s left out bit h of s + 1 and took every bit below it
+    top = n * size + 1  # past every total
+    lo = None if pick is max else [top] * (full + 1)
+    hi = None if pick is min else [-top] * (full + 1)
+    for g in filter(None, (lo, hi)):
+        g[full] = 0  # no node follows the full set
+    bits, sums = [1 << v for v in ids], [0] * size  # sums[k]: sum(f) over the sets of k members
+    for s in range(full - 1, 0, -1):
+        h = (s ^ s + 1).bit_length() - 1  # s left out bit h of s + 1 and took every bit below it
+        if additive:  # s holds node 0 where h > 0
+            if h:
+                y = [*map(operator.sub, y, rows[h])]
+                for b in range(1, h):
+                    y = [*map(operator.add, y, rows[b])]
+                x = [*map(operator.add, y, rows[0])]
+            else:
+                x = y
+            f = ([*map(bisect_left, repeat(thr), x)] if thr else
+                 [model.decay_bits(-t / scale) if t > mark else 0 for t in x])
+        else:
             f = vecs[h] = vecs[h + 1]
             for b in range(h - 1, -1, -1):
                 f = vecs[b] = [*map(merge, f, rows[b])]
-            nx = [*map(operator.or_, repeat(s), bits)]
+        if pick is None:
             sums[s.bit_count()] += sum(f)
-            lo[s] = min(map(operator.add, f, map(lo.__getitem__, nx)))  # a member reads lo[s], still top
+        nx = [*map(operator.or_, repeat(s), bits)]
+        if lo:  # a member reads lo[s], still past every total
+            lo[s] = min(map(operator.add, f, map(lo.__getitem__, nx)))
+        if hi:
             hi[s] = max(map(operator.add, f, map(hi.__getitem__, nx)))
-        for v in ids:
-            rows[v][v] = 0
-        acc = sum((t - own * k * math.comb(size, k)) * weights[k] for k, t in enumerate(sums))
-    acc += n * size * weights[0]  # the empty set: every node's budget is n
-    lo[0], hi[0] = n + min(lo[1 << v] for v in ids), n + max(hi[1 << v] for v in ids)
+    for u in ids:
+        if additive:  # -t / scale is the term above mark, exactly
+            for v in range(u + 1, size):
+                rows[u][v] = rows[v][u] = -rows[u][v] / scale if rows[u][v] > mark else math.inf
+        rows[u][u] = 0
+    return lo, hi, [t - own * k * math.comb(size, k) for k, t in enumerate(sums)]
 
-    def first(g: list[int]) -> tuple[int, ...]:
+
+def _exhaustive(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, advice: str, pick: Callable | None = None
+) -> tuple[ScheduleStats | tuple[int, ...], list[list]]:
+    """Exact statistics over all N! schedules from one backward pass over
+    the 2**N polled sets (Held & Karp 1962), or given `pick` (min or max)
+    only its extreme's schedule, and the _table they read; refused, with
+    `advice`, for N > EXHAUSTIVE_LIMIT before any budget is computed.
+
+    A node's budget depends only on the set S polled before it, so the least
+    and greatest totals of the nodes after S are g(S) = best over v not in S
+    of budget(v | S) + g(S | {v}) (_polled_sets). v follows S in
+    |S|! (N - 1 - |S|)! schedules, which weights the exact integer sum of
+    all totals. argmin and argmax take the lowest optimal v forward from the
+    empty set, their budgets folded afresh: the lexicographically first.
+    """
+    size = topology.size
+    if size > EXHAUSTIVE_LIMIT:
+        raise InfeasibleError(f"exhaustive enumeration refused for N={size} > {EXHAUSTIVE_LIMIT}; {advice}")
+    rows, n, ids, full = _table(model, rule, topology), model.n, range(size), (1 << size) - 1
+    lo, hi, sums = _polled_sets(model, rule, rows, pick)
+    fold = _fold(model, rule)
+
+    def first(g: list[int], best: Callable) -> tuple[int, ...]:
+        g[0] = n + best(g[1 << v] for v in ids)  # the empty set: every budget n
         s, order = 0, []
         while s != full:
-            order.append(next(v for v, b in budgets(s) if b + g[s | 1 << v] == g[s]))
+            prior = [u for u in ids if s >> u & 1]
+            order.append(next(v for v in ids if not s >> v & 1 and g[s | 1 << v] + (
+                fold(map(rows[v].__getitem__, prior)) if s else n) == g[s]))
             s |= 1 << order[-1]
         return tuple(order)
 
-    count = math.factorial(size)
-    return ScheduleStats(acc / count, lo[0], hi[0], first(lo), first(hi), count, exhaustive=True), rows
+    if pick is not None:
+        return first(lo or hi, pick), rows
+    weights = [math.factorial(k) * math.factorial(size - 1 - k) for k in ids]
+    acc = sum(map(operator.mul, sums, weights)) + n * size * weights[0]  # the empty set: every budget n
+    argmin, argmax, count = first(lo, min), first(hi, max), math.factorial(size)
+    return ScheduleStats(acc / count, lo[0], hi[0], argmin, argmax, count, exhaustive=True), rows
 
 
 def _shuffles(seed: int, size: int) -> Iterator[list[int]]:
@@ -598,9 +672,11 @@ def optimize(
         candidates = [tuple(_prim(s, n_nodes, row, aim, min)[0]) for aim in aims for s in range(n_nodes)]
         pick = min if objective == "minimize" else max  # both keep the first extreme
         best = pick(candidates, key=_total_fn(model, rule, rows))
-    elif strategy in ("brute_force", "random_restart"):
-        stats, rows = (_exhaustive(model, rule, topology, "use random_restart or greedy_prim")
-                       if strategy == "brute_force" else _sample(model, rule, topology, count, seed))
+    elif strategy == "brute_force":
+        pick = min if objective == "minimize" else max
+        best, rows = _exhaustive(model, rule, topology, "use random_restart or greedy_prim", pick)
+    elif strategy == "random_restart":
+        stats, rows = _sample(model, rule, topology, count, seed)
         best = stats.argmin if objective == "minimize" else stats.argmax
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import random
+import struct
 import sys
 from fractions import Fraction
 from statistics import fmean
@@ -39,7 +40,7 @@ from bitgather import (
     pairwise_bits,
     schedule_stats,
 )
-from bitgather.correlation import decay_sum
+from bitgather.correlation import decay_sum, sum_steps
 from bitgather.schedule import _exhaustive, _shuffles, _table, _total_fn
 
 from conftest import mst_weight, oracle_descent, random_topology
@@ -179,6 +180,41 @@ def oracle_gather(model, rule, topo, order, field):
 _PENTAGON = Topology.from_positions([(0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (2.5, 2.0), (1.0, 4.0)])
 
 
+_TOP = sys.float_info.max  # (2**53 - 1) * 2**971; halfway to 2**1024 is _TOP + 2**970
+
+
+def star(model, terms):
+    """A topology in which node 0's decay terms to nodes 1, 2, ... are `terms`
+    and every other pair's term is 0: the model now reads its terms from a
+    table keyed by node 0's exact distances, 3**i to node i."""
+    topo = Topology.from_positions([(0.0, 0.0), *((3.0**i, 0.0) for i in range(1, len(terms) + 1))])
+    table = dict(zip(topo.distances_from(0, range(1, topo.size)), terms))
+    others = {d for i in range(1, topo.size) for d in topo.distances_from(i, range(i + 1, topo.size))}
+    assert len(table) == len(terms) and not others & table.keys()
+    vars(model)["decay_term"] = (table | dict.fromkeys(others, 0.0)).__getitem__
+    return topo
+
+
+def additive_star(n, terms, alpha=5e-324):
+    """(model, ADD, star(model, terms)), the terms padded with 0.0 to six
+    nodes, where n = 8 reads the polled-set pass's staircase (2**6 / 8 = 8
+    steps); the default alpha leaves bits over at a sum of _TOP and none at
+    inf."""
+    model = GaussianDecayModel(n, alpha, 1.0)
+    return model, ADD, star(model, [*terms, *[0.0] * (5 - len(terms))])
+
+
+def midpoint_star(parity):
+    """An additive_star whose two terms sum exactly to the midpoint of a step
+    of sum_steps and the float below it, for a step whose last mantissa bit
+    is `parity`: the sum rounds to the step where it is 0 (ties to even) and
+    below it where it is 1."""
+    steps = sum_steps(GaussianDecayModel(8, 1.0, 1.0))
+    step = next(s for s in steps if struct.unpack("Q", struct.pack("d", s))[0] & 1 == parity)
+    below = math.nextafter(step, 0.0)
+    return additive_star(8, [below, (step - below) / 2], alpha=1.0)
+
+
 @SETTINGS
 @given(
     st.one_of(
@@ -194,6 +230,22 @@ _PENTAGON = Topology.from_positions([(0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (2.5, 2
 @example((PowerLawModel(6, 2.0, 0.0), MAX, _PENTAGON))
 @example((GaussianDecayModel(12, 0.1, -0.1), MIN, _PENTAGON))  # beta < 0: the farthest partner is the cheapest
 @example((GaussianDecayModel(12, 0.1, -0.1), MAX, _PENTAGON))
+# ADDITIVE sums on the staircase's integer thresholds (n <= 2**N / 8): the
+# last step at inf (every inf term's sum has budget 0, a finite one 4),
+# every term 1 with sums exactly on the steps, alpha > 1, and sums at the
+# float range's edge: halfway to 2**1024 rounds to inf, just below it and
+# _TOP plus the least float stay finite, and sums exactly halfway between a
+# step and the float below it. The last, at n = 2**53, labels each sum by
+# decay_bits.
+@example((GaussianDecayModel(4, 5e-324, -50.0), ADD, _PENTAGON))
+@example((GaussianDecayModel(4, 0.25, 0.0), ADD, _PENTAGON))
+@example((GaussianDecayModel(4, 2.5, 0.3), ADD, _PENTAGON))
+@example(additive_star(8, [_TOP, 2.0**970]))
+@example(additive_star(8, [_TOP, 2.0**970 - 2.0**918, 1.0]))
+@example(additive_star(8, [_TOP, 5e-324]))
+@example(midpoint_star(0))
+@example(midpoint_star(1))
+@example(additive_star(2**53, [_TOP, 2.0**970 - 2.0**918]))
 def test_exhaustive_stats_match_enumeration(instance):
     model, rule, topo = instance
     assert schedule_stats(model, rule, topo, "exhaustive") == oracle_stats(model, rule, topo)
@@ -433,18 +485,6 @@ def test_brute_force_where_bounds_are_tight(model, rule, objective, positions):
     assert order == (expected.argmin if objective == "minimize" else expected.argmax)
 
 
-def star(model, terms):
-    """A topology in which node 0's decay terms to nodes 1, 2, ... are `terms`
-    and every other pair's term is 0: the model now reads its terms from a
-    table keyed by node 0's exact distances, 3**i to node i."""
-    topo = Topology.from_positions([(0.0, 0.0), *((3.0**i, 0.0) for i in range(1, len(terms) + 1))])
-    table = dict(zip(topo.distances_from(0, range(1, topo.size)), terms))
-    others = {d for i in range(1, topo.size) for d in topo.distances_from(i, range(i + 1, topo.size))}
-    assert len(table) == len(terms) and not others & table.keys()
-    vars(model)["decay_term"] = (table | dict.fromkeys(others, 0.0)).__getitem__
-    return topo
-
-
 def test_additive_floor_covers_every_polling_order():
     # summed as running floats in the order a, c, b these terms round one ulp
     # above their exact sum, and at n = 2**40 an ulp is a whole bit
@@ -458,9 +498,6 @@ def test_additive_floor_covers_every_polling_order():
     assert exact == model.decay_bits(math.fsum(terms)) and exact in running
     for order in itertools.permutations([1, 2, 3]):
         assert evaluate(model, ADD, topo, [*order, 0]).per_node[-1] == (0, exact)
-
-
-_TOP = sys.float_info.max  # (2**53 - 1) * 2**971; halfway to 2**1024 is _TOP + 2**970
 
 
 @pytest.mark.parametrize(

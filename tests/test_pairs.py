@@ -43,7 +43,7 @@ from bitgather import (
 import bitgather.topology
 from bitgather import schedule
 from bitgather.cli import main
-from bitgather.correlation import budget_steps
+from bitgather.correlation import budget_steps, sum_steps
 from bitgather.schedule import pair_tails
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -273,6 +273,33 @@ def test_step_table_matches_the_closure(model, drawn, zero):
     ends = {*range(lo, lo + 300), *range(top - 300, top + 1)}
     for d in [*map(_float, near | ends), *(d for d in drawn if d > 0 or zero)]:
         assert vals[bisect_right(steps, d)] == budget(d), d
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 12, 1000])
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 0.3, 1.0, 2.5, 1e308])
+def test_sum_staircase_matches_bisection(n, alpha):
+    """sum_steps against plain bisection of decay_bits over every float bit
+    pattern from 0.0 to inf, the pattern after the largest float: each step's
+    first pattern, once per bit the budget drops there. Below alpha of about
+    5.6e-309 a sum of the largest float leaves bits over, so the staircase
+    ends at inf."""
+    model = GaussianDecayModel(n, alpha, 1.0)
+    bits, want = model.decay_bits, []
+
+    def split(a, va, b, vb):  # va = bits at pattern a > bits at pattern b = vb
+        if b - a == 1:
+            want.extend([_float(b)] * (va - vb))
+            return
+        m = (a + b) // 2
+        vm = bits(_float(m))
+        if vm != va:
+            split(a, va, m, vm)
+        if vm != vb:
+            split(m, vm, b, vb)
+
+    split(0, n, _bits(math.inf), 0)
+    assert sum_steps(model) == want
+    assert (want[-1] == math.inf) == (bits(MAX_FLOAT) > 0) == (alpha < 1e-300)
 
 
 # Few distinct points make duplicates; the extremes make overflowing pairs.

@@ -6,7 +6,7 @@ run records the machine too: core count, Python version, machine type, and
 the git commit of the imported bitgather (with whether its sources differ
 from that commit). Run from the repository root:
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_33.json --label change
+    PYTHONPATH=src python tools/ladder.py --out BENCH_34.json --label change
 
 --out appends the run to the file's "runs", so one file can hold a parent
 run and a change run. --layout puts every row on one layout, as a quick
@@ -35,7 +35,7 @@ from bitgather import ConditioningRule, GaussianDecayModel, PowerLawModel, Topol
 from bitgather.schedule import _exhaustive, optimize, pair_tails, schedule_stats
 from test_pinned import LAYOUTS  # the script's own directory is first on sys.path
 
-MIN, MAX = ConditioningRule.MIN, ConditioningRule.MAX
+MIN, MAX, ADDITIVE = ConditioningRule.MIN, ConditioningRule.MAX, ConditioningRule.ADDITIVE
 ENUMERATE = GaussianDecayModel(8, 1.0, 0.05)  # the benchmark's enumerate model
 SEARCH = PowerLawModel(8, 1.0, 1.0)  # its search model
 FIELD = GaussianDecayModel(12, 1.0, 0.5)  # its field model
@@ -43,6 +43,11 @@ FIELD = GaussianDecayModel(12, 1.0, 0.5)  # its field model
 
 def _polled_sets(rule: ConditioningRule) -> Callable[[Topology], Callable[[], object]]:
     return lambda topo: lambda: _exhaustive(ENUMERATE, rule, topo, "")
+
+
+def _brute_force(rule: ConditioningRule) -> Callable[[Topology], Callable[[], object]]:
+    """brute_force minimizing, outside the spanning pairs: the pass's argmin alone."""
+    return lambda topo: lambda: optimize(ENUMERATE, rule, topo, "minimize", "brute_force")
 
 
 def _shuffled(topo: Topology) -> list[int]:
@@ -56,6 +61,8 @@ def _shuffled(topo: Topology) -> list[int]:
 ROWS: list[tuple[str, str, Callable[[Topology], Callable[[], object]]]] = [
     *((f"_exhaustive {rule.value}", f"n{size}.csv", _polled_sets(rule))
       for size in (8, 12, 14, 16) for rule in ConditioningRule),
+    *((f"optimize brute_force {rule.value} minimize", f"n{size}.csv", _brute_force(rule))
+      for size in (14, 16) for rule in (ADDITIVE, MAX)),
     ("stats sampled 5000 max", "n50.csv",
      lambda topo: lambda: schedule_stats(SEARCH, MAX, topo, "sampled", count=5000, seed=1)),
     ("optimize greedy_prim min", "n200_seed3.csv",

@@ -62,8 +62,10 @@ ROWS = [
     # Exhaustive stats, under every rule, and brute force outside the two
     # spanning-tree pairs pass over the 2**N polled sets instead of the N!
     # schedules; the spanning pairs descend one path by an exact bound. Each
-    # call at N=10 takes about 0.1-0.15 s, a hard pair at N=14 about 0.3-0.55 s
-    # and exhaustive additive stats at N=16 (the limit) about 1.3-2.1 s. N=17
+    # call at N=10 takes about 0.1-0.15 s, a hard pair at N=14 about 0.25 s
+    # and exhaustive additive stats at N=16 (the limit) about 0.6-1 s, since
+    # the pass reads each ADDITIVE budget off exact integer sums (1.3-2.1 s
+    # when each was folded afresh, when these digests were recorded). N=17
     # is refused before any budget is computed.
     Row("n10.csv", "stats --mode exhaustive --model 1 --rule min", 5,
         "fdc2d3f5da15e4ede46234d32e7edf929a6207da4116d74764d081863b06562a"),
@@ -91,6 +93,20 @@ ROWS = [
         "d8f5f4b94c3db4a448d5792dcd7bea762346d95fe4ee28f84637347fd5506858"),
     Row("n16.csv", "stats --mode exhaustive --model 2 --rule additive", 10,
         "aa896bff2ce66e9b9af446ef5d32e2e74693ccc8ccaf18176e64acb8e4cab5d8"),
+    # The integer pass at its edges, digests recorded when each budget was
+    # folded afresh: at alpha = 1e-320 and beta = -20 some sums overflow to
+    # inf and the staircase's last step is inf (min 16 < mean 30.93 < max 48);
+    # at n = 2**53 the staircase could have more steps than the pass has
+    # budgets, so each sum is labelled by decay_bits; and the benchmark's
+    # enumerate model at the limit.
+    Row("n10.csv", "stats --mode exhaustive --model 2 --n 8 --alpha 1e-320 --beta -20 --rule additive", 10,
+        "4a9315a1991e09eaab42037b3124f1c54a81ad9e5d8cb05852af4e2d32f293bf"),
+    Row("n10.csv", "optimize --strategy brute_force --model 2 --n 8 --alpha 1e-320 --beta -20 --rule additive "
+        "--objective minimize", 10, "234c3ae5300f617954a8b3121d17d30e0507f736b8a8e9c0a11a127d5a01389a"),
+    Row("n10.csv", "stats --mode exhaustive --model 2 --n 9007199254740992 --beta 0.05 --rule additive", 10,
+        "0282ec13976ce9cbcedacf85d5951a404b701b66a4275edf77f434e8702d1afa"),
+    Row("n16.csv", "stats --mode exhaustive --model 2 --n 8 --beta 0.05 --rule additive", 10,
+        "3b022ba8fda0ed945ceaf8cfabaca415fe6b45fb31388874005f548a331982e0"),
     # Under MIN and MAX the pass keeps every node's budget as a vector and
     # merges about one pair-table row onto it per polled set: about
     # 0.55-0.85 s each at N=16 (0.8-1.45 s when each budget was folded
