@@ -314,8 +314,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glued(argv: Sequence[str]) -> list[str]:
+    """argv with each negative number that follows a flag taking a value
+    joined to it, --beta -1e-3 as --beta=-1e-3: argparse reads such a word
+    as a flag of its own where its negative-number pattern, which differs
+    between Python releases, does not match it (an exponent, inf or nan)."""
+    valued = {"--config", "--out", *(f"--{name.replace('_', '-')}" for _h, _l, options in _COMMANDS.values()
+                                     for name, conv, *_ in options if conv is not _bool)}
+    words: list[str] = []
+    for text in argv:
+        if words and words[-1] in valued and text.startswith("-"):
+            with contextlib.suppress(ValueError):  # raised by a word that is no number
+                float(text)
+                words[-1] += "=" + text
+                continue
+        words.append(text)
+    return words
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_glued(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve(args.command, args)
         model = _build_model(cfg)

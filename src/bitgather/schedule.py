@@ -18,21 +18,20 @@ gives the pair values, _fold the fold, pair_tails the pair table's upper
 triangle a row at a time and mirrored its full rows, which _table keeps and
 bits streams. A budget is monotone in distance, so under MIN and MAX a
 walk (evaluate, and the simulator's gather and sweep) reads each node's
-budget off one distance:
-its nearest earlier node's, from one sorted sweep of the order
-(Topology.nearest_links), or the farthest of its prefix; under ADDITIVE
-it folds the prefix. The pair rows (the table, bits, Prim and the spanning
-descent) read pairwise budgets off the model's step table where finding its steps
-costs fewer calls than the pairs. Past the table's last step every pair has
-the top budget, so the table and bits compute only the pairs that
-Topology.grid cannot certify to be that far apart (_near_rows), where they
-are few enough to pay. One backward pass over the 2**N polled sets
-(Held & Karp 1962) gives the exhaustive statistics and the brute-force optimum
-at about one C-level row operation per set: under MIN and MAX a merge of a
-pair-table row, under ADDITIVE an update of exact integer sums, each read
-off the integer thresholds of the sum's staircase. The two spanning-tree
-pairs instead run greedy_prim's _prim again, keyed
-by an exact bound read off its first order: O(N**2) time, O(N) memory.
+budget off one distance: its nearest earlier node's, from one sorted sweep
+of the order (Topology.nearest_links), or the farthest of its prefix; under
+ADDITIVE it folds the prefix. The pair rows (the table, bits, Prim and the
+spanning descent) read pairwise budgets off the model's step table where
+finding its steps costs fewer calls than the pairs, or two calls show it
+constant. Past the table's last step every pair has the top budget, so the
+table and bits compute only the pairs that Topology.grid cannot certify to
+be that far apart (_near_rows), where they are few enough to pay. One
+backward pass over the 2**N polled sets (Held & Karp 1962) gives the
+exhaustive statistics and the brute-force optimum, under every rule from
+one vector of exact integer sums over the set (_exact_sums) at about one
+C-level row operation and one labelling per set. The two spanning-tree
+pairs instead run greedy_prim's _prim again, keyed by an exact bound read
+off its first order: O(N**2) time, O(N) memory.
 Sampled permutations are scored by one backward scan of the order: each
 node reads its first earlier partner off its row ranked best first
 (ADDITIVE folds its prefix).
@@ -113,12 +112,14 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
 def _step_table(model: ModelSpec, topology: Topology) -> tuple[list, list] | None:
     """The model's budget staircase (budget_steps) where finding its steps,
     at most 64n + 2 budget calls, costs less than the N(N-1)/2 pair calls
-    it replaces; else None. The search starts at 0 where nodes coincide, so
-    a budget singular there raises here."""
-    size = topology.size
-    if 64 * model.n + 2 >= size * (size - 1) // 2:
-        return None
-    return budget_steps(model, zero=topology.coincident)
+    it replaces, or where two calls show it constant; else None. Both
+    searches start at 0 where nodes coincide, so a budget singular there
+    raises here."""
+    size, zero = topology.size, topology.coincident
+    if 64 * model.n + 2 < size * (size - 1) // 2:
+        return budget_steps(model, zero=zero)
+    v = model.budget(0.0 if zero else math.ulp(0.0))  # monotone: equal at both ends, equal between
+    return ([], [v]) if v == model.budget(math.nextafter(math.inf, 0.0)) else None
 
 
 def _lookup_rows(topology: Topology, steps: list, vals: list) -> Callable[[int, Iterable[int]], Iterator]:
@@ -128,24 +129,20 @@ def _lookup_rows(topology: Topology, steps: list, vals: list) -> Callable[[int, 
 
 
 def _pair_rows(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, table: tuple[list, list] | None
 ) -> Callable[[int, Iterable[int]], Iterator]:
     """row(u, nodes): u's pair value to each of `nodes`, computed on demand.
 
     Under ADDITIVE the values are decay terms, else pairwise budgets: a
-    lookup in the model's _step_table where it has one, else model.budget
-    per pair. Either way a budget singular at distance 0 raises here,
-    before any row, where nodes coincide."""
+    lookup in `table`, the model's _step_table, where it has one, else
+    model.budget per pair (_step_table has raised for a budget singular at
+    distance 0 where nodes coincide)."""
+    if table is not None:
+        return _lookup_rows(topology, *table)
+    pair = model.budget
     if rule is ConditioningRule.ADDITIVE:
         require_decay(model)
         pair = model.decay_term
-    else:
-        table = _step_table(model, topology)
-        if table is not None:
-            return _lookup_rows(topology, *table)
-        pair = model.budget
-        if topology.coincident:
-            pair(0.0)
     distances_from = topology.distances_from
     return lambda u, nodes: map(pair, distances_from(u, nodes))
 
@@ -165,17 +162,17 @@ def pair_tails(model: ModelSpec, rule: ConditioningRule, topology: Topology, lab
     for node i's _pair_rows value to each of nodes i+1..N-1, each row made
     when it is read. Every error is raised by this call, before any row.
 
-    Under ADDITIVE, and where the N(N-1)/2 pairs are at most 64n + 2, each
-    pair's value is computed and labelled. Else each step value is labelled
-    once: a constant staircase repeats its one label and computes no
-    distance; otherwise every pair at distance >= s, the last step, has the
-    top label, and _near_rows computes only the pairs Topology.grid cannot
+    Under ADDITIVE, and where _step_table gives none, each pair's value is
+    computed and labelled. Else each step value is labelled once: a
+    constant staircase repeats its one label and computes no distance;
+    otherwise every pair at distance >= s, the last step, has the top
+    label, and _near_rows computes only the pairs Topology.grid cannot
     certify to be that far apart where they are under half of all pairs.
     """
     size = topology.size
     table = None if rule is ConditioningRule.ADDITIVE else _step_table(model, topology)
     if table is None:
-        row = _pair_rows(model, rule, topology)
+        row = _pair_rows(model, rule, topology, None)
         return ([*map(label, row(i, range(i + 1, size)))] for i in range(size))
     steps, vals = table[0], [*map(label, table[1])]
     if not steps:
@@ -251,7 +248,7 @@ def _walk(
     order = _check_permutation(schedule, topology.size)
     budget, later, links = model.budget, range(1, len(order)), None
     if rule is ConditioningRule.ADDITIVE:
-        row = _pair_rows(model, rule, topology)
+        row = _pair_rows(model, rule, topology, None)
         bits = [fold(row(order[k], islice(order, k))) for k in later]
     elif (rule is ConditioningRule.MIN) == (model.beta >= 0):  # the nearest partner sets it
         links = topology.nearest_links(order)
@@ -322,101 +319,95 @@ def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Cal
     return scanned
 
 
-def _exact_sums(model: ModelSpec, rows: list[list], most: int) -> tuple:
-    """Puts _table's ADDITIVE rows on exact negated ints in place: a finite
-    term x becomes -x * scale, scale = 2**e for e the most fractional bits of
-    any term, so a sum t is exact and -t / scale rounds it once, as
-    decay_sum does. Returns (thr, scale, mark): t has budget
-    bisect_left(thr, t), thr holding minus the least int at or past each of
-    sum_steps' steps; where the staircase could have more than `most` steps
-    thr is None and the budget is decay_bits(-t / scale) above mark. Each
-    node's own entry and each inf term become mark, below every finite term
-    and threshold: budget 0.
+def _exact_sums(model: ModelSpec, rule: ConditioningRule, rows: list[list], most: int) -> Callable[[list], list]:
+    """Puts the rule's _table rows on ints in place, for good, one int per
+    pair shared by its two rows, so that a node's pair values over a polled
+    set add up to one exact sum; returns label, where label(x) is every
+    node's budget from its sum x[v] over the set (n for the empty set's 0).
+    Each node's own entry becomes `member`, so a member's budget reads 0.
+
+    Under MIN and MAX the distinct pair values are ranked worst first (the
+    greatest first under MIN) and rank r weighs 1 << b*r, b the bit length
+    of N - 1: a b-bit digit counts the up to N - 1 partners with its value,
+    so a sum's bit_length names its best value, read off one table; member
+    weighs a digit above them all. Under ADDITIVE a finite term x becomes
+    -x * scale, scale = 2**e for e the most fractional bits of any term, so
+    a sum t is exact and -t / scale rounds it once, as decay_sum does. t has
+    budget bisect_left(thr, t), thr holding minus the least int at or past
+    each of sum_steps' steps, and member is thr[0]; where the staircase could
+    have more than `most` steps, decay_bits(-t / scale) above member, minus
+    the least int whose quotient by scale rounds to inf, else 0. Each inf
+    term is member.
     """
-    inf = math.inf
-    finite = [*filter(math.isfinite, chain.from_iterable(rows))]  # the diagonal's ints 0 among them
-    scale = 1 << max(x.as_integer_ratio()[1] for x in finite).bit_length() - 1
-    mark = ((1 << 1024) - (1 << 970)) * scale  # the least t whose t / scale rounds to inf
+    n, size = model.n, len(rows)
+    if rule is ConditioningRule.ADDITIVE:
+        finite = [*filter(math.isfinite, chain.from_iterable(rows))]  # the diagonal's ints 0 among them
+        scale = 1 << max(x.as_integer_ratio()[1] for x in finite).bit_length() - 1
+        member = -((1 << 1024) - (1 << 970)) * scale  # minus the least t whose t / scale rounds to inf
+        if n <= most:
+            thr = []
+            for step in reversed(sum_steps(model)):  # the least t with t / scale >= step:
+                t = -member  # up from the midpoint of step and the float below it
+                if step < math.inf:
+                    (a, b), (c, d) = step.as_integer_ratio(), math.nextafter(step, 0.0).as_integer_ratio()
+                    t = (a * d + c * b) * scale // (2 * b * d)
+                    while t / scale < step:
+                        t += 1
+                thr.append(-t)
+            thr = tuple(thr)
+            label, member = (lambda x: [*map(bisect_left, repeat(thr), x)]), thr[0]
+        else:
+            decay_bits = model.decay_bits
+            label = lambda x: [decay_bits(-t / scale) if t > member else 0 for t in x]
 
-    def exact(x: float) -> int:
-        num, den = x.as_integer_ratio()
-        return num * (scale // den)
-
-    thr = None
-    if model.n <= most:
-        thr = []
-        for step in reversed(sum_steps(model)):  # the least t with t / scale >= step:
-            t = mark  # up from the midpoint of step and the float below it
-            if step < inf:
-                (a, b), (c, d) = step.as_integer_ratio(), math.nextafter(step, 0.0).as_integer_ratio()
-                t = (a * d + c * b) * scale // (2 * b * d)
-                while t / scale < step:
-                    t += 1
-            thr.append(-t)
-        thr, mark = tuple(thr), max(-thr[0], exact(max(finite)) + 1)
-    mark = -mark
+        def weight(x: float) -> int:
+            num, den = x.as_integer_ratio() if x < math.inf else (-member, scale)  # inf: member
+            return -num * (scale // den)
+    else:
+        b = (size - 1).bit_length()
+        upper = chain.from_iterable(map(islice, rows, range(1, size + 1), repeat(None)))  # the pairs
+        ranked = sorted({*upper}, reverse=rule is ConditioningRule.MIN)
+        weight = dict(zip(ranked, map(pow, repeat(1 << b), range(len(ranked))))).__getitem__
+        member = 1 << b * len(ranked)
+        labels = [n, *chain.from_iterable(map(repeat, ranked, repeat(b))), 0]  # by bit_length
+        label = lambda x: [*map(labels.__getitem__, map(int.bit_length, x))]
     for u, row in enumerate(rows):
-        for v in range(u + 1, len(rows)):
-            row[v] = rows[v][u] = -exact(row[v]) if row[v] < inf else mark
-        row[u] = mark
-    return thr, scale, mark
+        for v in range(u + 1, size):
+            row[v] = rows[v][u] = weight(row[v])
+        row[u] = member
+    return label
 
 
-def _polled_sets(
-    model: ModelSpec, rule: ConditioningRule, rows: list[list], pick: Callable | None
-) -> tuple:
-    """_exhaustive's pass over the polled sets S but the empty one, on the
-    rule's _table rows (left as they were): lo[S] and hi[S], the least and
-    greatest totals of the nodes after S (given `pick`, only its own), and
-    sums[k], every node's budgets summed over the sets of k members.
+def _polled_sets(n: int, rows: list[list], label: Callable, pick: Callable | None) -> tuple:
+    """_exhaustive's pass over the polled sets S, on _exact_sums' rows and
+    label: lo[S] and hi[S], the least and greatest totals of the nodes after
+    S (given `pick`, only its own), and sums[k], every node's budgets summed
+    over the sets of k members.
 
-    Counting S down, a vector f holds every node's budget given S, at about
-    one C-level row operation per set. Under ADDITIVE f is read off x, the
-    exact sums over S (_exact_sums): y, the sums over S less node 0, plus
-    node 0's row where S holds node 0. Every other S drops node 0 and keeps
-    y; the others take a row out of y and add rows to it. Under MIN and MAX
-    vecs[b] holds every node's budget merged over the members >= b of S,
-    and only the levels below the bit S left out of S + 1 are rebuilt. Each
-    node's own entry fixes a member's budget at 0 (n under MAX, taken back
-    out of sums), and lo and hi start past every total, so a member
+    Counting S down, x holds every node's exact sum over S, labelled once
+    per set, at about one C-level row operation per set: y, the sums over S
+    less node 0, plus node 0's row where S holds node 0. Every other S drops
+    node 0 and keeps y; the others take a row out of y and add rows to it. A
+    member's budget is 0, and lo and hi start past every total, so a member
     (S | {v} is S) is never the best.
     """
-    size, n, additive = len(rows), model.n, rule is ConditioningRule.ADDITIVE
-    ids, full = range(size), (1 << size) - 1
-    if additive:
-        # a staircase step costs about 30 labels by decay_bits in place of a bisection,
-        # and 2**N / 8 thresholds take under half the memory of lo and hi: the most steps
-        thr, scale, mark = _exact_sums(model, rows, 1 << size >> 3)
-        own, x = 0, [*map(sum, rows)]  # x: every node's exact sum over the full set
-        y = [*map(operator.sub, x, rows[0])]  # y: over its members but node 0
-    else:
-        merge, own = (min, 0) if rule is ConditioningRule.MIN else (max, n)
-        for v in ids:  # a member's budget folds its own entry, so it reads `own`
-            rows[v][v] = own
-        # the stack for the full set; vecs[size], the merge's identity on [0, n], is never rebuilt
-        vecs = [*accumulate(reversed(rows), lambda f, row: [*map(merge, f, row)], initial=[n - own] * size)][::-1]
+    size, full = len(rows), (1 << len(rows)) - 1
+    y = [*map(operator.sub, map(sum, rows), rows[0])]  # the full set's sums less node 0's row
     top = n * size + 1  # past every total
     lo = None if pick is max else [top] * (full + 1)
     hi = None if pick is min else [-top] * (full + 1)
     for g in filter(None, (lo, hi)):
         g[full] = 0  # no node follows the full set
-    bits, sums = [1 << v for v in ids], [0] * size  # sums[k]: sum(f) over the sets of k members
-    for s in range(full - 1, 0, -1):
+    bits, sums = [1 << v for v in range(size)], [0] * size  # sums[k]: sum(f) over the sets of k members
+    for s in range(full - 1, -1, -1):
         h = (s ^ s + 1).bit_length() - 1  # s left out bit h of s + 1 and took every bit below it
-        if additive:  # s holds node 0 where h > 0
-            if h:
-                y = [*map(operator.sub, y, rows[h])]
-                for b in range(1, h):
-                    y = [*map(operator.add, y, rows[b])]
-                x = [*map(operator.add, y, rows[0])]
-            else:
-                x = y
-            f = ([*map(bisect_left, repeat(thr), x)] if thr else
-                 [model.decay_bits(-t / scale) if t > mark else 0 for t in x])
-        else:
-            f = vecs[h] = vecs[h + 1]
-            for b in range(h - 1, -1, -1):
-                f = vecs[b] = [*map(merge, f, rows[b])]
+        x = y
+        if h:  # s holds node 0
+            y = [*map(operator.sub, y, rows[h])]
+            for b in range(1, h):
+                y = [*map(operator.add, y, rows[b])]
+            x = [*map(operator.add, y, rows[0])]
+        f = label(x)
         if pick is None:
             sums[s.bit_count()] += sum(f)
         nx = [*map(operator.or_, repeat(s), bits)]
@@ -424,20 +415,15 @@ def _polled_sets(
             lo[s] = min(map(operator.add, f, map(lo.__getitem__, nx)))
         if hi:
             hi[s] = max(map(operator.add, f, map(hi.__getitem__, nx)))
-    for u in ids:
-        if additive:  # -t / scale is the term above mark, exactly
-            for v in range(u + 1, size):
-                rows[u][v] = rows[v][u] = -rows[u][v] / scale if rows[u][v] > mark else math.inf
-        rows[u][u] = 0
-    return lo, hi, [t - own * k * math.comb(size, k) for k, t in enumerate(sums)]
+    return lo, hi, sums
 
 
 def _exhaustive(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, advice: str, pick: Callable | None = None
-) -> tuple[ScheduleStats | tuple[int, ...], list[list]]:
+) -> ScheduleStats | tuple[tuple[int, ...], list[int]]:
     """Exact statistics over all N! schedules from one backward pass over
     the 2**N polled sets (Held & Karp 1962), or given `pick` (min or max)
-    only its extreme's schedule, and the _table they read; refused, with
+    only its extreme's schedule and that schedule's budgets; refused, with
     `advice`, for N > EXHAUSTIVE_LIMIT before any budget is computed.
 
     A node's budget depends only on the set S polled before it, so the least
@@ -445,31 +431,36 @@ def _exhaustive(
     of budget(v | S) + g(S | {v}) (_polled_sets). v follows S in
     |S|! (N - 1 - |S|)! schedules, which weights the exact integer sum of
     all totals. argmin and argmax take the lowest optimal v forward from the
-    empty set, their budgets folded afresh: the lexicographically first.
+    empty set, each budget labelled off the running sums of the nodes polled:
+    the lexicographically first.
     """
     size = topology.size
     if size > EXHAUSTIVE_LIMIT:
         raise InfeasibleError(f"exhaustive enumeration refused for N={size} > {EXHAUSTIVE_LIMIT}; {advice}")
-    rows, n, ids, full = _table(model, rule, topology), model.n, range(size), (1 << size) - 1
-    lo, hi, sums = _polled_sets(model, rule, rows, pick)
-    fold = _fold(model, rule)
+    rows, ids, full = _table(model, rule, topology), range(size), (1 << size) - 1
+    # a staircase step costs about 30 labels by decay_bits in place of a bisection,
+    # and 2**N / 8 thresholds take under half the memory of lo and hi: the most steps
+    label = _exact_sums(model, rule, rows, 1 << size >> 3)
+    lo, hi, sums = _polled_sets(model.n, rows, label, pick)
 
-    def first(g: list[int], best: Callable) -> tuple[int, ...]:
-        g[0] = n + best(g[1 << v] for v in ids)  # the empty set: every budget n
-        s, order = 0, []
+    def first(g: list[int]) -> tuple[tuple[int, ...], list[int]]:
+        s, x, order, bits = 0, [0] * size, [], []
         while s != full:
-            prior = [u for u in ids if s >> u & 1]
-            order.append(next(v for v in ids if not s >> v & 1 and g[s | 1 << v] + (
-                fold(map(rows[v].__getitem__, prior)) if s else n) == g[s]))
-            s |= 1 << order[-1]
-        return tuple(order)
+            f = label(x)
+            for v in ids:
+                if not s >> v & 1 and g[s | 1 << v] + f[v] == g[s]:
+                    break
+            order.append(v)
+            bits.append(f[v])
+            s, x = s | 1 << v, [*map(operator.add, x, rows[v])]
+        return tuple(order), bits
 
     if pick is not None:
-        return first(lo or hi, pick), rows
+        return first(lo or hi)
+    argmin, argmax, count = first(lo)[0], first(hi)[0], math.factorial(size)  # no weights held: a lower peak
     weights = [math.factorial(k) * math.factorial(size - 1 - k) for k in ids]
-    acc = sum(map(operator.mul, sums, weights)) + n * size * weights[0]  # the empty set: every budget n
-    argmin, argmax, count = first(lo, min), first(hi, max), math.factorial(size)
-    return ScheduleStats(acc / count, lo[0], hi[0], argmin, argmax, count, exhaustive=True), rows
+    mean = sum(map(operator.mul, sums, weights)) / count
+    return ScheduleStats(mean, lo[0], hi[0], argmin, argmax, count, exhaustive=True)
 
 
 def _shuffles(seed: int, size: int) -> Iterator[list[int]]:
@@ -543,7 +534,7 @@ def schedule_stats(
     mode="sampled" draws `count` uniform permutations from `seed`.
     """
     if mode == "exhaustive":
-        return _exhaustive(model, rule, topology, "use sampled mode")[0]
+        return _exhaustive(model, rule, topology, "use sampled mode")
 
     if mode != "sampled":
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
@@ -642,8 +633,9 @@ def optimize(
     the best MIN-rule Prim order (dearest link first too, for the MIN rule
     maximized), all on one budget table. random_restart keeps the best of
     `count` seeded random permutations. Among equal totals the first schedule
-    tried wins. The exact Prim searches report n plus their links; the others
-    fold each prefix of the pair table they searched on, with no walk.
+    tried wins. The exact Prim searches report n plus their links, brute
+    force elsewhere the budgets its pass labelled; the others fold each
+    prefix of the pair table they searched on, with no walk.
     """
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -652,7 +644,7 @@ def optimize(
         if strategy == "brute_force" and n_nodes * n_nodes > SEARCH_WORK_LIMIT:
             raise InfeasibleError(f"brute force refused for N={n_nodes}: above the search's work limit")
         pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-        row = _pair_rows(model, rule, topology)
+        row = _pair_rows(model, rule, topology, _step_table(model, topology))
         order, links = _prim(0, n_nodes, row, pick, pick)  # the Prim order from node 0
         if strategy == "brute_force":  # poll again, by the bound read off that order
             order, links = _prim(0, n_nodes, row, pick, pick, _descent(rule, order, links))
@@ -674,7 +666,8 @@ def optimize(
         best = pick(candidates, key=_total_fn(model, rule, rows))
     elif strategy == "brute_force":
         pick = min if objective == "minimize" else max
-        best, rows = _exhaustive(model, rule, topology, "use random_restart or greedy_prim", pick)
+        best, bits = _exhaustive(model, rule, topology, "use random_restart or greedy_prim", pick)
+        return best, _report(model.n, best, bits[1:])  # the budgets its pass labelled, n first
     elif strategy == "random_restart":
         stats, rows = _sample(model, rule, topology, count, seed)
         best = stats.argmin if objective == "minimize" else stats.argmax

@@ -72,7 +72,8 @@ def write_topology(path, positions):
 @pytest.mark.parametrize("size, tabled", [(23, False), (24, True)], ids=["per-pair", "step-table"])
 def test_bits_equals_the_double_loop_at_the_gate(capsys, tmp_path, monkeypatch, size, tabled):
     """As budget_matrix: with n = 4 the gate is 64n + 2 = 258 budget calls, so
-    N = 23 (253 pairs) calls the budget once per pair, in row order, and
+    N = 23 (253 pairs) calls the budget at both ends of the distances, the
+    least positive float and the largest, then once per pair, in row order, and
     N = 24 (276 pairs) reads the step table; each line is the double loop's row."""
     topo = random_topology(random.Random(35), size)
     path = write_topology(tmp_path / "nodes.csv", topo.positions)
@@ -92,7 +93,8 @@ def test_bits_equals_the_double_loop_at_the_gate(capsys, tmp_path, monkeypatch, 
     if tabled:
         assert len(calls) <= 64 * 4 + 2
     else:
-        assert calls == [topo.distance(i, j) for i in range(size) for j in range(i + 1, size)]
+        ends = [5e-324, sys.float_info.max]  # equal budgets there would make the staircase constant
+        assert calls == [*ends, *(topo.distance(i, j) for i in range(size) for j in range(i + 1, size))]
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
@@ -188,6 +190,20 @@ def test_sweep_gaussian_origin(capsys):
     assert rows[0] == "0\t0"
     budgets = [int(ln.split("\t")[1]) for ln in rows]
     assert budgets == sorted(budgets)
+
+
+@pytest.mark.parametrize("flag, value", [("--beta", "-1e-3"), ("--d-min", "-2.5e-1"), ("--beta", "-inf")])
+def test_negative_values_parse_as_with_equals(capsys, flag, value):
+    """A negative value in scientific notation (or -inf) after its flag reads
+    as the --flag=value form does, on every Python: argparse's own
+    negative-number pattern has no exponent. A negative distance and an
+    infinite beta are then refused by the model, not the parser."""
+    got = []
+    for argv in ([flag, value], [f"{flag}={value}"]):
+        code = main(["sweep", "--model", "2", *argv, "--d-max", "1", "--d-step", "0.25"])
+        got.append((code, *capsys.readouterr()))
+    assert got[0] == got[1]
+    assert got[0][0] == (0 if value == "-1e-3" else 2)
 
 
 def test_sweep_rejects_bad_step(capsys):

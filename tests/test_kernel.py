@@ -41,7 +41,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather.correlation import decay_sum, sum_steps
-from bitgather.schedule import _exhaustive, _shuffles, _table, _total_fn
+from bitgather.schedule import _shuffles, _table, _total_fn
 
 from conftest import mst_weight, oracle_descent, random_topology
 
@@ -180,6 +180,11 @@ def oracle_gather(model, rule, topo, order, field):
 _PENTAGON = Topology.from_positions([(0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (2.5, 2.0), (1.0, 4.0)])
 
 
+# six nodes whose 15 distances all differ, and the pentagon with node 4 twice
+_SCALENE = Topology.from_positions([(0.0, 0.0), (3.1, 0.0), (0.55, 1.3), (2.45, 2.25), (1.2, 4.05), (4.3, 3.35)])
+_TWINS = Topology.from_positions([*_PENTAGON.positions, _PENTAGON.positions[4]])
+
+
 _TOP = sys.float_info.max  # (2**53 - 1) * 2**971; halfway to 2**1024 is _TOP + 2**970
 
 
@@ -246,11 +251,23 @@ def midpoint_star(parity):
 @example(midpoint_star(0))
 @example(midpoint_star(1))
 @example(additive_star(2**53, [_TOP, 2.0**970 - 2.0**918]))
+# MIN and MAX sums of digit weights: every pair budget distinct (n = 2**53,
+# the widest sums), two coincident nodes (d = 0, a pair budget 0 as a member
+# reads), and beta < 0 with every pair budget distinct
+@example((GaussianDecayModel(2**53, 1.0, 0.05), MIN, _SCALENE))
+@example((GaussianDecayModel(2**53, 1.0, 0.05), MAX, _SCALENE))
+@example((PowerLawModel(5, 1.0, 1.0), MIN, _TWINS))
+@example((PowerLawModel(5, 1.0, 1.0), MAX, _TWINS))
+@example((GaussianDecayModel(2**53, 0.2, -0.05), MIN, _SCALENE))
+@example((GaussianDecayModel(2**53, 0.2, -0.05), MAX, _SCALENE))
 def test_exhaustive_stats_match_enumeration(instance):
     model, rule, topo = instance
-    assert schedule_stats(model, rule, topo, "exhaustive") == oracle_stats(model, rule, topo)
-    # brute-force optimize reports off the table the pass returns: the pass must leave it as _table built it
-    assert _exhaustive(model, rule, topo, "")[1] == _table(model, rule, topo)
+    stats = schedule_stats(model, rule, topo, "exhaustive")
+    assert stats == oracle_stats(model, rule, topo)
+    # brute force outside the spanning pairs reports the budgets its pass labelled: evaluate's for its schedule
+    for objective, best in (("minimize", stats.argmin), ("maximize", stats.argmax)):
+        if (rule, objective) not in ((MIN, "minimize"), (MAX, "maximize")):
+            assert optimize(model, rule, topo, objective, "brute_force") == (best, evaluate(model, rule, topo, best))
 
 
 # Fixed below the polled-set pass's limit: oracle_mean makes N * 2**(N - 1)

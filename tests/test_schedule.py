@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -254,6 +255,12 @@ def test_sampling_refusals(collinear3, unit_staircase, call):
         call(unit_staircase, collinear3)
 
 
+# Below the step-table gate a pairwise budget is first asked at both ends of
+# the distances, the least positive float and the largest, which tell a
+# constant staircase (equal there) from one computed pair by pair.
+_ENDS = [5e-324, sys.float_info.max]
+
+
 def _count_budget_calls(model, method: str = "budget") -> list[float]:
     """Wrap the model's pairwise budget (or another per-distance method, such
     as decay_term); returns the distances it is asked for."""
@@ -269,11 +276,13 @@ def _count_budget_calls(model, method: str = "budget") -> list[float]:
 
 @pytest.mark.parametrize("rule", [MIN, MAX], ids=["min", "max"])
 def test_exhaustive_stats_compute_each_pair_budget_once(rule):
-    """The mean and both searches share one pair table."""
+    """The mean and both searches share one pair table: the two end calls,
+    then one per pair."""
     m = PowerLawModel(n=5, alpha=1.0, beta=1.0)
     calls = _count_budget_calls(m)
     schedule_stats(m, rule, random_topology(random.Random(31), 8), "exhaustive")
-    assert len(calls) == 8 * 7 // 2
+    assert calls[:2] == _ENDS
+    assert len(calls) == 2 + 8 * 7 // 2
 
 
 @pytest.mark.parametrize("rule, objective", [(MIN, "maximize"), (MAX, "minimize"), (ADD, "minimize")])
@@ -304,11 +313,12 @@ def test_forced_greedy_prim_computes_each_pair_budget_once(rule, objective):
 def test_searches_report_off_their_table(method, run, size):
     """random_restart and brute force outside the spanning pairs read the
     winner's budgets off the pair table they searched, with no closing walk:
-    one call per unordered pair (at N = 10, 64n + 2 >= 45 pairs, so no step table)."""
+    one call per unordered pair (at N = 10, 64n + 2 >= 45 pairs, so no step
+    table), after the two end calls where the pairs are budgets."""
     m = GaussianDecayModel(n=5, alpha=0.9, beta=0.3)
     calls = _count_budget_calls(m, method)
     run(m, random_topology(random.Random(36), size))
-    assert len(calls) == size * (size - 1) // 2
+    assert len(calls) == size * (size - 1) // 2 + (2 if method == "budget" else 0)
 
 
 _SHUFFLED = random.Random(34).sample(range(30), 30)
@@ -321,10 +331,10 @@ _PAIRS, _NODES = 30 * 29 // 2, 29
         ("budget", lambda m, topo: evaluate(m, MIN, topo, _SHUFFLED), _NODES),
         ("budget", lambda m, topo: evaluate(m, MAX, topo, _SHUFFLED), _NODES),
         ("decay_term", lambda m, topo: evaluate(m, ADD, topo, _SHUFFLED), _PAIRS),
-        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "greedy_prim"), _PAIRS),
-        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "greedy_prim"), _PAIRS),
-        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "brute_force"), 2 * _PAIRS),
-        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "brute_force"), 2 * _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "greedy_prim"), 2 + _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "greedy_prim"), 2 + _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MIN, topo, "minimize", "brute_force"), 2 + 2 * _PAIRS),
+        ("budget", lambda m, topo: optimize(m, MAX, topo, "maximize", "brute_force"), 2 + 2 * _PAIRS),
         ("budget", lambda m, topo: fidelity_sweep(m, MIN, topo, _SHUFFLED, [1.0], [0, 1]), _NODES),
     ],
     ids=["evaluate-min", "evaluate-max", "evaluate-additive", "prim-min", "prim-max", "brute-min", "brute-max",
@@ -333,8 +343,9 @@ _PAIRS, _NODES = 30 * 29 // 2, 29
 def test_evaluate_and_prim_compute_each_pair_once(method, run, count):
     """Under MIN and MAX a walk reads each node's budget off one distance:
     one call per node but the first. The ADDITIVE prefix fold, and Prim's
-    running link below the step-table gate (64n + 2 >= N(N-1)/2), call the
-    pair method once per unordered pair: no pair twice, and no table besides.
+    running link below the step-table gate (64n + 2 >= N(N-1)/2, after the
+    two end calls), call the pair method once per unordered pair: no pair
+    twice, and no table besides.
     Spanning brute force is two Prim passes, the second keyed by the first's
     order, and reports their links: no closing walk."""
     m = GaussianDecayModel(n=12, alpha=0.9, beta=0.3)
@@ -346,8 +357,8 @@ def test_evaluate_and_prim_compute_each_pair_once(method, run, count):
 @pytest.mark.parametrize("size, tabled", [(23, False), (24, True)])
 def test_budget_matrix_bisects_only_above_the_gate(size, tabled):
     """With n = 4 the gate is 64n + 2 = 258 calls: N = 23 has 253 pairs, so
-    each pair calls model.budget once, in row order; N = 24 has 276, and the
-    step table's bisection makes at most 258 calls."""
+    after the two end calls each pair calls model.budget once, in row order;
+    N = 24 has 276, and the step table's bisection makes at most 258 calls."""
     m = PowerLawModel(n=4, alpha=1.0, beta=1.0)
     topo = random_topology(random.Random(35), size)
     want = [[m.budget(topo.distance(i, j)) if i != j else 0 for j in range(size)] for i in range(size)]
@@ -356,7 +367,33 @@ def test_budget_matrix_bisects_only_above_the_gate(size, tabled):
     if tabled:
         assert len(calls) <= 64 * 4 + 2
     else:
-        assert calls == [topo.distance(i, j) for i in range(size) for j in range(i + 1, size)]
+        assert calls == [*_ENDS, *(topo.distance(i, j) for i in range(size) for j in range(i + 1, size))]
+
+
+@pytest.mark.parametrize("coincident", [False, True], ids=["apart", "twins"])
+def test_constant_staircase_below_the_gate_costs_two_calls(coincident):
+    """A budget equal at both ends is constant: below the gate (n = 10**6, 435
+    pairs) the table, bits' rows and every search read its one value off two
+    calls, at 0 where nodes coincide, and compute no pair."""
+    points = [(float(i % 6), float(i // 6)) for i in range(30)]
+    topo = Topology.from_positions(points + points[-1:] if coincident else points)
+    ends = [0.0 if coincident else _ENDS[0], _ENDS[1]]
+    size = topo.size
+    for model in (PowerLawModel(10**6, 3.0, 0.0), GaussianDecayModel(10**6, 0.5, 0.0)):
+        calls = _count_budget_calls(model)
+        want = [[0 if i == j else model.budget(1.0) for j in range(size)] for i in range(size)]
+        del calls[:]
+        assert budget_matrix(model, topo) == want
+        assert calls == ends
+        del calls[:]
+        assert [*schedule.pair_tails(model, MIN, topo, str)] == [[str(want[0][1])] * (size - 1 - i)
+                                                                for i in range(size)]
+        assert calls == ends
+        for rule, strategy in ((MIN, "brute_force"), (MAX, "greedy_prim")):  # Prim's rows, and a forced table
+            del calls[:]
+            report = optimize(model, rule, topo, "minimize", strategy, force=True)[1]
+            assert report.total == model.n + (size - 1) * want[0][1]
+            assert calls == ends
 
 
 def test_refused_brute_force_computes_no_budget():

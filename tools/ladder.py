@@ -6,7 +6,7 @@ run records the machine too: core count, Python version, machine type, and
 the git commit of the imported bitgather (with whether its sources differ
 from that commit). Run from the repository root:
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_34.json --label change
+    PYTHONPATH=src python tools/ladder.py --out BENCH_35.json --label change
 
 --out appends the run to the file's "runs", so one file can hold a parent
 run and a change run. --layout puts every row on one layout, as a quick
@@ -39,10 +39,11 @@ MIN, MAX, ADDITIVE = ConditioningRule.MIN, ConditioningRule.MAX, ConditioningRul
 ENUMERATE = GaussianDecayModel(8, 1.0, 0.05)  # the benchmark's enumerate model
 SEARCH = PowerLawModel(8, 1.0, 1.0)  # its search model
 FIELD = GaussianDecayModel(12, 1.0, 0.5)  # its field model
+WIDE = GaussianDecayModel(2**53, 1.0, 0.05)  # a budget per pair: the polled-set pass's widest sums
 
 
-def _polled_sets(rule: ConditioningRule) -> Callable[[Topology], Callable[[], object]]:
-    return lambda topo: lambda: _exhaustive(ENUMERATE, rule, topo, "")
+def _polled_sets(rule: ConditioningRule, model=ENUMERATE) -> Callable[[Topology], Callable[[], object]]:
+    return lambda topo: lambda: _exhaustive(model, rule, topo, "")
 
 
 def _brute_force(rule: ConditioningRule) -> Callable[[Topology], Callable[[], object]]:
@@ -61,6 +62,7 @@ def _shuffled(topo: Topology) -> list[int]:
 ROWS: list[tuple[str, str, Callable[[Topology], Callable[[], object]]]] = [
     *((f"_exhaustive {rule.value}", f"n{size}.csv", _polled_sets(rule))
       for size in (8, 12, 14, 16) for rule in ConditioningRule),
+    ("_exhaustive min n=2**53", "n16.csv", _polled_sets(MIN, WIDE)),
     *((f"optimize brute_force {rule.value} minimize", f"n{size}.csv", _brute_force(rule))
       for size in (14, 16) for rule in (ADDITIVE, MAX)),
     ("stats sampled 5000 max", "n50.csv",
