@@ -295,13 +295,15 @@ _COMMANDS: dict[str, tuple[Callable[..., Iterable[str]], str, list[_Option]]] = 
 
 
 @functools.cache  # built on first use, then reused: parsing leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
+    """The parser, and the flags that take a value (for _glued)."""
     parser = argparse.ArgumentParser(
         prog="bitgather",
         description="Bit-budget models, schedule search, and gathering simulation "
         "for correlated sensor fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    valued = {"--config", "--out"}
     for command, (_handler, help_line, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="flat key=value config file; flags override")
@@ -311,16 +313,16 @@ def _build_parser() -> argparse.ArgumentParser:
             how = {"action": "store_const", "const": True} if conv is _bool else {"type": conv}
             flag = "--" + name.replace("_", "-")
             p.add_argument(flag, dest=name, default=None, help=help_text, **how)
-    return parser
+            if conv is not _bool:
+                valued.add(flag)
+    return parser, frozenset(valued)
 
 
-def _glued(argv: Sequence[str]) -> list[str]:
-    """argv with each negative number that follows a flag taking a value
+def _glued(argv: Sequence[str], valued: frozenset[str]) -> list[str]:
+    """argv with each negative number that follows a flag in `valued`
     joined to it, --beta -1e-3 as --beta=-1e-3: argparse reads such a word
     as a flag of its own where its negative-number pattern, which differs
     between Python releases, does not match it (an exponent, inf or nan)."""
-    valued = {"--config", "--out", *(f"--{name.replace('_', '-')}" for _h, _l, options in _COMMANDS.values()
-                                     for name, conv, *_ in options if conv is not _bool)}
     words: list[str] = []
     for text in argv:
         if words and words[-1] in valued and text.startswith("-"):
@@ -333,7 +335,8 @@ def _glued(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(_glued(sys.argv[1:] if argv is None else argv))
+    parser, valued = _build_parser()
+    args = parser.parse_args(_glued(sys.argv[1:] if argv is None else argv, valued))
     try:
         cfg = _resolve(args.command, args)
         model = _build_model(cfg)

@@ -107,10 +107,10 @@ ROWS = [
         "0282ec13976ce9cbcedacf85d5951a404b701b66a4275edf77f434e8702d1afa"),
     Row("n16.csv", "stats --mode exhaustive --model 2 --n 8 --beta 0.05 --rule additive", 10,
         "3b022ba8fda0ed945ceaf8cfabaca415fe6b45fb31388874005f548a331982e0"),
-    # Under MIN and MAX the pass keeps every node's budget as a vector and
-    # merges about one pair-table row onto it per polled set: about
-    # 0.55-0.85 s each at N=16 (0.8-1.45 s when each budget was folded
-    # afresh per set, when these digests were recorded).
+    # Under MIN and MAX the pass reads each budget off the same exact integer
+    # sums, each pair budget weighing one digit: about 0.55-0.85 s each at
+    # N=16 (0.8-1.45 s when each budget was folded afresh per set, when
+    # these digests were recorded).
     Row("n16.csv", "stats --mode exhaustive --model 1 --rule min", 10,
         "7fcaa6fd10491cc1b4471c51a643524a993df15d0449475f8dd3680a5cbc761f"),
     Row("n16.csv", "stats --mode exhaustive --model 1 --rule max", 10,
