@@ -319,15 +319,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
 
 
 def _glued(argv: Sequence[str], valued: frozenset[str]) -> list[str]:
-    """argv with each negative number that follows a flag in `valued`
-    joined to it, --beta -1e-3 as --beta=-1e-3: argparse reads such a word
-    as a flag of its own where its negative-number pattern, which differs
-    between Python releases, does not match it (an exponent, inf or nan)."""
+    """argv with each negative number, or comma list of numbers, that
+    follows a flag in `valued` joined to it, --beta -1e-3 as --beta=-1e-3
+    and --seeds -1,2 as --seeds=-1,2: argparse reads such a word as a flag
+    of its own where its negative-number pattern, which differs between
+    Python releases, does not match it (an exponent, inf, nan or a comma)."""
     words: list[str] = []
     for text in argv:
         if words and words[-1] in valued and text.startswith("-"):
-            with contextlib.suppress(ValueError):  # raised by a word that is no number
-                float(text)
+            with contextlib.suppress(ValueError):  # raised by a word that is no number list
+                [float(part) for part in text.split(",") if part.strip() != ""]  # parts as _list_of reads them
                 words[-1] += "=" + text
                 continue
         words.append(text)

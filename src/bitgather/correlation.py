@@ -10,15 +10,15 @@ Two model families are supported:
 Both depend on distance only, so the pairwise budget is symmetric by
 construction. Both are monotone in d: non-decreasing for beta > 0,
 non-increasing for beta < 0, constant for beta = 0. So a budget is a
-staircase of at most n + 1 values; budget_steps tabulates its steps, and
-a lookup in that table replaces a budget call per pair (sum_steps does the
-same for decay_bits over a summed decay term). Conditioning on
-a set of already-transmitted nodes uses one of three rules: nearest prior
-node (MIN), farthest prior node (MAX), or a summed exponential term
-(ADDITIVE, Gaussian-decay parameters only): the exact sum of the prior
-nodes' decay terms, rounded once, so their polling order does not matter.
-By monotonicity a MIN or MAX budget is the budget of one prior node's
-distance, the least or the greatest.
+staircase of at most n + 1 values; budget_steps tabulates its steps, and a
+lookup in that table replaces a budget call per pair where it costs less
+(sum_steps does the same for decay_bits over a summed decay term).
+Conditioning on a set of already-transmitted nodes uses one of three
+rules: nearest prior node (MIN), farthest prior node (MAX), or a summed
+exponential term (ADDITIVE, Gaussian-decay parameters only): the exact sum
+of the prior nodes' decay terms, rounded once, so their polling order does
+not matter. By monotonicity a MIN or MAX budget is the budget of one prior
+node's distance, the least or the greatest.
 Each model's budget(d) is a plain method, shared by pairwise_bits and
 the hot loops. clamped_ceil states the rounding rule, a snapped ceiling
 clamped to [0, n], once: both budgets and ADDITIVE's decay_bits call it,
@@ -146,17 +146,27 @@ def _float(bits: int) -> float:
     return struct.unpack("d", struct.pack("Q", bits))[0]
 
 
-def budget_steps(model: ModelSpec, zero: bool) -> tuple[list[float], list[int]]:
-    """The budget staircase: budget(d) == vals[bisect_right(steps, d)] for
-    every finite d > 0, and for d = 0 when `zero` is set.
+def budget_steps(model: ModelSpec, zero: bool, pairs: float) -> tuple[list[float], list[int]] | None:
+    """The budget staircase, where it costs fewer budget calls than the
+    `pairs` it replaces: budget(d) == vals[bisect_right(steps, d)] for every
+    finite d > 0, and for d = 0 when `zero` is set; else None.
 
-    Each step's smallest distance is found by bisecting over float bit
+    Two calls ask the budget at both ends of the range, 0.0 when `zero` is
+    set (which raises where budget(0) is singular) else the smallest
+    positive float, and the largest float. Where they agree the budget is
+    constant between them, and the staircase is ([], [v]) at any `pairs`.
+    Else each step's smallest distance is found by bisecting over float bit
     patterns with model.budget as the oracle, which trusts the method to be
-    monotone. A step costs at most 63 calls and the two ends one each, so
-    at most 64n + 2 in all. The search starts at 0.0 when `zero` is set,
-    which raises where budget(0) is singular, else at the smallest positive float.
+    monotone: at most 63 calls a step, 64n + 2 with the ends. So the search
+    is made only where that bound is below `pairs`.
     """
-    budget, steps, vals = model.budget, [], []
+    budget, lo = model.budget, 0 if zero else 1
+    v_lo, v_top = budget(_float(lo)), budget(_float(_TOP))
+    if v_lo == v_top:
+        return [], [v_lo]
+    if 64 * model.n + 2 >= pairs:
+        return None
+    steps, vals = [], [v_lo]
 
     def split(a: int, va: int, b: int, vb: int) -> None:  # budget(a) = va != vb = budget(b)
         if b - a == 1:
@@ -170,11 +180,9 @@ def budget_steps(model: ModelSpec, zero: bool) -> tuple[list[float], list[int]]:
         if vm != vb:
             split(m, vm, b, vb)
 
-    lo = 0 if zero else 1
-    v_lo, v_top = budget(_float(lo)), budget(_float(_TOP))
-    if v_lo != v_top:
-        split(lo, v_lo, _TOP, v_top)
-    return steps, [v_lo, *vals]
+    split(lo, v_lo, _TOP, v_top)
+    del split  # the closure holds its own cell: a cycle for the collector
+    return steps, vals
 
 
 def sum_steps(model: GaussianDecayModel) -> list[float]:

@@ -14,18 +14,20 @@ attains each.
 Under every rule a node's budget depends only on the set polled before
 it: its pair values to those nodes (pairwise budgets, or decay terms
 under ADDITIVE) folded by min, max, or an exact sum rounded once: _pair_rows
-gives the pair values, _fold the fold, pair_tails the pair table's upper
-triangle a row at a time and mirrored its full rows, which _table keeps and
-bits streams. A budget is monotone in distance, so under MIN and MAX a
-walk (evaluate, and the simulator's gather and sweep) reads each node's
-budget off one distance: its nearest earlier node's, from one sorted sweep
-of the order (Topology.nearest_links), or the farthest of its prefix; under
-ADDITIVE it folds the prefix. The pair rows (the table, bits, Prim and the
-spanning descent) read pairwise budgets off the model's step table where
-finding its steps costs fewer calls than the pairs, or two calls show it
-constant. Past the table's last step every pair has the top budget, so the
-table and bits compute only the pairs that Topology.grid cannot certify to
-be that far apart (_near_rows), where they are few enough to pay. One
+gives the pair values, the one place a distance becomes one, _fold the
+fold, pair_tails the pair table's upper triangle a row at a time and
+mirrored its full rows, which _table keeps and bits streams. A budget is
+monotone in distance, so under MIN and MAX a walk (evaluate, and the
+simulator's gather and sweep) reads each node's budget off one distance:
+its nearest earlier node's, from one sorted sweep of the order
+(Topology.nearest_links), or the greatest to its prefix, in the same prefix
+fold in which ADDITIVE sums the decay terms. The pair rows (the table,
+bits, Prim and the spanning descent) read pairwise budgets off the
+staircase that budget_steps gives for the N(N-1)/2 pairs: where two calls
+show it constant, or finding its steps costs fewer calls than the pairs.
+Past its last step every pair has the top budget, so the table and bits
+compute only the pairs that Topology.grid cannot certify to be that far
+apart (_near_rows), where they are few enough to pay. One
 backward pass over the 2**N polled sets (Held & Karp 1962) gives the
 exhaustive statistics and the brute-force optimum, under every rule from
 one vector of exact integer sums over the set (_exact_sums) at about one
@@ -109,41 +111,24 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
     return order
 
 
-def _step_table(model: ModelSpec, topology: Topology) -> tuple[list, list] | None:
-    """The model's budget staircase (budget_steps) where finding its steps,
-    at most 64n + 2 budget calls, costs less than the N(N-1)/2 pair calls
-    it replaces, or where two calls show it constant; else None. Both
-    searches start at 0 where nodes coincide, so a budget singular there
-    raises here."""
-    size, zero = topology.size, topology.coincident
-    if 64 * model.n + 2 < size * (size - 1) // 2:
-        return budget_steps(model, zero=zero)
-    v = model.budget(0.0 if zero else math.ulp(0.0))  # monotone: equal at both ends, equal between
-    return ([], [v]) if v == model.budget(math.nextafter(math.inf, 0.0)) else None
-
-
-def _lookup_rows(topology: Topology, steps: list, vals: list) -> Callable[[int, Iterable[int]], Iterator]:
-    """row(u, nodes): the _step_table value at u's distance to each of `nodes`."""
-    distances_from = topology.distances_from
-    return lambda u, nodes: map(vals.__getitem__, map(bisect_right, repeat(steps), distances_from(u, nodes)))
-
-
 def _pair_rows(
     model: ModelSpec, rule: ConditioningRule, topology: Topology, table: tuple[list, list] | None
 ) -> Callable[[int, Iterable[int]], Iterator]:
-    """row(u, nodes): u's pair value to each of `nodes`, computed on demand.
+    """row(u, nodes): u's pair value to each of `nodes`, computed on demand,
+    the one place a distance becomes a pair value.
 
-    Under ADDITIVE the values are decay terms, else pairwise budgets: a
-    lookup in `table`, the model's _step_table, where it has one, else
-    model.budget per pair (_step_table has raised for a budget singular at
-    distance 0 where nodes coincide)."""
+    Given `table`, a staircase (steps, vals) as budget_steps gives it, its
+    values labelled or not, the value at distance d is
+    vals[bisect_right(steps, d)]. Else it is computed per pair: under
+    ADDITIVE a decay term, else model.budget."""
+    distances_from = topology.distances_from
     if table is not None:
-        return _lookup_rows(topology, *table)
+        steps, vals = table
+        return lambda u, nodes: map(vals.__getitem__, map(bisect_right, repeat(steps), distances_from(u, nodes)))
     pair = model.budget
     if rule is ConditioningRule.ADDITIVE:
         require_decay(model)
         pair = model.decay_term
-    distances_from = topology.distances_from
     return lambda u, nodes: map(pair, distances_from(u, nodes))
 
 
@@ -162,22 +147,24 @@ def pair_tails(model: ModelSpec, rule: ConditioningRule, topology: Topology, lab
     for node i's _pair_rows value to each of nodes i+1..N-1, each row made
     when it is read. Every error is raised by this call, before any row.
 
-    Under ADDITIVE, and where _step_table gives none, each pair's value is
-    computed and labelled. Else each step value is labelled once: a
-    constant staircase repeats its one label and computes no distance;
-    otherwise every pair at distance >= s, the last step, has the top
-    label, and _near_rows computes only the pairs Topology.grid cannot
-    certify to be that far apart where they are under half of all pairs.
+    Under ADDITIVE, and where budget_steps gives no staircase for the
+    N(N-1)/2 pairs, each pair's value is computed and labelled. Else each
+    step value is labelled once: a constant staircase repeats its one label
+    and computes no distance; otherwise every pair at distance >= s, the
+    last step, has the top label, and _near_rows computes only the pairs
+    Topology.grid cannot certify to be that far apart where they are under
+    half of all pairs.
     """
     size = topology.size
-    table = None if rule is ConditioningRule.ADDITIVE else _step_table(model, topology)
+    pairs = size * (size - 1) // 2
+    table = None if rule is ConditioningRule.ADDITIVE else budget_steps(model, topology.coincident, pairs)
     if table is None:
         row = _pair_rows(model, rule, topology, None)
         return ([*map(label, row(i, range(i + 1, size)))] for i in range(size))
     steps, vals = table[0], [*map(label, table[1])]
     if not steps:
         return ([vals[0]] * (size - 1 - i) for i in range(size))
-    row = _lookup_rows(topology, steps, vals)
+    row = _pair_rows(model, rule, topology, (steps, vals))
     return _near_rows(topology, steps[-1], row, vals[-1]) or ([*row(i, range(i + 1, size))] for i in range(size))
 
 
@@ -185,11 +172,11 @@ def _near_rows(topology: Topology, s: float, row: Callable, top) -> Iterator[lis
     """pair_tails' rows off Topology.grid at the last step s, or None.
 
     Each row starts as `top`, the value at distance >= s, and reads only the
-    later nodes in its node's block through row, the _lookup_rows lookup: a
-    node leaves its cell as its row is made. A candidate costs up to twice a
-    row's pair (it is gathered and scattered as well), so the grid is used
-    only where its candidate pairs, counted before any row and no further
-    than half of the N(N-1)/2 pairs, are under half."""
+    later nodes in its node's block through row, _pair_rows on the labelled
+    staircase: a node leaves its cell as its row is made. A candidate costs
+    up to twice a row's pair (it is gathered and scattered as well), so the
+    grid is used only where its candidate pairs, counted before any row and
+    no further than half of the N(N-1)/2 pairs, are under half."""
     grid = topology.grid(s)
     if grid is None:
         return None
@@ -241,24 +228,23 @@ def _walk(
     """The BitReport of one polling order (n bits for the first node), and
     the order's Topology.nearest_links if the walk computed them, else None.
     Under MIN and MAX a monotone budget is one partner's: the nearest's,
-    read off the node's link (no distance rows), or the farthest's, off the
-    greatest of the node's distances to the nodes before it. ADDITIVE folds
-    the decay terms of those distances."""
+    read off the node's link (no distance rows), or the farthest's, the
+    budget of the greatest of the node's distances to the nodes before it.
+    ADDITIVE folds the decay terms of those distances."""
     fold = _fold(model, rule)  # checks an ADDITIVE model before the order
     order = _check_permutation(schedule, topology.size)
-    budget, later, links = model.budget, range(1, len(order)), None
+    budget, row = model.budget, topology.distances_from
     if rule is ConditioningRule.ADDITIVE:
         row = _pair_rows(model, rule, topology, None)
-        bits = [fold(row(order[k], islice(order, k))) for k in later]
     elif (rule is ConditioningRule.MIN) == (model.beta >= 0):  # the nearest partner sets it
         links = topology.nearest_links(order)
-        bits = [budget(d) for d, _ in islice(links, 1, None)]
-    else:  # the farthest partner sets it; a fold would meet each coincident pair's d = 0
+        return _report(model.n, order, [budget(d) for d, _ in islice(links, 1, None)]), links
+    else:  # the farthest partner sets it: one budget of the greatest distance, never a coincident pair's 0
         if topology.coincident:
             budget(0.0)  # raises where budget(0) is singular
-        distances_from = topology.distances_from
-        bits = [budget(max(distances_from(order[k], islice(order, k)))) for k in later]
-    return _report(model.n, order, bits), links
+        fold = lambda distances: budget(max(distances))
+    bits = [fold(row(order[k], islice(order, k))) for k in range(1, len(order))]
+    return _report(model.n, order, bits), None
 
 
 def _report(n: int, order: Sequence[int], later: Iterable[int]) -> BitReport:
@@ -639,12 +625,13 @@ def optimize(
     """
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"unknown objective {objective!r}")
-    n_nodes = topology.size
+    # both return the first extreme; on the _SPANNING pairs it is the rule's own
+    n_nodes, pick = topology.size, min if objective == "minimize" else max
     if strategy in ("brute_force", "greedy_prim") and (rule, objective) in _SPANNING:
         if strategy == "brute_force" and n_nodes * n_nodes > SEARCH_WORK_LIMIT:
             raise InfeasibleError(f"brute force refused for N={n_nodes}: above the search's work limit")
-        pick = min if rule is ConditioningRule.MIN else max  # both return the first extreme
-        row = _pair_rows(model, rule, topology, _step_table(model, topology))
+        table = budget_steps(model, topology.coincident, n_nodes * (n_nodes - 1) // 2)
+        row = _pair_rows(model, rule, topology, table)
         order, links = _prim(0, n_nodes, row, pick, pick)  # the Prim order from node 0
         if strategy == "brute_force":  # poll again, by the bound read off that order
             order, links = _prim(0, n_nodes, row, pick, pick, _descent(rule, order, links))
@@ -662,10 +649,8 @@ def optimize(
         # cheapest-first orders aim low: to maximize a MIN total, dearest-first ones follow
         aims = (min, max) if (rule, objective) == (ConditioningRule.MIN, "maximize") else (min,)
         candidates = [tuple(_prim(s, n_nodes, row, aim, min)[0]) for aim in aims for s in range(n_nodes)]
-        pick = min if objective == "minimize" else max  # both keep the first extreme
         best = pick(candidates, key=_total_fn(model, rule, rows))
     elif strategy == "brute_force":
-        pick = min if objective == "minimize" else max
         best, bits = _exhaustive(model, rule, topology, "use random_restart or greedy_prim", pick)
         return best, _report(model.n, best, bits[1:])  # the budgets its pass labelled, n first
     elif strategy == "random_restart":

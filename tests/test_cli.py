@@ -192,18 +192,24 @@ def test_sweep_gaussian_origin(capsys):
     assert budgets == sorted(budgets)
 
 
-@pytest.mark.parametrize("flag, value", [("--beta", "-1e-3"), ("--d-min", "-2.5e-1"), ("--beta", "-inf")])
-def test_negative_values_parse_as_with_equals(capsys, flag, value):
-    """A negative value in scientific notation (or -inf) after its flag reads
-    as the --flag=value form does, on every Python: argparse's own
-    negative-number pattern has no exponent. A negative distance and an
+@pytest.mark.parametrize("flag, value", [("--beta", "-1e-3"), ("--d-min", "-2.5e-1"), ("--beta", "-inf"),
+                                         ("--seeds", "-1,2"), ("--seeds", "-3,-4")])
+def test_negative_values_parse_as_with_equals(capsys, topo_line3, flag, value):
+    """A negative value in scientific notation (or -inf), or a comma list
+    that starts with a negative number, after its flag reads as the
+    --flag=value form does, on every Python: argparse's own negative-number
+    pattern has no exponent and no comma. A negative distance and an
     infinite beta are then refused by the model, not the parser."""
+    if flag == "--seeds":
+        command = ["simulate", "--topology", topo_line3]
+    else:
+        command = ["sweep", "--model", "2", "--d-max", "1", "--d-step", "0.25"]
     got = []
     for argv in ([flag, value], [f"{flag}={value}"]):
-        code = main(["sweep", "--model", "2", *argv, "--d-max", "1", "--d-step", "0.25"])
+        code = main([*command, *argv])
         got.append((code, *capsys.readouterr()))
     assert got[0] == got[1]
-    assert got[0][0] == (0 if value == "-1e-3" else 2)
+    assert got[0][0] == (2 if value in ("-2.5e-1", "-inf") else 0)
 
 
 def test_sweep_rejects_bad_step(capsys):

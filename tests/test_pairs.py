@@ -262,9 +262,9 @@ def test_step_table_matches_the_closure(model, drawn, zero):
     singular = isinstance(model, PowerLawModel) and model.beta < 0
     if zero and singular:
         with pytest.raises(ValueError, match="d = 0 with negative exponent is singular"):
-            budget_steps(model, zero=True)
+            budget_steps(model, True, math.inf)
         return
-    steps, vals = budget_steps(model, zero)
+    steps, vals = budget_steps(model, zero, math.inf)
     assert len(calls) <= 64 * model.n + 2
     assert len(vals) == len(steps) + 1 and steps == sorted(steps)
     assert not steps or steps[0] >= 5e-324
@@ -462,7 +462,7 @@ def near_cases(draw):
     cls = draw(st.sampled_from([PowerLawModel, GaussianDecayModel]))
     beta = draw(st.sampled_from([0.0, -1.0, 1.0, 1.0, 1.0])) * draw(st.floats(0.01, 9.0))
     model = cls(n=draw(st.integers(1, 12)), alpha=draw(st.floats(0.3, 3.0)), beta=beta)
-    steps = budget_steps(model, zero=False)[0]
+    steps = budget_steps(model, False, math.inf)[0]
     s = steps[-1] if steps else 1.0
     kind = draw(st.sampled_from(NEAR_KINDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -490,9 +490,9 @@ def test_bits_grid_matches_the_rows_and_pairwise_bits(case):
     assert [*got] == expected
     assert budget_matrix(model, topo) == [[pairwise_bits(model, topo.distance(i, j)) if i != j else 0
                                            for j in range(size)] for i in range(size)]
-    steps, vals = schedule._step_table(model, topo)
+    steps, vals = budget_steps(model, topo.coincident, size * (size - 1) // 2)
     labels = [*map(str, vals)]
-    row = schedule._lookup_rows(topo, steps, labels)
+    row = schedule._pair_rows(model, ConditioningRule.MIN, topo, (steps, labels))
     assert [[*row(i, range(i + 1, size))] for i in range(size)] == expected
     if steps and steps[-1] == s and kind != "huge":
         assert schedule._near_rows(topo, s, row, labels[-1]) is not None
@@ -505,9 +505,9 @@ def test_bits_grid_falls_back_where_a_cell_index_overflows():
     model = GaussianDecayModel(12, 1.0, 1e6)
     points = [(-(2.0**1022), 0.0), (2.0**1022, 0.0)] + [(i / 1000, i % 7 / 1000) for i in range(60)]
     topo = Topology.from_positions(points)
-    steps, vals = schedule._step_table(model, topo)
-    assert schedule._near_rows(topo, steps[-1], schedule._lookup_rows(topo, steps, vals), vals[-1]) is None
-    assert schedule._near_rows(topo, MAX_FLOAT, schedule._lookup_rows(topo, [MAX_FLOAT], ["0", "1"]), "1") is None
+    for table in (budget_steps(model, topo.coincident, 62 * 61 // 2), ([MAX_FLOAT], ["0", "1"])):
+        row = schedule._pair_rows(model, ConditioningRule.MIN, topo, table)
+        assert schedule._near_rows(topo, table[0][-1], row, table[1][-1]) is None
     expected = [[str(pairwise_bits(model, topo.distance(i, j))) for j in range(i + 1, 62)] for i in range(62)]
     assert [*pair_tails(model, ConditioningRule.MIN, topo, str)] == expected
 
@@ -566,7 +566,8 @@ def test_bits_computes_only_near_pairs(monkeypatch):
         assert budget_matrix(model, topo) == [[top] * i + [0] + [top] * (499 - i) for i in range(500)]
     assert counted == []
     power = PowerLawModel(8, 1.0, 1.0)
-    steps, vals = schedule._step_table(power, topo)
-    assert schedule._near_rows(topo, steps[-1], schedule._lookup_rows(topo, steps, vals), vals[-1]) is None
+    steps, vals = budget_steps(power, topo.coincident, 500 * 499 // 2)
+    row = schedule._pair_rows(power, ConditioningRule.MIN, topo, (steps, vals))
+    assert schedule._near_rows(topo, steps[-1], row, vals[-1]) is None
     [*pair_tails(power, ConditioningRule.MIN, topo, str)]
     assert len(counted) == 500 * 499 / 2

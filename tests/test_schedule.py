@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import sys
 
@@ -18,6 +19,7 @@ from bitgather import (
     schedule_stats,
 )
 from bitgather import schedule
+from bitgather.correlation import budget_steps
 from bitgather.schedule import EXHAUSTIVE_LIMIT, _table, _total_fn
 
 from conftest import mst_weight, random_topology
@@ -370,6 +372,26 @@ def test_budget_matrix_bisects_only_above_the_gate(size, tabled):
         assert calls == [*_ENDS, *(topo.distance(i, j) for i in range(size) for j in range(i + 1, size))]
 
 
+def test_budget_steps_gate_is_64n_plus_2():
+    """With n = 4 the bisection's bound is 64n + 2 = 258 calls: at 258 pairs
+    budget_steps gives None after the two end calls, at 259 the staircase. A
+    constant staircase costs the two end calls at any count of pairs."""
+    m = PowerLawModel(n=4, alpha=1.0, beta=1.0)
+    calls = _count_budget_calls(m)
+    assert budget_steps(m, False, 258) is None
+    assert calls == _ENDS
+    del calls[:]
+    assert budget_steps(m, False, 259) == ([1.0000000000000003e-09, 1.000000001, 2.000000001, 3.000000001],
+                                           [0, 1, 2, 3, 4])
+    assert calls[:2] == _ENDS and len(calls) <= 258
+    for model in (PowerLawModel(4, 3.0, 0.0), GaussianDecayModel(10**6, 0.5, 0.0)):
+        table, calls = ([], [model.budget(1.0)]), _count_budget_calls(model)
+        for pairs in (0, 258, 259, math.inf):
+            del calls[:]
+            assert budget_steps(model, False, pairs) == table
+            assert calls == _ENDS
+
+
 @pytest.mark.parametrize("coincident", [False, True], ids=["apart", "twins"])
 def test_constant_staircase_below_the_gate_costs_two_calls(coincident):
     """A budget equal at both ends is constant: below the gate (n = 10**6, 435
@@ -437,28 +459,45 @@ def _assert_no_new_cycle(call) -> None:
         gc.enable()
 
 
+_SAMPLED = lambda m, topo: schedule_stats(m, MAX, topo, "sampled", count=50, seed=0)
+_BRUTE = lambda m, topo: optimize(m, MIN, topo, strategy="brute_force")
+_PRIM = lambda m, topo: optimize(m, MIN, topo, strategy="greedy_prim")
+_PRIM_FORCED = lambda m, topo: optimize(m, MAX, topo, strategy="greedy_prim", force=True)
+_RESTART = lambda m, topo: optimize(m, MIN, topo, strategy="random_restart", count=50, seed=0)
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, size",
     [
-        lambda m, topo: schedule_stats(m, MIN, topo, "exhaustive"),
-        lambda m, topo: schedule_stats(_GAUSS, ADD, topo, "exhaustive"),
-        lambda m, topo: schedule_stats(m, MAX, topo, "sampled", count=50, seed=0),
-        lambda m, topo: optimize(m, MIN, topo, strategy="brute_force"),
-        lambda m, topo: optimize(m, MIN, topo, objective="maximize", strategy="brute_force"),
-        lambda m, topo: optimize(_GAUSS, ADD, topo, strategy="brute_force"),
-        lambda m, topo: optimize(m, MIN, topo, strategy="greedy_prim"),
-        lambda m, topo: optimize(m, MAX, topo, strategy="greedy_prim", force=True),
-        lambda m, topo: optimize(m, MIN, topo, strategy="random_restart", count=50, seed=0),
-        lambda m, topo: evaluate(m, MIN, topo, range(topo.size)),
-        lambda m, topo: fidelity_sweep(m, MIN, topo, range(topo.size), [0.5, 2.0], [1, 2]),
+        (lambda m, topo: schedule_stats(m, MIN, topo, "exhaustive"), 6),
+        (lambda m, topo: schedule_stats(_GAUSS, ADD, topo, "exhaustive"), 6),
+        (_SAMPLED, 6),
+        (_BRUTE, 6),
+        (lambda m, topo: optimize(m, MIN, topo, objective="maximize", strategy="brute_force"), 6),
+        (lambda m, topo: optimize(_GAUSS, ADD, topo, strategy="brute_force"), 6),
+        (_PRIM, 6),
+        (_PRIM_FORCED, 6),
+        (_RESTART, 6),
+        (lambda m, topo: evaluate(m, MIN, topo, range(topo.size)), 6),
+        (lambda m, topo: fidelity_sweep(m, MIN, topo, range(topo.size), [0.5, 2.0], [1, 2]), 6),
+        # past the gate (64n + 2 = 322 < 435 pairs): each call bisects the staircase
+        (_SAMPLED, 30),
+        (_BRUTE, 30),
+        (_PRIM, 30),
+        (_PRIM_FORCED, 30),
+        (_RESTART, 30),
+        (budget_matrix, 30),
+        (lambda m, topo: [*schedule.pair_tails(m, MIN, topo, str)], 30),
     ],
     ids=[
         "exhaustive", "exhaustive-additive", "sampled", "brute", "brute-max", "brute-additive",
         "prim", "prim-forced", "restart", "evaluate", "fidelity_sweep",
+        "sampled-n30", "brute-n30", "prim-n30", "prim-forced-n30", "restart-n30", "budget_matrix-n30",
+        "pair_tails-n30",
     ],
 )
-def test_leaves_no_reference_cycle(unit_staircase, call):
-    topo = random_topology(random.Random(21), 6)
+def test_leaves_no_reference_cycle(unit_staircase, call, size):
+    topo = random_topology(random.Random(21), size)
     _assert_no_new_cycle(lambda: call(unit_staircase, topo))
 
 

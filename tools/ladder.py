@@ -6,17 +6,26 @@ run records the machine too: core count, Python version, machine type, and
 the git commit of the imported bitgather (with whether its sources differ
 from that commit). Run from the repository root:
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_35.json --label change
+    PYTHONPATH=src python tools/ladder.py --out BENCH_36.json --label change
 
 --out appends the run to the file's "runs", so one file can hold a parent
 run and a change run. --layout puts every row on one layout, as a quick
 check that each row runs; its times compare with nothing.
+
+--parent PATH also imports PATH/src/bitgather, a checkout of the parent
+commit, under the package name bitgather_parent, and times each row's
+parent and change calls in turn, k rounds alternated, so that both runs
+meet the same drift of the machine's speed. It writes two runs, "parent"
+and the --label one (default "change"):
+
+    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_36.json
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import platform
@@ -28,57 +37,102 @@ import time
 import tracemalloc
 from collections import deque
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 import bitgather
-from bitgather import ConditioningRule, GaussianDecayModel, PowerLawModel, Topology
-from bitgather.schedule import _exhaustive, optimize, pair_tails, schedule_stats
 from test_pinned import LAYOUTS  # the script's own directory is first on sys.path
 
-MIN, MAX, ADDITIVE = ConditioningRule.MIN, ConditioningRule.MAX, ConditioningRule.ADDITIVE
-ENUMERATE = GaussianDecayModel(8, 1.0, 0.05)  # the benchmark's enumerate model
-SEARCH = PowerLawModel(8, 1.0, 1.0)  # its search model
-FIELD = GaussianDecayModel(12, 1.0, 0.5)  # its field model
-WIDE = GaussianDecayModel(2**53, 1.0, 0.05)  # a budget per pair: the polled-set pass's widest sums
+# Models by family and (n, alpha, beta), built from each imported tree's own classes.
+ENUMERATE = ("GaussianDecayModel", 8, 1.0, 0.05)  # the benchmark's enumerate model
+SEARCH = ("PowerLawModel", 8, 1.0, 1.0)  # its search model
+FIELD = ("GaussianDecayModel", 12, 1.0, 0.5)  # its field model
+WIDE = ("GaussianDecayModel", 2**53, 1.0, 0.05)  # a budget per pair: the polled-set pass's widest sums
+PER_PAIR = ("GaussianDecayModel", 10**6, 1.0, 0.5)  # 64n + 2 past N = 500's pairs: a budget call per pair
+CONSTANT = ("GaussianDecayModel", 10**6, 1.0, 0.0)  # beta = 0: one budget, from the two end calls
+
+Make = Callable[[ModuleType, object], Callable[[], object]]  # make(tree, topology): the call to time
 
 
-def _polled_sets(rule: ConditioningRule, model=ENUMERATE) -> Callable[[Topology], Callable[[], object]]:
-    return lambda topo: lambda: _exhaustive(model, rule, topo, "")
+def _model(tree: ModuleType, spec: tuple):
+    family, *params = spec
+    return getattr(tree, family)(*params)
 
 
-def _brute_force(rule: ConditioningRule) -> Callable[[Topology], Callable[[], object]]:
-    """brute_force minimizing, outside the spanning pairs: the pass's argmin alone."""
-    return lambda topo: lambda: optimize(ENUMERATE, rule, topo, "minimize", "brute_force")
-
-
-def _shuffled(topo: Topology) -> list[int]:
+def _shuffled(topo) -> list[int]:
     """The layout's ids shuffled by random.Random(0), as test_pinned's {order}."""
     order = [*range(topo.size)]
     random.Random(0).shuffle(order)
     return order
 
 
-# (row name, layout, make): make(topology) returns the call to time
-ROWS: list[tuple[str, str, Callable[[Topology], Callable[[], object]]]] = [
-    *((f"_exhaustive {rule.value}", f"n{size}.csv", _polled_sets(rule))
-      for size in (8, 12, 14, 16) for rule in ConditioningRule),
-    ("_exhaustive min n=2**53", "n16.csv", _polled_sets(MIN, WIDE)),
-    *((f"optimize brute_force {rule.value} minimize", f"n{size}.csv", _brute_force(rule))
-      for size in (14, 16) for rule in (ADDITIVE, MAX)),
-    ("stats sampled 5000 max", "n50.csv",
-     lambda topo: lambda: schedule_stats(SEARCH, MAX, topo, "sampled", count=5000, seed=1)),
-    ("optimize greedy_prim min", "n200_seed3.csv",
-     lambda topo: lambda: optimize(SEARCH, MIN, topo, "minimize", "greedy_prim")),
-    ("pair_tails field min", "n500.csv",
-     lambda topo: lambda: deque(pair_tails(FIELD, MIN, topo, functools.cache(str)), 0)),
-    ("nearest_links shuffled", "n500.csv",
-     lambda topo: functools.partial(topo.nearest_links, _shuffled(topo))),
+def _polled_sets(rule: str, model: tuple = ENUMERATE) -> Make:
+    return lambda tree, topo: functools.partial(
+        tree.schedule._exhaustive, _model(tree, model), tree.ConditioningRule(rule), topo, "")
+
+
+def _optimize(model: tuple, rule: str, objective: str, strategy: str) -> Make:
+    return lambda tree, topo: functools.partial(
+        tree.schedule.optimize, _model(tree, model), tree.ConditioningRule(rule), topo, objective, strategy)
+
+
+def _stats_sampled(tree: ModuleType, topo) -> Callable[[], object]:
+    return functools.partial(tree.schedule.schedule_stats, _model(tree, SEARCH), tree.ConditioningRule.MAX, topo,
+                             "sampled", count=5000, seed=1)
+
+
+def _pair_tails(tree: ModuleType, topo) -> Callable[[], object]:
+    tails = functools.partial(tree.schedule.pair_tails, _model(tree, FIELD), tree.ConditioningRule.MIN, topo)
+    return lambda: deque(tails(functools.cache(str)), 0)
+
+
+def _budget_matrix(model: tuple) -> Make:
+    return lambda tree, topo: functools.partial(tree.schedule.budget_matrix, _model(tree, model), topo)
+
+
+def _evaluate(rule: str) -> Make:
+    """evaluate on the shuffled order: under MAX the farthest-partner walk, under ADDITIVE the decay-term fold."""
+    return lambda tree, topo: functools.partial(
+        tree.schedule.evaluate, _model(tree, FIELD), tree.ConditioningRule(rule), topo, _shuffled(topo))
+
+
+# (row name, layout, make)
+ROWS: list[tuple[str, str, Make]] = [
+    *((f"_exhaustive {rule}", f"n{size}.csv", _polled_sets(rule))
+      for size in (8, 12, 14, 16) for rule in ("min", "max", "additive")),
+    ("_exhaustive min n=2**53", "n16.csv", _polled_sets("min", WIDE)),
+    *((f"optimize brute_force {rule} minimize", f"n{size}.csv", _optimize(ENUMERATE, rule, "minimize", "brute_force"))
+      for size in (14, 16) for rule in ("additive", "max")),
+    ("stats sampled 5000 max", "n50.csv", _stats_sampled),
+    ("optimize greedy_prim min", "n200_seed3.csv", _optimize(SEARCH, "min", "minimize", "greedy_prim")),
+    ("optimize brute_force min", "n2000.csv", _optimize(SEARCH, "min", "minimize", "brute_force")),
+    ("pair_tails field min", "n500.csv", _pair_tails),
+    ("budget_matrix field", "n500.csv", _budget_matrix(FIELD)),
+    ("budget_matrix n=10**6", "n500.csv", _budget_matrix(PER_PAIR)),
+    ("budget_matrix beta=0", "n500.csv", _budget_matrix(CONSTANT)),
+    ("evaluate max shuffled", "n500.csv", _evaluate("max")),
+    ("evaluate additive shuffled", "n500.csv", _evaluate("additive")),
+    ("nearest_links shuffled", "n500.csv", lambda tree, topo: functools.partial(topo.nearest_links, _shuffled(topo))),
 ]
 
 
-def machine() -> dict:
-    """Cores, Python, machine type, and the commit of the imported bitgather."""
-    where = Path(bitgather.__file__).resolve().parent
+def load_tree(root: Path, name: str) -> ModuleType:
+    """root/src/bitgather imported afresh as the package `name`; its relative imports load its own modules."""
+    for stale in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[stale]
+    where = root.resolve() / "src" / "bitgather"
+    spec = importlib.util.spec_from_file_location(name, where / "__init__.py", submodule_search_locations=[str(where)])
+    if spec is None or spec.loader is None:
+        raise SystemExit(f"no bitgather package under {root}")
+    tree = importlib.util.module_from_spec(spec)
+    sys.modules[name] = tree
+    spec.loader.exec_module(tree)
+    return tree
+
+
+def machine(tree: ModuleType) -> dict:
+    """Cores, Python, machine type, and the commit of the imported tree."""
+    where = Path(tree.__file__).resolve().parent
 
     def git(*args: str) -> str | None:
         try:
@@ -92,20 +146,27 @@ def machine() -> dict:
             "commit": git("rev-parse", "HEAD"), "dirty": None if status is None else status != ""}
 
 
-def measure(call: Callable[[], object], k: int) -> dict:
-    """Best and median wall seconds of k calls, then one traced call's peak."""
-    times = []
-    for _ in range(k):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"best_s": min(times), "median_s": statistics.median(times), "peak_mb": peak / 2**20}
+def measure(calls: list[Callable[[], object]], k: int) -> list[dict]:
+    """For each call, the best and median wall seconds of k runs, the calls
+    taking turns in each of k rounds (in reverse order every other round, so
+    none always runs first), then one traced run's peak."""
+    times: list[list[float]] = [[] for _ in calls]
+    turns = [*zip(calls, times)]
+    for r in range(k):
+        for call, spent in reversed(turns) if r % 2 else turns:
+            start = time.perf_counter()
+            call()
+            spent.append(time.perf_counter() - start)
+    got = []
+    for call, spent in zip(calls, times):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got.append({"best_s": min(spent), "median_s": statistics.median(spent), "peak_mb": peak / 2**20})
+    return got
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,25 +175,33 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, help="JSON file whose runs the run is appended to; stdout if absent")
     ap.add_argument("--label", help="the run's label, such as parent or change")
     ap.add_argument("--layout", choices=sorted(LAYOUTS), help="run every row on this layout")
+    ap.add_argument("--parent", type=Path, help="a checkout of the parent commit, timed in turn with this tree")
     args = ap.parse_args(argv)
     if args.k < 1:
         ap.error("--k must be >= 1")
-    topologies: dict[str, Topology] = {}
-    rows = []
+    trees, labels = [bitgather], [args.label]
+    if args.parent is not None:
+        trees, labels = [load_tree(args.parent, "bitgather_parent"), bitgather], ["parent", args.label or "change"]
+    runs = [{"label": label, "k": args.k, "machine": machine(tree), "rows": []} for tree, label in zip(trees, labels)]
+    topologies: dict[tuple[str, str], object] = {}
     for name, layout, make in ROWS:
         layout = args.layout or layout
-        if layout not in topologies:
-            topologies[layout] = Topology.from_positions(LAYOUTS[layout]())
-        topo = topologies[layout]
-        rows.append({"row": name, "layout": layout, "n_nodes": topo.size, **measure(make(topo), args.k)})
-        print(f"{name:28s} {layout:15s} best {rows[-1]['best_s']:.4g} s", file=sys.stderr)
-    run = {"label": args.label, "k": args.k, "machine": machine(), "rows": rows}
+        calls = []
+        for tree in trees:
+            key = (tree.__name__, layout)
+            if key not in topologies:
+                topologies[key] = tree.Topology.from_positions(LAYOUTS[layout]())
+            calls.append(make(tree, topologies[key]))
+        for run, got in zip(runs, measure(calls, args.k)):
+            run["rows"].append({"row": name, "layout": layout, "n_nodes": topologies[key].size, **got})
+        best = " ".join(f"{run['rows'][-1]['best_s']:.4g}" for run in runs)
+        print(f"{name:38s} {layout:15s} best {best} s", file=sys.stderr)
     if args.out is None:
-        json.dump(run, sys.stdout, indent=1)
+        json.dump(runs[0] if len(runs) == 1 else runs, sys.stdout, indent=1)
         print()
         return 0
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    doc["runs"].append(run)
+    doc["runs"] += runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
