@@ -12,7 +12,8 @@ construction. Both are monotone in d: non-decreasing for beta > 0,
 non-increasing for beta < 0, constant for beta = 0. So a budget is a
 staircase of at most n + 1 values; budget_steps tabulates its steps, and a
 lookup in that table replaces a budget call per pair where it costs less
-(sum_steps does the same for decay_bits over a summed decay term).
+(sum_steps does the same for decay_bits over a summed decay term). One
+loop, _staircase, pins the steps of both over the float bit patterns.
 Conditioning on a set of already-transmitted nodes uses one of three
 rules: nearest prior node (MIN), farthest prior node (MAX), or a summed
 exponential term (ADDITIVE, Gaussian-decay parameters only): the exact sum
@@ -146,6 +147,35 @@ def _float(bits: int) -> float:
     return struct.unpack("d", struct.pack("Q", bits))[0]
 
 
+def _staircase(f, lo: int, v: int, hi: int, top: int, seed=None) -> tuple[list[float], list[int]]:
+    """The steps of a monotone f over the float bit patterns (lo, hi], f(lo) = v
+    and f(hi) = top: each step's least pattern as a float, and [v, the value
+    past each]. Each step is pinned from the last, galloping out from seed(v)
+    clamped into the bracket, else bisecting (at most 63 calls a step) up to
+    the least probe known to lie past it; no call is repeated."""
+    steps, vals, past = [], [v], [(hi, top)]  # (pattern, value) of each probe past a step to come, least last
+    while v != top:
+        hi, vh = past.pop()  # the least pattern known past this step
+        probe, gap = lo, 1  # lo is outside the open bracket: bisect
+        if seed is not None:
+            probe = min(max(struct.unpack("Q", struct.pack("d", seed(v)))[0], lo + 1), hi - 1)
+        while hi - lo > 1:
+            if not lo < probe < hi:  # the gallop left (lo, hi): bisect from here on
+                probe, gap = (lo + hi) // 2, 0
+            vp = f(struct.unpack("d", struct.pack("Q", probe))[0])
+            if vp == v:
+                lo, probe = probe, probe + gap
+            else:
+                if vp != vh:  # the old bound lies past the step to vp
+                    past.append((hi, vh))
+                hi, vh, probe = probe, vp, probe - gap
+            gap *= 2
+        steps.append(_float(hi))
+        vals.append(vh)
+        lo, v = hi, vh
+    return steps, vals
+
+
 def budget_steps(model: ModelSpec, zero: bool, pairs: float) -> tuple[list[float], list[int]] | None:
     """The budget staircase, where it costs fewer budget calls than the
     `pairs` it replaces: budget(d) == vals[bisect_right(steps, d)] for every
@@ -155,10 +185,9 @@ def budget_steps(model: ModelSpec, zero: bool, pairs: float) -> tuple[list[float
     set (which raises where budget(0) is singular) else the smallest
     positive float, and the largest float. Where they agree the budget is
     constant between them, and the staircase is ([], [v]) at any `pairs`.
-    Else each step's smallest distance is found by bisecting over float bit
-    patterns with model.budget as the oracle, which trusts the method to be
-    monotone: at most 63 calls a step, 64n + 2 with the ends. So the search
-    is made only where that bound is below `pairs`.
+    Else _staircase bisects for each step with model.budget as the oracle,
+    at most 63 calls a step and 64n + 2 with the ends; so only where that
+    bound is below `pairs`.
     """
     budget, lo = model.budget, 0 if zero else 1
     v_lo, v_top = budget(_float(lo)), budget(_float(_TOP))
@@ -166,51 +195,21 @@ def budget_steps(model: ModelSpec, zero: bool, pairs: float) -> tuple[list[float
         return [], [v_lo]
     if 64 * model.n + 2 >= pairs:
         return None
-    steps, vals = [], [v_lo]
-
-    def split(a: int, va: int, b: int, vb: int) -> None:  # budget(a) = va != vb = budget(b)
-        if b - a == 1:
-            steps.append(_float(b))
-            vals.append(vb)
-            return
-        m = (a + b) // 2
-        vm = budget(_float(m))
-        if vm != va:
-            split(a, va, m, vm)
-        if vm != vb:
-            split(m, vm, b, vb)
-
-    split(lo, v_lo, _TOP, v_top)
-    del split  # the closure holds its own cell: a cycle for the collector
-    return steps, vals
+    return _staircase(budget, lo, v_lo, _TOP, v_top)
 
 
 def sum_steps(model: GaussianDecayModel) -> list[float]:
     """decay_bits' staircase over a summed decay term: decay_bits(s) ==
     n - bisect_right(steps, s) for every s in [0, inf], steps[j] the least s
-    with decay_bits(s) < n - j (inf past the largest float). Each step is
-    seeded where n * (1 - alpha * s) crosses the next value plus CEIL_SNAP,
-    then pinned over float bit patterns (inf's follows the largest float's)
-    with decay_bits as the oracle, galloping out from the seed and then
-    bisecting: a few calls a step. Like budget_steps it trusts monotonicity.
+    with decay_bits(s) < n - j (inf past the largest float, whose pattern
+    follows). _staircase pins them with decay_bits as the oracle, galloping
+    out from where n * (1 - alpha * s) crosses the next value plus
+    CEIL_SNAP: a few calls a step.
     """
-    n, alpha, bits = model.n, model.alpha, model.decay_bits
-    steps, lo = [], 0  # decay_bits(0.0) is n
-    while len(steps) < n:
-        v = n - len(steps)  # decay_bits at lo
-        seed = struct.unpack("Q", struct.pack("d", (1.0 - (v - 1 + CEIL_SNAP) / n) / alpha))[0]
-        hi, probe, step = _TOP + 1, min(max(seed, lo + 1), _TOP), 1  # bits(lo) == v > bits(hi)
-        while hi - lo > 1:
-            if not lo < probe < hi:  # the gallop left (lo, hi): bisect from here on
-                probe, step = (lo + hi) // 2, 0
-            if bits(_float(probe)) < v:
-                hi, probe = probe, probe - step
-            else:
-                lo, probe = probe, probe + step
-            step *= 2
-        steps += [_float(hi)] * (v - bits(_float(hi)))
-        lo = hi
-    return steps
+    n, alpha = model.n, model.alpha
+    seed = lambda v: (1.0 - (v - 1 + CEIL_SNAP) / n) / alpha
+    steps, vals = _staircase(model.decay_bits, 0, n, _TOP + 1, 0, seed)
+    return [step for step, a, b in zip(steps, vals, vals[1:]) for _ in range(a - b)]
 
 
 def decay_sum(terms: Iterable[float]) -> float:

@@ -105,10 +105,11 @@ class ScheduleStats(NamedTuple):
 
 
 def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]:
-    order = tuple(schedule)
-    if sorted(order) != list(range(n_nodes)):
+    order = tuple(schedule)  # read as plain ints, so no 2.0 passes as 2 and True is 1
+    ids = tuple(map(operator.index, order)) if all(map(hasattr, order, repeat("__index__"))) else ()
+    if sorted(ids) != list(range(n_nodes)):
         raise ValueError(f"schedule {order} is not a permutation of 0..{n_nodes - 1}")
-    return order
+    return ids
 
 
 def _pair_rows(

@@ -266,6 +266,7 @@ def test_step_table_matches_the_closure(model, drawn, zero):
         return
     steps, vals = budget_steps(model, zero, math.inf)
     assert len(calls) <= 64 * model.n + 2
+    assert len(calls) <= 63 * len(steps) + 2  # the per-step bound the 64n + 2 gate rests on
     assert len(vals) == len(steps) + 1 and steps == sorted(steps)
     assert not steps or steps[0] >= 5e-324
     lo, top = (0 if zero else 1), _bits(MAX_FLOAT)
@@ -300,6 +301,18 @@ def test_sum_staircase_matches_bisection(n, alpha):
     split(0, n, _bits(math.inf), 0)
     assert sum_steps(model) == want
     assert (want[-1] == math.inf) == (bits(MAX_FLOAT) > 0) == (alpha < 1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 12, 1000])
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 0.3, 1.0, 2.5, 1e308])
+def test_sum_staircase_takes_few_calls_a_step(n, alpha):
+    """sum_steps makes at most 4 decay_bits calls per distinct step: its seed,
+    clamped into the bracket, lands next to each step, and no call repeats."""
+    model = GaussianDecayModel(n, alpha, 1.0)
+    calls, bits = [], model.decay_bits
+    vars(model)["decay_bits"] = lambda s: calls.append(s) or bits(s)
+    steps = sum_steps(model)
+    assert len(calls) == len(set(calls)) <= 4 * len(set(steps))
 
 
 # Few distinct points make duplicates; the extremes make overflowing pairs.

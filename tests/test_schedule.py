@@ -60,9 +60,11 @@ class TestEvaluate:
             assert report.total == sum(b for _, b in report.per_node)
 
     def test_malformed_permutation_rejected(self, collinear3, unit_staircase):
-        for bad in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        for bad in ([0, 1], [0, 1, 1], [0, 1, 3], [0, 1, 2.0]):
             with pytest.raises(ValueError, match="permutation"):
                 evaluate(unit_staircase, MIN, collinear3, bad)
+        node, _ = evaluate(unit_staircase, MIN, collinear3, [0, True, 2]).per_node[1]
+        assert node == 1 and type(node) is int
 
     def test_fast_total_matches_evaluate(self):
         rng = random.Random(22)

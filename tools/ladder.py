@@ -6,7 +6,7 @@ run records the machine too: core count, Python version, machine type, and
 the git commit of the imported bitgather (with whether its sources differ
 from that commit). Run from the repository root:
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_36.json --label change
+    PYTHONPATH=src python tools/ladder.py --out BENCH_37.json --label change
 
 --out appends the run to the file's "runs", so one file can hold a parent
 run and a change run. --layout puts every row on one layout, as a quick
@@ -18,7 +18,7 @@ parent and change calls in turn, k rounds alternated, so that both runs
 meet the same drift of the machine's speed. It writes two runs, "parent"
 and the --label one (default "change"):
 
-    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_36.json
+    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_37.json
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ FIELD = ("GaussianDecayModel", 12, 1.0, 0.5)  # its field model
 WIDE = ("GaussianDecayModel", 2**53, 1.0, 0.05)  # a budget per pair: the polled-set pass's widest sums
 PER_PAIR = ("GaussianDecayModel", 10**6, 1.0, 0.5)  # 64n + 2 past N = 500's pairs: a budget call per pair
 CONSTANT = ("GaussianDecayModel", 10**6, 1.0, 0.0)  # beta = 0: one budget, from the two end calls
+LONG = ("GaussianDecayModel", 2**16 // 8, 1.0, 0.05)  # the most sum_steps steps the polled-set pass takes at N = 16
 
 Make = Callable[[ModuleType, object], Callable[[], object]]  # make(tree, topology): the call to time
 
@@ -90,6 +91,12 @@ def _budget_matrix(model: tuple) -> Make:
     return lambda tree, topo: functools.partial(tree.schedule.budget_matrix, _model(tree, model), topo)
 
 
+def _budget_steps(model: tuple) -> Make:
+    """budget_steps for the layout's N(N-1)/2 pairs: past the 64n + 2 gate at N = 200 and 500."""
+    return lambda tree, topo: functools.partial(
+        tree.correlation.budget_steps, _model(tree, model), topo.coincident, topo.size * (topo.size - 1) // 2)
+
+
 def _evaluate(rule: str) -> Make:
     """evaluate on the shuffled order: under MAX the farthest-partner walk, under ADDITIVE the decay-term fold."""
     return lambda tree, topo: functools.partial(
@@ -101,6 +108,7 @@ ROWS: list[tuple[str, str, Make]] = [
     *((f"_exhaustive {rule}", f"n{size}.csv", _polled_sets(rule))
       for size in (8, 12, 14, 16) for rule in ("min", "max", "additive")),
     ("_exhaustive min n=2**53", "n16.csv", _polled_sets("min", WIDE)),
+    ("_exhaustive additive n=8192", "n16.csv", _polled_sets("additive", LONG)),
     *((f"optimize brute_force {rule} minimize", f"n{size}.csv", _optimize(ENUMERATE, rule, "minimize", "brute_force"))
       for size in (14, 16) for rule in ("additive", "max")),
     ("stats sampled 5000 max", "n50.csv", _stats_sampled),
@@ -110,6 +118,8 @@ ROWS: list[tuple[str, str, Make]] = [
     ("budget_matrix field", "n500.csv", _budget_matrix(FIELD)),
     ("budget_matrix n=10**6", "n500.csv", _budget_matrix(PER_PAIR)),
     ("budget_matrix beta=0", "n500.csv", _budget_matrix(CONSTANT)),
+    ("budget_steps field", "n500.csv", _budget_steps(FIELD)),
+    ("budget_steps search", "n200_seed3.csv", _budget_steps(SEARCH)),
     ("evaluate max shuffled", "n500.csv", _evaluate("max")),
     ("evaluate additive shuffled", "n500.csv", _evaluate("additive")),
     ("nearest_links shuffled", "n500.csv", lambda tree, topo: functools.partial(topo.nearest_links, _shuffled(topo))),
