@@ -13,7 +13,8 @@ non-increasing for beta < 0, constant for beta = 0. So a budget is a
 staircase of at most n + 1 values; budget_steps tabulates its steps, and a
 lookup in that table replaces a budget call per pair where it costs less
 (sum_steps does the same for decay_bits over a summed decay term). One
-loop, _staircase, pins the steps of both over the float bit patterns.
+loop, _staircase, pins the steps of both over the float bit patterns, from
+a closed-form inverse of each.
 Conditioning on a set of already-transmitted nodes uses one of three
 rules: nearest prior node (MIN), farthest prior node (MAX), or a summed
 exponential term (ADDITIVE, Gaussian-decay parameters only): the exact sum
@@ -80,6 +81,14 @@ class PowerLawModel(_Checked):
             return self.n
         return clamped_ceil(self.alpha * clamped_ceil(x, math.inf), self.n)  # the inner ceiling is not capped
 
+    def _crossing(self, r: float) -> float:
+        """About the d where alpha * ceil(d**beta) crosses r > 0: where d**beta passes
+        the last inner value that alpha times keeps at most r. Raises nothing."""
+        try:
+            return (r // self.alpha + CEIL_SNAP) ** (1.0 / self.beta)
+        except OverflowError:
+            return math.inf
+
 
 class GaussianDecayModel(_Checked):
     """Saturating budget: ceil(n * (1 - alpha * exp(-beta * d**2)))."""
@@ -103,6 +112,13 @@ class GaussianDecayModel(_Checked):
         except OverflowError:  # the term is +inf: the budget is clamped to 0
             return 0
         return clamped_ceil(self.n * (1.0 - self.alpha * s), self.n)
+
+    def _crossing(self, r: float) -> float:
+        """About the d where n * (1 - alpha * s) crosses r in (0, n). For alpha * s in
+        [0.5, 1), 1 - alpha * s is a multiple of 2**-53; 1 - r / n is put
+        halfway between two, as near s = 1 one spans many floats of d."""
+        t = min(math.floor(r / self.n * 2**53) + 0.5, 2**53 - 1) / 2**53
+        return math.sqrt(abs((math.log1p(-t) - math.log(self.alpha)) / self.beta))
 
 
 ModelSpec = Union[PowerLawModel, GaussianDecayModel]
@@ -150,15 +166,17 @@ def _float(bits: int) -> float:
 def _staircase(f, lo: int, v: int, hi: int, top: int, seed=None) -> tuple[list[float], list[int]]:
     """The steps of a monotone f over the float bit patterns (lo, hi], f(lo) = v
     and f(hi) = top: each step's least pattern as a float, and [v, the value
-    past each]. Each step is pinned from the last, galloping out from seed(v)
-    clamped into the bracket, else bisecting (at most 63 calls a step) up to
-    the least probe known to lie past it; no call is repeated."""
+    past each]. Each step is pinned from the last, galloping out from seed(r)
+    clamped into the bracket, r the raw value past which clamped_ceil leaves
+    v, else bisecting (at most 63 calls a step) up to the least probe known
+    to lie past it; no call is repeated."""
     steps, vals, past = [], [v], [(hi, top)]  # (pattern, value) of each probe past a step to come, least last
     while v != top:
         hi, vh = past.pop()  # the least pattern known past this step
         probe, gap = lo, 1  # lo is outside the open bracket: bisect
         if seed is not None:
-            probe = min(max(struct.unpack("Q", struct.pack("d", seed(v)))[0], lo + 1), hi - 1)
+            r = v + CEIL_SNAP if top > v else v - 1 + CEIL_SNAP
+            probe = min(max(struct.unpack("Q", struct.pack("d", seed(r)))[0], lo + 1), hi - 1)
         while hi - lo > 1:
             if not lo < probe < hi:  # the gallop left (lo, hi): bisect from here on
                 probe, gap = (lo + hi) // 2, 0
@@ -185,9 +203,12 @@ def budget_steps(model: ModelSpec, zero: bool, pairs: float) -> tuple[list[float
     set (which raises where budget(0) is singular) else the smallest
     positive float, and the largest float. Where they agree the budget is
     constant between them, and the staircase is ([], [v]) at any `pairs`.
-    Else _staircase bisects for each step with model.budget as the oracle,
-    at most 63 calls a step and 64n + 2 with the ends; so only where that
-    bound is below `pairs`.
+    Else _staircase pins each step with model.budget as the oracle,
+    galloping out from the model's closed-form inverse: a few calls a step
+    on most models, and about bisection's 63 where the budget's rounding
+    puts a step far from that inverse (just past d = 0, where exp(-beta *
+    d * d) is near 1). The gate keeps bisection's bound, 64n + 2 with the
+    ends: the staircase is built only where that is below `pairs`.
     """
     budget, lo = model.budget, 0 if zero else 1
     v_lo, v_top = budget(_float(lo)), budget(_float(_TOP))
@@ -195,7 +216,7 @@ def budget_steps(model: ModelSpec, zero: bool, pairs: float) -> tuple[list[float
         return [], [v_lo]
     if 64 * model.n + 2 >= pairs:
         return None
-    return _staircase(budget, lo, v_lo, _TOP, v_top)
+    return _staircase(budget, lo, v_lo, _TOP, v_top, model._crossing)
 
 
 def sum_steps(model: GaussianDecayModel) -> list[float]:
@@ -207,7 +228,7 @@ def sum_steps(model: GaussianDecayModel) -> list[float]:
     CEIL_SNAP: a few calls a step.
     """
     n, alpha = model.n, model.alpha
-    seed = lambda v: (1.0 - (v - 1 + CEIL_SNAP) / n) / alpha
+    seed = lambda r: (1.0 - r / n) / alpha
     steps, vals = _staircase(model.decay_bits, 0, n, _TOP + 1, 0, seed)
     return [step for step, a, b in zip(steps, vals, vals[1:]) for _ in range(a - b)]
 

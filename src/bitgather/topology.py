@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import repeat
 from math import dist, nextafter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
 
@@ -40,14 +40,17 @@ class Topology(Frozen):
         return len(set(self.positions)) < self.size
 
     @classmethod
-    def from_positions(cls, positions: Sequence[tuple[float, float]]) -> "Topology":
-        if not positions:
+    def from_positions(cls, positions: Iterable[tuple[float, float]]) -> "Topology":
+        xs, ys = [], []
+        for x, y in positions:
+            xs.append(float(x))
+            ys.append(float(y))
+        if not xs:
             raise TopologyError("topology needs at least one node")
-        topo = cls(positions=tuple((float(x), float(y)) for x, y in positions))
-        for i, (x, y) in enumerate(topo.positions):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise TopologyError(f"non-finite coordinate for node {i}")
-        (xs, ys), n = zip(*topo.positions), topo.size
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+            finite = [*map(operator.and_, map(math.isfinite, xs), map(math.isfinite, ys))]
+            raise TopologyError(f"non-finite coordinate for node {finite.index(False)}")
+        topo, n = cls(positions=tuple(zip(xs, ys))), len(xs)
         # spans <= 2**1023 keep each distance <= 2**1023.5, and dist errs by < 1 ulp: none overflows
         if max(xs) - min(xs) > 2.0**1023 or max(ys) - min(ys) > 2.0**1023:
             for i in range(n):
@@ -148,37 +151,51 @@ class Topology(Frozen):
         return tuple((v, u, d) for v, (d, u) in zip(order[1:], self.nearest_links(order)[1:]))
 
 
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), a line at a time: no line break spans a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def load_topology(source: str | Path | Iterable[str]) -> Topology:
     """Load a topology from `id,x,y` comma-separated text.
 
     Ids must be dense in [0, N) (any order in the file). Errors carry the
-    offending line number, header = line 1.
+    offending line number: 1-based, blank lines counted (a file's lines as
+    str.splitlines splits them, an iterable's items). Each line is dropped
+    once parsed, its coordinates kept in two float lists.
     """
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+                lines = enumerate(_lines(fh.read()), 1)
         except UnicodeDecodeError as exc:
             raise TopologyError(f"cannot read topology file {source}: {exc}") from None
     else:
-        lines = [ln.rstrip("\n") for ln in source]
+        lines = enumerate(map(str.rstrip, source, repeat("\n")), 1)
 
-    lines = [ln for ln in lines if ln.strip() != ""]
-    if not lines:
+    for lineno, raw in lines:
+        if raw.strip():
+            break
+    else:
         raise TopologyError("empty input: expected header id,x,y")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header != ["id", "x", "y"]:
-        raise TopologyError(f"line 1: expected header id,x,y, got {lines[0]!r}")
+    if [*map(str.strip, raw.split(","))] != ["id", "x", "y"]:
+        raise TopologyError(f"line {lineno}: expected header id,x,y, got {raw!r}")
 
-    by_id: dict[int, tuple[float, float]] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in raw.split(",")]
+    xs, ys, rows = [], [], None  # rows: id -> record index, kept from the first id out of file order on
+    for lineno, raw in lines:
+        if not raw.strip():
+            continue
+        cells = raw.split(",")  # int and float strip the whitespace that str.strip does
         if len(cells) != 3:
             raise TopologyError(f"line {lineno}: expected 3 fields, got {len(cells)}")
         try:
             node_id = int(cells[0])
         except ValueError:
-            raise TopologyError(f"line {lineno}: id {cells[0]!r} is not an integer") from None
+            raise TopologyError(f"line {lineno}: id {cells[0].strip()!r} is not an integer") from None
         try:
             x, y = float(cells[1]), float(cells[2])
         except ValueError:
@@ -187,14 +204,21 @@ def load_topology(source: str | Path | Iterable[str]) -> Topology:
             raise TopologyError(f"line {lineno}: negative id {node_id}")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise TopologyError(f"line {lineno}: non-finite coordinate")
-        if node_id in by_id:
-            raise TopologyError(f"line {lineno}: duplicate id {node_id}")
-        by_id[node_id] = (x, y)
+        if rows is not None or node_id != len(xs):
+            if rows is None:  # the records before this one hold ids 0, 1, ... in order
+                rows = dict(zip(range(len(xs)), range(len(xs))))
+            if node_id in rows:
+                raise TopologyError(f"line {lineno}: duplicate id {node_id}")
+            rows[node_id] = len(xs)
+        xs.append(x)
+        ys.append(y)
 
-    if not by_id:
+    if not xs:
         raise TopologyError("empty input: no node records after header")
-    expected = list(range(len(by_id)))
-    if sorted(by_id) != expected:
-        missing = sorted(set(expected) - set(by_id))
-        raise TopologyError(f"ids must be dense 0..{len(by_id) - 1}; missing {missing}")
-    return Topology.from_positions([by_id[i] for i in expected])
+    if rows is not None:  # no id repeats, so they are dense when each is below N
+        if max(rows) >= len(xs):
+            missing = sorted(set(range(len(xs))).difference(rows))
+            raise TopologyError(f"ids must be dense 0..{len(xs) - 1}; missing {missing}")
+        at = [*map(rows.__getitem__, range(len(xs)))]
+        xs, ys = [*map(xs.__getitem__, at)], [*map(ys.__getitem__, at)]
+    return Topology.from_positions(zip(xs, ys))

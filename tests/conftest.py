@@ -1,10 +1,11 @@
 import math
 import operator
 import random
+from pathlib import Path
 
 import pytest
 
-from bitgather import PowerLawModel, Topology
+from bitgather import PowerLawModel, Topology, TopologyError
 
 
 @pytest.fixture
@@ -22,6 +23,58 @@ def random_topology(rng: random.Random, n_nodes: int, scale: float = 10.0) -> To
     return Topology.from_positions(
         [(rng.uniform(0, scale), rng.uniform(0, scale)) for _ in range(n_nodes)]
     )
+
+
+def reference_load_topology(source) -> Topology:
+    """The reference for load_topology: every line held as a list, the
+    blank lines filtered out with their numbers kept, then a dict of
+    coordinates by id handed to Topology.from_positions. Deliberately
+    separate from the single-pass loader so it can check it."""
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise TopologyError(f"cannot read topology file {source}: {exc}") from None
+    else:
+        lines = [ln.rstrip("\n") for ln in source]
+
+    lines = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln.strip() != ""]
+    if not lines:
+        raise TopologyError("empty input: expected header id,x,y")
+    first, head = lines[0]
+    header = [c.strip() for c in head.split(",")]
+    if header != ["id", "x", "y"]:
+        raise TopologyError(f"line {first}: expected header id,x,y, got {head!r}")
+
+    by_id: dict[int, tuple[float, float]] = {}
+    for lineno, raw in lines[1:]:
+        cells = [c.strip() for c in raw.split(",")]
+        if len(cells) != 3:
+            raise TopologyError(f"line {lineno}: expected 3 fields, got {len(cells)}")
+        try:
+            node_id = int(cells[0])
+        except ValueError:
+            raise TopologyError(f"line {lineno}: id {cells[0]!r} is not an integer") from None
+        try:
+            x, y = float(cells[1]), float(cells[2])
+        except ValueError:
+            raise TopologyError(f"line {lineno}: non-numeric coordinate") from None
+        if node_id < 0:
+            raise TopologyError(f"line {lineno}: negative id {node_id}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TopologyError(f"line {lineno}: non-finite coordinate")
+        if node_id in by_id:
+            raise TopologyError(f"line {lineno}: duplicate id {node_id}")
+        by_id[node_id] = (x, y)
+
+    if not by_id:
+        raise TopologyError("empty input: no node records after header")
+    expected = list(range(len(by_id)))
+    if sorted(by_id) != expected:
+        missing = sorted(set(expected) - set(by_id))
+        raise TopologyError(f"ids must be dense 0..{len(by_id) - 1}; missing {missing}")
+    return Topology.from_positions([by_id[i] for i in expected])
 
 
 def oracle_nearest_links(topology: Topology, order) -> list[tuple[float, int]]:

@@ -18,6 +18,7 @@ def _check_rows(run, ladder):
     for row in run["rows"]:
         assert row["n_nodes"] == 8
         assert all(math.isfinite(row[k]) and row[k] >= 0 for k in ("best_s", "median_s", "peak_mb")), row
+        assert row["best_s"] <= row["q1_s"] <= row["median_s"] <= row["q3_s"] and row["reps"] >= 1, row
 
 
 def test_ladder_writes_a_run_of_finite_times(tmp_path, monkeypatch):

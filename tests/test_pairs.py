@@ -255,8 +255,8 @@ def table_models(draw):
 def test_step_table_matches_the_closure(model, drawn, zero):
     """budget_steps reads model.budget off its table at every step, at the 300
     floats on each side of it, at the range's ends and at random distances.
-    Its bisection makes at most 64n + 2 calls, and from 0 it raises where
-    budget(0) is singular."""
+    It makes at most 64n + 2 calls, and from 0 it raises where budget(0) is
+    singular."""
     calls, budget = [], model.budget
     vars(model)["budget"] = lambda d: calls.append(d) or budget(d)
     singular = isinstance(model, PowerLawModel) and model.beta < 0
@@ -274,6 +274,32 @@ def test_step_table_matches_the_closure(model, drawn, zero):
     ends = {*range(lo, lo + 300), *range(top - 300, top + 1)}
     for d in [*map(_float, near | ends), *(d for d in drawn if d > 0 or zero)]:
         assert vals[bisect_right(steps, d)] == budget(d), d
+
+
+def test_step_tables_take_few_calls_a_step():
+    """Seeded from each model's closed-form inverse, budget_steps makes at
+    most 10 budget calls a step, its two end calls included, over a grid of
+    the models test_step_table_matches_the_closure draws: both families, n
+    from 1 to 64, alpha from 0.05 to 3 and beta of either sign from 1e-5 to
+    9. The benchmark's field and search models take at most 4 a step. One
+    model alone may take more: a single step just past d = 0, where exp(-beta
+    * d * d) is near 1, costs about bisection's 63 calls."""
+    def counted(model):
+        calls, budget = [], model.budget
+        vars(model)["budget"] = lambda d: calls.append(d) or budget(d)
+        return calls, budget_steps(model, False, math.inf)[0]
+
+    calls = steps = 0
+    for cls, n, alpha, beta in itertools.product(
+        [PowerLawModel, GaussianDecayModel], [1, 2, 5, 12, 64], [0.05, 0.5, 1.0, 1.5, 3.0],
+        [-9.0, -1.0, -0.05, -1e-5, 1e-5, 0.05, 0.5, 1.0, 9.0],
+    ):
+        made, table = counted(cls(n, alpha, beta))
+        calls, steps = calls + len(made), steps + len(table)
+    assert calls <= 10 * steps
+    for model in (GaussianDecayModel(12, 1.0, 0.5), PowerLawModel(8, 1.0, 1.0)):
+        made, table = counted(model)
+        assert len(made) <= 4 * len(table)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 12, 1000])

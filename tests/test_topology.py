@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -16,7 +18,7 @@ from bitgather import (
     optimize,
 )
 
-from conftest import oracle_nearest_links, random_topology
+from conftest import oracle_nearest_links, random_topology, reference_load_topology
 
 
 def test_three_four_five():
@@ -85,6 +87,112 @@ def test_load_from_file(tmp_path):
     path = tmp_path / "nodes.csv"
     path.write_text("id,x,y\n0,0,0\n1,3,4\n")
     assert load_topology(path).distance(0, 1) == 5.0
+
+
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        (["id,x,y", "", "0,a,0"], "line 3: non-numeric coordinate"),
+        (["", " ", "x,y,id"], "line 3: expected header id,x,y, got 'x,y,id'"),
+        (["id,x,y", "0,0,0", "", "\t", "0,1,1"], "line 5: duplicate id 0"),
+    ],
+)
+def test_errors_name_the_line_with_blank_lines_counted(tmp_path, lines, error):
+    path = tmp_path / "nodes.csv"
+    path.write_text("\n".join(lines) + "\n")
+    for source in (path, lines):
+        with pytest.raises(TopologyError) as info:
+            load_topology(source)
+        assert str(info.value) == error
+
+
+# Every str.splitlines line break; "\r" then a blank line's "\n" is one CRLF.
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+blank_lines = st.sampled_from(["", " ", "\t", " \t  "])
+odd_ids = st.sampled_from(["-1", "-0", "+1", " 2 ", "1.5", "\t1e3 ", " a", "", "0_1", "99999999999999999999", "\u0663"])
+finite_cells = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+odd_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", " 2.5 ", "1_0.5", "0x1p3", "abc", "", "-0"]),
+)
+
+
+@st.composite
+def placement_lines(draw):
+    """A placement's lines: a header and records whose ids are a permutation
+    of 0..N-1, with blank lines anywhere. A messy one also has, at times,
+    odd, negative, huge and repeated ids, non-numeric and non-finite
+    coordinates, wrong field counts, and a missing or bad header."""
+    messy = draw(st.booleans())
+
+    def odd() -> bool:
+        return messy and draw(st.integers(0, 7)) == 0
+
+    ids = [*map(str, draw(st.permutations(range(draw(st.integers(0, 8))))))]
+    for k in range(len(ids)):
+        if odd():
+            ids[k] = draw(st.one_of(odd_ids, st.sampled_from(ids)))
+    lines = [draw(st.sampled_from(["x,y,id", "id,x", "id;x;y", ""])) if odd() else
+             draw(st.sampled_from(["id,x,y", " id , x ,y\t"]))]
+    for node in ids:
+        record = [node, *(draw(odd_cells if odd() else finite_cells) for _ in "xy")]
+        if odd():
+            record = record[: draw(st.integers(0, 2))] if draw(st.booleans()) else [*record, "0"]
+        lines.append(",".join(record))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(blank_lines))
+    return lines
+
+
+def loaded(load, source) -> str:
+    """What load makes of source: the exact positions, or the error's message."""
+    try:
+        return repr(load(source).positions)
+    except TopologyError as exc:
+        return f"TopologyError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(placement_lines(), st.data())
+def test_loading_a_file_matches_the_reference(tmp_path_factory, lines, data):
+    """Joined by any line boundary, at times with a byte that is not UTF-8,
+    as a str or a Path."""
+    raw = "".join(line + data.draw(st.sampled_from(SEPARATORS)) for line in lines).encode()
+    if data.draw(st.integers(0, 9)) == 0:
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    path = tmp_path_factory.getbasetemp() / "reference.csv"
+    path.write_bytes(raw)
+    source = data.draw(st.sampled_from([path, str(path)]))
+    assert loaded(load_topology, source) == loaded(reference_load_topology, source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placement_lines(), st.data())
+def test_loading_lines_matches_the_reference(lines, data):
+    """An iterable's items, each with or without line ends, numbered by index."""
+    items = [line + data.draw(st.sampled_from(["", "\n", "\n\n", "\r\n", "\x0c", "\u2028"])) for line in lines]
+    assert loaded(load_topology, iter(items)) == loaded(reference_load_topology, items)
+
+
+def test_loading_holds_under_twice_the_topology(tmp_path):
+    """The loader's tracemalloc peak on a 2000-node file stays under twice
+    the bytes of the Topology it returns: its tuple of pairs, each pair and
+    each float. A ratio holds across Python versions; a byte count does not."""
+    rng = random.Random(5)
+    path = tmp_path / "n2000.csv"
+    path.write_text("id,x,y\n" + "".join(f"{i},{rng.uniform(0, 10)!r},{rng.uniform(0, 10)!r}\n" for i in range(2000)))
+    load_topology(path)
+    gc.collect()  # a full collection empties the free lists, so the call's every block is traced
+    tracemalloc.start()
+    try:
+        topo = load_topology(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sys.getsizeof(topo.positions) + sum(sys.getsizeof(p) + sys.getsizeof(p[0]) + sys.getsizeof(p[1])
+                                               for p in topo.positions)
+    assert peak < 2 * held
 
 
 def test_matrix_invariants_on_random_layouts():

@@ -1,12 +1,15 @@
 """Per-layer performance ladder: times bitgather's kernels in process and
 writes one JSON run. Each row calls one kernel on a layout of
-tools/test_pinned.py's LAYOUTS; it records the best and the median wall
-time of k runs, then the tracemalloc peak of one more, separate run. The
-run records the machine too: core count, Python version, machine type, and
-the git commit of the imported bitgather (with whether its sources differ
-from that commit). Run from the repository root:
+tools/test_pinned.py's LAYOUTS, read from its file, which the run writes
+once under a temporary directory. It records the best, the quartiles and the median of
+k timed runs, in seconds a call: a run repeats a call that takes less than
+RUN_S, as many times as one untimed warm-up call says fill RUN_S. Then it
+records the tracemalloc peak of one more, separate call, after a full
+collection. The run records the machine too: core count, Python version,
+machine type, and the git commit of the imported bitgather (with whether its
+sources differ from that commit). Run from the repository root:
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_37.json --label change
+    PYTHONPATH=src python tools/ladder.py --out BENCH_38.json --label change
 
 --out appends the run to the file's "runs", so one file can hold a parent
 run and a change run. --layout puts every row on one layout, as a quick
@@ -18,13 +21,14 @@ parent and change calls in turn, k rounds alternated, so that both runs
 meet the same drift of the machine's speed. It writes two runs, "parent"
 and the --label one (default "change"):
 
-    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_37.json
+    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_38.json
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib.util
 import json
 import os
@@ -33,15 +37,17 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from collections import deque
+from itertools import repeat
 from pathlib import Path
 from types import ModuleType
 from typing import Callable
 
 import bitgather
-from test_pinned import LAYOUTS  # the script's own directory is first on sys.path
+from test_pinned import LAYOUTS, layout_text  # the script's own directory is first on sys.path
 
 # Models by family and (n, alpha, beta), built from each imported tree's own classes.
 ENUMERATE = ("GaussianDecayModel", 8, 1.0, 0.05)  # the benchmark's enumerate model
@@ -52,7 +58,9 @@ PER_PAIR = ("GaussianDecayModel", 10**6, 1.0, 0.5)  # 64n + 2 past N = 500's pai
 CONSTANT = ("GaussianDecayModel", 10**6, 1.0, 0.0)  # beta = 0: one budget, from the two end calls
 LONG = ("GaussianDecayModel", 2**16 // 8, 1.0, 0.05)  # the most sum_steps steps the polled-set pass takes at N = 16
 
-Make = Callable[[ModuleType, object], Callable[[], object]]  # make(tree, topology): the call to time
+RUN_S = 0.005  # a timed run repeats a faster call until it lasts about this long
+
+Make = Callable[[ModuleType, object, Path], Callable[[], object]]  # make(tree, topology, its file): the call to time
 
 
 def _model(tree: ModuleType, spec: tuple):
@@ -68,38 +76,38 @@ def _shuffled(topo) -> list[int]:
 
 
 def _polled_sets(rule: str, model: tuple = ENUMERATE) -> Make:
-    return lambda tree, topo: functools.partial(
+    return lambda tree, topo, _: functools.partial(
         tree.schedule._exhaustive, _model(tree, model), tree.ConditioningRule(rule), topo, "")
 
 
 def _optimize(model: tuple, rule: str, objective: str, strategy: str) -> Make:
-    return lambda tree, topo: functools.partial(
+    return lambda tree, topo, _: functools.partial(
         tree.schedule.optimize, _model(tree, model), tree.ConditioningRule(rule), topo, objective, strategy)
 
 
-def _stats_sampled(tree: ModuleType, topo) -> Callable[[], object]:
+def _stats_sampled(tree: ModuleType, topo, _: Path) -> Callable[[], object]:
     return functools.partial(tree.schedule.schedule_stats, _model(tree, SEARCH), tree.ConditioningRule.MAX, topo,
                              "sampled", count=5000, seed=1)
 
 
-def _pair_tails(tree: ModuleType, topo) -> Callable[[], object]:
+def _pair_tails(tree: ModuleType, topo, _: Path) -> Callable[[], object]:
     tails = functools.partial(tree.schedule.pair_tails, _model(tree, FIELD), tree.ConditioningRule.MIN, topo)
     return lambda: deque(tails(functools.cache(str)), 0)
 
 
 def _budget_matrix(model: tuple) -> Make:
-    return lambda tree, topo: functools.partial(tree.schedule.budget_matrix, _model(tree, model), topo)
+    return lambda tree, topo, _: functools.partial(tree.schedule.budget_matrix, _model(tree, model), topo)
 
 
 def _budget_steps(model: tuple) -> Make:
     """budget_steps for the layout's N(N-1)/2 pairs: past the 64n + 2 gate at N = 200 and 500."""
-    return lambda tree, topo: functools.partial(
+    return lambda tree, topo, _: functools.partial(
         tree.correlation.budget_steps, _model(tree, model), topo.coincident, topo.size * (topo.size - 1) // 2)
 
 
 def _evaluate(rule: str) -> Make:
     """evaluate on the shuffled order: under MAX the farthest-partner walk, under ADDITIVE the decay-term fold."""
-    return lambda tree, topo: functools.partial(
+    return lambda tree, topo, _: functools.partial(
         tree.schedule.evaluate, _model(tree, FIELD), tree.ConditioningRule(rule), topo, _shuffled(topo))
 
 
@@ -122,7 +130,10 @@ ROWS: list[tuple[str, str, Make]] = [
     ("budget_steps search", "n200_seed3.csv", _budget_steps(SEARCH)),
     ("evaluate max shuffled", "n500.csv", _evaluate("max")),
     ("evaluate additive shuffled", "n500.csv", _evaluate("additive")),
-    ("nearest_links shuffled", "n500.csv", lambda tree, topo: functools.partial(topo.nearest_links, _shuffled(topo))),
+    ("nearest_links shuffled", "n500.csv",
+     lambda tree, topo, _: functools.partial(topo.nearest_links, _shuffled(topo))),
+    *(("load_topology", f"n{size}.csv", lambda tree, _, path: functools.partial(tree.load_topology, path))
+      for size in (500, 2000)),
 ]
 
 
@@ -157,25 +168,37 @@ def machine(tree: ModuleType) -> dict:
 
 
 def measure(calls: list[Callable[[], object]], k: int) -> list[dict]:
-    """For each call, the best and median wall seconds of k runs, the calls
-    taking turns in each of k rounds (in reverse order every other round, so
-    none always runs first), then one traced run's peak."""
+    """For each call, the best, quartiles and median wall seconds a call of k
+    timed runs, the calls taking turns in each of k rounds (in reverse order
+    every other round, so none always runs first), then one traced call's
+    peak. Each run repeats every call the same number of times, sized by the
+    fastest call's untimed warm-up to fill RUN_S."""
+    warm = []
+    for call in calls:
+        start = time.perf_counter()
+        call()
+        warm.append(time.perf_counter() - start)
+    reps = max(1, int(RUN_S / max(min(warm), 1e-9)))
     times: list[list[float]] = [[] for _ in calls]
     turns = [*zip(calls, times)]
     for r in range(k):
         for call, spent in reversed(turns) if r % 2 else turns:
             start = time.perf_counter()
-            call()
-            spent.append(time.perf_counter() - start)
+            for _ in repeat(None, reps):
+                call()
+            spent.append((time.perf_counter() - start) / reps)
     got = []
     for call, spent in zip(calls, times):
+        gc.collect()  # a full collection empties the free lists, so every block the call takes is traced
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        got.append({"best_s": min(spent), "median_s": statistics.median(spent), "peak_mb": peak / 2**20})
+        q1, median, q3 = statistics.quantiles(spent, n=4, method="inclusive") if k > 1 else spent * 3
+        got.append({"best_s": min(spent), "q1_s": q1, "median_s": median, "q3_s": q3, "reps": reps,
+                    "peak_mb": peak / 2**20})
     return got
 
 
@@ -194,18 +217,22 @@ def main(argv: list[str] | None = None) -> int:
         trees, labels = [load_tree(args.parent, "bitgather_parent"), bitgather], ["parent", args.label or "change"]
     runs = [{"label": label, "k": args.k, "machine": machine(tree), "rows": []} for tree, label in zip(trees, labels)]
     topologies: dict[tuple[str, str], object] = {}
-    for name, layout, make in ROWS:
-        layout = args.layout or layout
-        calls = []
-        for tree in trees:
-            key = (tree.__name__, layout)
-            if key not in topologies:
-                topologies[key] = tree.Topology.from_positions(LAYOUTS[layout]())
-            calls.append(make(tree, topologies[key]))
-        for run, got in zip(runs, measure(calls, args.k)):
-            run["rows"].append({"row": name, "layout": layout, "n_nodes": topologies[key].size, **got})
-        best = " ".join(f"{run['rows'][-1]['best_s']:.4g}" for run in runs)
-        print(f"{name:38s} {layout:15s} best {best} s", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as where:
+        for name, layout, make in ROWS:
+            layout = args.layout or layout
+            path = Path(where) / layout
+            if not path.exists():
+                path.write_text(layout_text(LAYOUTS[layout]()))
+            calls = []
+            for tree in trees:
+                key = (tree.__name__, layout)
+                if key not in topologies:
+                    topologies[key] = tree.load_topology(path)
+                calls.append(make(tree, topologies[key], path))
+            for run, got in zip(runs, measure(calls, args.k)):
+                run["rows"].append({"row": name, "layout": layout, "n_nodes": topologies[key].size, **got})
+            best = " ".join(f"{run['rows'][-1]['best_s']:.4g}" for run in runs)
+            print(f"{name:38s} {layout:15s} best {best} s", file=sys.stderr)
     if args.out is None:
         json.dump(runs[0] if len(runs) == 1 else runs, sys.stdout, indent=1)
         print()

@@ -34,6 +34,11 @@ def twins() -> list[tuple[float, float]]:
     return nodes
 
 
+def layout_text(nodes: list[tuple[float, float]]) -> str:
+    """A layout's placement file: the header, then id,x,y for each node, each coordinate as its repr."""
+    return "id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(nodes))
+
+
 # Each header echoes topology=<name>, so a renamed layout changes every digest.
 LAYOUTS = {
     **{f"n{size}.csv": functools.partial(uniform, size) for size in (8, 10, 12, 14, 16, 17, 40, 50, 500, 2000, 2001)},
@@ -254,7 +259,7 @@ def run(tmp_path_factory):
     where, orders = tmp_path_factory.mktemp("layouts"), {}
     for name, make in LAYOUTS.items():
         nodes = make()
-        (where / name).write_text("id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(nodes)))
+        (where / name).write_text(layout_text(nodes))
         ids = [*range(len(nodes))]
         random.Random(0).shuffle(ids)
         orders[name] = ",".join(map(str, ids))
