@@ -13,29 +13,31 @@ attains each.
 
 Under every rule a node's budget depends only on the set polled before
 it: its pair values to those nodes (pairwise budgets, or decay terms
-under ADDITIVE) folded by min, max, or an exact sum rounded once: _pair_rows
-gives the pair values, the one place a distance becomes one, _fold the
-fold, pair_tails the pair table's upper triangle a row at a time and
-mirrored its full rows, which _table keeps and bits streams. A budget is
-monotone in distance, so under MIN and MAX a walk (evaluate, and the
-simulator's gather and sweep) reads each node's budget off one distance:
-its nearest earlier node's, from one sorted sweep of the order
-(Topology.nearest_links), or the greatest to its prefix, in the same prefix
-fold in which ADDITIVE sums the decay terms. The pair rows (the table,
-bits, Prim and the spanning descent) read pairwise budgets off the
-staircase that budget_steps gives for the N(N-1)/2 pairs: where two calls
-show it constant, or finding its steps costs fewer calls than the pairs.
-Past its last step every pair has the top budget, so the table and bits
-compute only the pairs that Topology.grid cannot certify to be that far
-apart (_near_rows), where they are few enough to pay. One
-backward pass over the 2**N polled sets (Held & Karp 1962) gives the
-exhaustive statistics and the brute-force optimum, under every rule from
-one vector of exact integer sums over the set (_exact_sums) at about one
-C-level row operation and one labelling per set. The two spanning-tree
-pairs instead run greedy_prim's _prim again, keyed by an exact bound read
-off its first order: O(N**2) time, O(N) memory.
-Sampled permutations are scored by one backward scan of the order: each
-node reads its first earlier partner off its row ranked best first
+under ADDITIVE) folded by min, max, or an exact sum rounded once:
+_pair_values gives the pair values, the one place a distance becomes one,
+_pair_rows a node's to given nodes, _fold the fold, pair_tails the pair
+table's upper triangle a row at a time and mirrored its full rows, which
+_table keeps and bits streams. A budget is monotone in distance, so under
+MIN and MAX a walk (evaluate, and the simulator's gather and sweep) reads
+each node's budget off one distance: its nearest earlier node's, from one
+sorted sweep of the order (Topology.nearest_links), or the greatest to its
+prefix, in the same prefix fold in which ADDITIVE sums the decay terms.
+The pair rows (the table, bits, Prim and the spanning descent) read
+pairwise budgets off the staircase that budget_steps gives for the
+N(N-1)/2 pairs: where two calls show it constant, or finding its steps
+costs fewer calls than the pairs. Past its last step every pair has the
+top budget, so the table and bits compute only the pairs that
+Topology.grid cannot certify to be that far apart, where they are few
+enough to pay: _near_rows takes each node's later near nodes and their
+distances from Topology.near_tails, which reads them off one sorted block
+of ids and positions per cell. One backward pass over the 2**N polled sets
+(Held & Karp 1962) gives the exhaustive statistics and the brute-force
+optimum, under every rule from one vector of exact integer sums over the
+set (_exact_sums) at about one C-level row operation and one labelling per
+set. The two spanning-tree pairs instead run greedy_prim's _prim again,
+keyed by an exact bound read off its first order: O(N**2) time, O(N)
+memory. Sampled permutations are scored by one backward scan of the order:
+each node reads its first earlier partner off its row ranked best first
 (ADDITIVE folds its prefix).
 
 "Average" statistics are the mean over uniformly random schedules, drawn
@@ -112,25 +114,32 @@ def _check_permutation(schedule: Sequence[int], n_nodes: int) -> tuple[int, ...]
     return ids
 
 
-def _pair_rows(
-    model: ModelSpec, rule: ConditioningRule, topology: Topology, table: tuple[list, list] | None
-) -> Callable[[int, Iterable[int]], Iterator]:
-    """row(u, nodes): u's pair value to each of `nodes`, computed on demand,
-    the one place a distance becomes a pair value.
+def _pair_values(
+    model: ModelSpec, rule: ConditioningRule, table: tuple[list, list] | None
+) -> Callable[[Iterable[float]], Iterator]:
+    """values(distances): the pair value at each of `distances`, the one
+    place a distance becomes a pair value.
 
     Given `table`, a staircase (steps, vals) as budget_steps gives it, its
     values labelled or not, the value at distance d is
     vals[bisect_right(steps, d)]. Else it is computed per pair: under
     ADDITIVE a decay term, else model.budget."""
-    distances_from = topology.distances_from
     if table is not None:
         steps, vals = table
-        return lambda u, nodes: map(vals.__getitem__, map(bisect_right, repeat(steps), distances_from(u, nodes)))
+        return lambda distances: map(vals.__getitem__, map(bisect_right, repeat(steps), distances))
     pair = model.budget
     if rule is ConditioningRule.ADDITIVE:
         require_decay(model)
         pair = model.decay_term
-    return lambda u, nodes: map(pair, distances_from(u, nodes))
+    return lambda distances: map(pair, distances)
+
+
+def _pair_rows(
+    model: ModelSpec, rule: ConditioningRule, topology: Topology, table: tuple[list, list] | None
+) -> Callable[[int, Iterable[int]], Iterator]:
+    """row(u, nodes): u's _pair_values to each of `nodes`, computed on demand."""
+    values, distances_from = _pair_values(model, rule, table), topology.distances_from
+    return lambda u, nodes: values(distances_from(u, nodes))
 
 
 def _fold(model: ModelSpec, rule: ConditioningRule) -> Callable[[Iterable], int]:
@@ -165,38 +174,29 @@ def pair_tails(model: ModelSpec, rule: ConditioningRule, topology: Topology, lab
     steps, vals = table[0], [*map(label, table[1])]
     if not steps:
         return ([vals[0]] * (size - 1 - i) for i in range(size))
+    rows = _near_rows(topology, steps[-1], _pair_values(model, rule, (steps, vals)), vals[-1])
     row = _pair_rows(model, rule, topology, (steps, vals))
-    return _near_rows(topology, steps[-1], row, vals[-1]) or ([*row(i, range(i + 1, size))] for i in range(size))
+    return rows or ([*row(i, range(i + 1, size))] for i in range(size))
 
 
-def _near_rows(topology: Topology, s: float, row: Callable, top) -> Iterator[list] | None:
-    """pair_tails' rows off Topology.grid at the last step s, or None.
+def _near_rows(topology: Topology, s: float, values: Callable, top) -> Iterator[list] | None:
+    """pair_tails' rows off Topology.near_tails at the last step s, or None.
 
-    Each row starts as `top`, the value at distance >= s, and reads only the
-    later nodes in its node's block through row, _pair_rows on the labelled
-    staircase: a node leaves its cell as its row is made. A candidate costs
-    up to twice a row's pair (it is gathered and scattered as well), so the
-    grid is used only where its candidate pairs, counted before any row and
-    no further than half of the N(N-1)/2 pairs, are under half."""
-    grid = topology.grid(s)
-    if grid is None:
+    Each row starts as `top`, the value at distance >= s, and takes the
+    values, _pair_values on the labelled staircase, of its node's tail of
+    near nodes. A candidate costs up to twice a row's pair (it is scattered
+    as well), so the grid is used only where its candidate pairs, counted
+    before any row and no further than half of the N(N-1)/2 pairs, are
+    under half: each counted from both ends, under N(N-1)/2."""
+    size = topology.size
+    tails = topology.near_tails(s, size * (size - 1) // 2)
+    if tails is None:
         return None
-    (keys, offsets), size = grid, topology.size
-    cells: dict[int, list[int]] = {}
-    for v, k in enumerate(keys):
-        cells.setdefault(k, []).append(v)
-    get, blocks, half = cells.get, -size, size * (size - 1) // 2  # a pair counts in both nodes' blocks
-    for k, c in cells.items():
-        blocks += len(c) * sum(map(len, map(get, map(operator.add, repeat(k), offsets), repeat(()))))
-        if blocks >= half:  # blocks only grows
-            return None
 
     def rows() -> Iterator[list]:
-        for i, k in enumerate(keys):
-            del cells[k][0]  # node i, the first of its cell still in it
-            near = [*chain.from_iterable(map(get, map(operator.add, repeat(k), offsets), repeat(())))]
+        for i, (near, distances) in enumerate(tails):
             line = [top] * size
-            deque(map(line.__setitem__, near, row(i, near)), 0)
+            deque(map(line.__setitem__, near, values(distances)), 0)
             del line[: i + 1]
             yield line
 
@@ -306,7 +306,7 @@ def _total_fn(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Cal
     return scanned
 
 
-def _exact_sums(model: ModelSpec, rule: ConditioningRule, rows: list[list], most: int) -> Callable[[list], list]:
+def _exact_sums(model: ModelSpec, rule: ConditioningRule, rows: list[list]) -> Callable[[list], list]:
     """Puts the rule's _table rows on ints in place, for good, one int per
     pair shared by its two rows, so that a node's pair values over a polled
     set add up to one exact sum; returns label, where label(x) is every
@@ -322,7 +322,7 @@ def _exact_sums(model: ModelSpec, rule: ConditioningRule, rows: list[list], most
     a sum t is exact and -t / scale rounds it once, as decay_sum does. t has
     budget bisect_left(thr, t), thr holding minus the least int at or past
     each of sum_steps' steps, and member is thr[0]; where the staircase could
-    have more than `most` steps, decay_bits(-t / scale) above member, minus
+    have more than 2**N / 8 steps, decay_bits(-t / scale) above member, minus
     the least int whose quotient by scale rounds to inf, else 0. Each inf
     term is member.
     """
@@ -331,7 +331,9 @@ def _exact_sums(model: ModelSpec, rule: ConditioningRule, rows: list[list], most
         finite = [*filter(math.isfinite, chain.from_iterable(rows))]  # the diagonal's ints 0 among them
         scale = 1 << max(x.as_integer_ratio()[1] for x in finite).bit_length() - 1
         member = -((1 << 1024) - (1 << 970)) * scale  # minus the least t whose t / scale rounds to inf
-        if n <= most:
+        # a staircase step costs about 30 labels by decay_bits in place of a bisection,
+        # and 2**N / 8 thresholds take under half the memory of lo and hi: the most steps
+        if n <= 1 << size >> 3:
             thr = []
             for step in reversed(sum_steps(model)):  # the least t with t / scale >= step:
                 t = -member  # up from the midpoint of step and the float below it
@@ -425,9 +427,7 @@ def _exhaustive(
     if size > EXHAUSTIVE_LIMIT:
         raise InfeasibleError(f"exhaustive enumeration refused for N={size} > {EXHAUSTIVE_LIMIT}; {advice}")
     rows, ids, full = _table(model, rule, topology), range(size), (1 << size) - 1
-    # a staircase step costs about 30 labels by decay_bits in place of a bisection,
-    # and 2**N / 8 thresholds take under half the memory of lo and hi: the most steps
-    label = _exact_sums(model, rule, rows, 1 << size >> 3)
+    label = _exact_sums(model, rule, rows)
     lo, hi, sums = _polled_sets(model.n, rows, label, pick)
 
     def first(g: list[int]) -> tuple[tuple[int, ...], list[int]]:

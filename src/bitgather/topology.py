@@ -2,15 +2,18 @@
 the positions and never stored as a matrix; overflowing distances rejected.
 Each node's nearest earlier node along an order comes from one sorted sweep
 (nearest_links), and the field plan, one such sweep, is cached. One cell
-grid (grid) certifies pairs at least s apart. All distances are computed here."""
+grid (grid) certifies pairs at least s apart, and near_tails reads each
+node's uncertified later pairs off it a block of cells at a time. Both scans
+keep the positions they read in a list aligned with the ids they scan, so
+each distance is one dist on that list. All distances are computed here."""
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import dist, nextafter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -81,33 +84,41 @@ class Topology(Frozen):
         node u by (distance, id), at d; (inf, -1) for the first.
 
         A projection search (Friedman, Baskett & Shustek 1975): the nodes met
-        so far are kept sorted on the coordinate of larger span, and each node
-        scans out from its place on both sides until the gap g on that
-        coordinate exceeds reach, the float after the best distance found.
-        dist takes the same rounded g, |g| is at most the norm dist rounds,
-        and that norm errs by < 1 ulp (math.hypot's, documented since CPython
-        3.10), so dist returns at least the float before |g|. Once |g| > reach
-        that is more than best, for this node and every node past it (|g|
-        grows along a side). Gaps up to reach are scanned, so an equally near
-        node of lower id is found.
+        so far are kept sorted on the coordinate of larger span, their ids and
+        positions in lists aligned with those keys, and each node scans out
+        from its place on both sides until the gap g on that coordinate
+        exceeds reach, the float after the best distance found: keys[j] - c
+        to the right, where keys[j] >= c, and c - keys[j] to the left, each
+        the rounded |keys[j] - c| (rounding is symmetric). dist takes the
+        same rounded g, |g| is at most the norm dist rounds, and that norm
+        errs by < 1 ulp (math.hypot's, documented since CPython 3.10), so
+        dist returns at least the float before |g|. Once |g| > reach that is
+        more than best, for this node and every node past it (|g| grows along
+        a side). Gaps up to reach are scanned, so an equally near node of
+        lower id is found.
         """
-        positions, keys, ids, links = self.positions, [], [], []  # keys[k]: ids[k]'s sort coordinate
+        positions, keys, ids, met, links = self.positions, [], [], [], []  # keys[k]: ids[k]'s sort coordinate
         xs, ys = zip(*positions)
         axis = 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1  # a column sorts on y
         for v in order:
             p = positions[v]
             c = p[axis]
             at, best, reach, near = bisect_left(keys, c), math.inf, math.inf, -1
-            for side in (range(at, len(keys)), range(at - 1, -1, -1)):
-                for j in side:
-                    if abs(keys[j] - c) > reach:  # rounding is symmetric: |keys[j] - c| == |c - keys[j]|
-                        break
-                    u = ids[j]
-                    d = dist(p, positions[u])
-                    if d < best or d == best and u < near:
-                        best, near, reach = d, u, nextafter(d, math.inf)
+            for j in range(at, len(keys)):
+                if keys[j] - c > reach:
+                    break
+                d = dist(p, met[j])
+                if d < best or d == best and ids[j] < near:
+                    best, near, reach = d, ids[j], nextafter(d, math.inf)
+            for j in range(at - 1, -1, -1):
+                if c - keys[j] > reach:
+                    break
+                d = dist(p, met[j])
+                if d < best or d == best and ids[j] < near:
+                    best, near, reach = d, ids[j], nextafter(d, math.inf)
             keys.insert(at, c)
             ids.insert(at, v)
+            met.insert(at, p)
             links.append((best, near))
         return links
 
@@ -142,6 +153,44 @@ class Topology(Frozen):
         offsets = [dx * stride + dy for dx, a in zip(reach, gaps) for dy, b in zip(reach, gaps)
                    if (a + b) * q * q < p * p]
         return [*map(operator.add, map(operator.mul, cx, repeat(stride)), cy)], offsets
+
+    def near_tails(self, s: float, most: int) -> Iterator[tuple[list[int], Iterator[float]]] | None:
+        """For each node i in id order, the nodes j > i that grid(s) cannot
+        certify to be at distance >= s, in id order, and an iterator of their
+        distances from i; None where grid(s) is None, or where the ordered
+        pairs (i, j), i != j, in each other's blocks number `most` or more,
+        counted before any tail. Each tail is read before the next is drawn.
+
+        A cell's block, the nodes of the cells its key differs from by an
+        offset, is gathered once, at its cell's first node: ids sorted,
+        positions alongside. Node i drops the block's ids up to i, found by
+        one bisect_right, with their positions, and maps dist over the
+        positions left; the block goes after its cell's last node."""
+        grid = self.grid(s)
+        if grid is None:
+            return None
+        (keys, offsets), positions = grid, self.positions
+        cells: dict[int, list[int]] = {}
+        for v, k in enumerate(keys):
+            cells.setdefault(k, []).append(v)
+        get, count = cells.get, -len(keys)  # each node lies in its own block
+        for k, c in cells.items():
+            count += len(c) * sum(map(len, map(get, map(operator.add, repeat(k), offsets), repeat(()))))
+            if count >= most:  # count only grows
+                return None
+
+        def tails() -> Iterator[tuple[list[int], Iterator[float]]]:
+            blocks: dict[int, tuple[list[int], list]] = {}
+            for i, (k, p) in enumerate(zip(keys, positions)):
+                if k not in blocks:
+                    ids = sorted(chain.from_iterable(map(get, map(operator.add, repeat(k), offsets), repeat(()))))
+                    blocks[k] = ids, [positions[j] for j in ids]  # faster than a map, as in distances_from
+                ids, near = blocks[k] if cells[k][-1] != i else blocks.pop(k)
+                at = bisect_right(ids, i)
+                del ids[:at], near[:at]
+                yield ids, map(dist, repeat(p), near)
+
+        return tails()
 
     @cached_property
     def field_plan(self) -> tuple[tuple[int, int, float], ...]:

@@ -514,8 +514,9 @@ def test_bits_grid_matches_the_rows_and_pairwise_bits(case):
     """pair_tails against a double loop over pairwise_bits and against the
     step-table rows, and budget_matrix against that loop mirrored. Every
     layout but the huge one keeps its candidate pairs under half, so the grid
-    must be taken where the layout was scaled to the last step (coincident
-    nodes can add a step at 0); the huge one may fall back. A singular budget
+    must be taken, and give those rows, where the layout was scaled to the
+    last step (coincident nodes can add a step at 0); the huge one may fall
+    back. A singular budget
     raises from the call, before any row."""
     model, kind, points, s = case
     topo = Topology.from_positions(points)
@@ -534,7 +535,8 @@ def test_bits_grid_matches_the_rows_and_pairwise_bits(case):
     row = schedule._pair_rows(model, ConditioningRule.MIN, topo, (steps, labels))
     assert [[*row(i, range(i + 1, size))] for i in range(size)] == expected
     if steps and steps[-1] == s and kind != "huge":
-        assert schedule._near_rows(topo, s, row, labels[-1]) is not None
+        values = schedule._pair_values(model, ConditioningRule.MIN, (steps, labels))
+        assert [*schedule._near_rows(topo, s, values, labels[-1])] == expected
 
 
 def test_bits_grid_falls_back_where_a_cell_index_overflows():
@@ -545,8 +547,8 @@ def test_bits_grid_falls_back_where_a_cell_index_overflows():
     points = [(-(2.0**1022), 0.0), (2.0**1022, 0.0)] + [(i / 1000, i % 7 / 1000) for i in range(60)]
     topo = Topology.from_positions(points)
     for table in (budget_steps(model, topo.coincident, 62 * 61 // 2), ([MAX_FLOAT], ["0", "1"])):
-        row = schedule._pair_rows(model, ConditioningRule.MIN, topo, table)
-        assert schedule._near_rows(topo, table[0][-1], row, table[1][-1]) is None
+        values = schedule._pair_values(model, ConditioningRule.MIN, table)
+        assert schedule._near_rows(topo, table[0][-1], values, table[1][-1]) is None
     expected = [[str(pairwise_bits(model, topo.distance(i, j))) for j in range(i + 1, 62)] for i in range(62)]
     assert [*pair_tails(model, ConditioningRule.MIN, topo, str)] == expected
 
@@ -580,23 +582,28 @@ def test_grid_is_none_past_the_float_range():
 
 def test_bits_computes_only_near_pairs(monkeypatch):
     """500 uniform nodes on a 10 x 10 square and the field model (s = 2.23):
-    bits' rows and budget_matrix each compute under 40% of the N(N-1)/2
-    distances. A constant staircase (beta = 0, or beta < 0 with alpha = 1,
-    where every budget clamps to 0) computes none. A power law whose last
-    step (7) spans most of the square reads every pair off the step table.
-    topology holds the one distance source, so a return to every pair reads
-    all of them."""
+    bits' rows and budget_matrix each compute exactly the distances of the
+    pairs i < j whose keys in Topology.grid(s) differ by an offset, counted
+    here pair by pair, and those are under 40% of the N(N-1)/2 pairs. A
+    constant staircase (beta = 0, or beta < 0 with alpha = 1, where every
+    budget clamps to 0) computes none. A power law whose last step (7) spans
+    most of the square reads every pair off the step table. topology holds
+    the one distance source, so a return to every pair reads all of them."""
     counted, real = [], bitgather.topology.dist
     assert not hasattr(schedule, "dist")
     monkeypatch.setattr(bitgather.topology, "dist", lambda p, q: counted.append(1) or real(p, q))
     r = random.Random(0)
     topo = Topology.from_positions([(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(500)])
     field = GaussianDecayModel(12, 1.0, 0.5)
+    keys, offsets = topo.grid(budget_steps(field, topo.coincident, 500 * 499 // 2)[0][-1])
+    block = set(offsets)
+    near = sum(keys[j] - keys[i] in block for i, j in itertools.combinations(range(500), 2))
+    assert counted == []
     [*pair_tails(field, ConditioningRule.MIN, topo, str)]
-    assert len(counted) < 0.4 * 500 * 499 / 2
+    assert len(counted) == near < 0.4 * 500 * 499 / 2
     del counted[:]
     budget_matrix(field, topo)
-    assert len(counted) < 0.4 * 500 * 499 / 2
+    assert len(counted) == near
     del counted[:]
     for model in (GaussianDecayModel(12, 1.0, 0.0), GaussianDecayModel(12, 1.0, -0.5), PowerLawModel(8, 1.0, 0.0)):
         top = model.budget(1.0)
@@ -606,7 +613,7 @@ def test_bits_computes_only_near_pairs(monkeypatch):
     assert counted == []
     power = PowerLawModel(8, 1.0, 1.0)
     steps, vals = budget_steps(power, topo.coincident, 500 * 499 // 2)
-    row = schedule._pair_rows(power, ConditioningRule.MIN, topo, (steps, vals))
-    assert schedule._near_rows(topo, steps[-1], row, vals[-1]) is None
+    values = schedule._pair_values(power, ConditioningRule.MIN, (steps, vals))
+    assert schedule._near_rows(topo, steps[-1], values, vals[-1]) is None
     [*pair_tails(power, ConditioningRule.MIN, topo, str)]
     assert len(counted) == 500 * 499 / 2

@@ -9,7 +9,7 @@ collection. The run records the machine too: core count, Python version,
 machine type, and the git commit of the imported bitgather (with whether its
 sources differ from that commit). Run from the repository root:
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_38.json --label change
+    PYTHONPATH=src python tools/ladder.py --out BENCH_39.json --label change
 
 --out appends the run to the file's "runs", so one file can hold a parent
 run and a change run. --layout puts every row on one layout, as a quick
@@ -21,7 +21,7 @@ parent and change calls in turn, k rounds alternated, so that both runs
 meet the same drift of the machine's speed. It writes two runs, "parent"
 and the --label one (default "change"):
 
-    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_38.json
+    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_39.json
 """
 
 from __future__ import annotations
@@ -111,6 +111,11 @@ def _evaluate(rule: str) -> Make:
         tree.schedule.evaluate, _model(tree, FIELD), tree.ConditioningRule(rule), topo, _shuffled(topo))
 
 
+def _field_plan(tree: ModuleType, topo, _: Path) -> Callable[[], object]:
+    """The field plan of a fresh Topology on the layout's positions, so that no call reads the cached one."""
+    return lambda: tree.Topology(positions=topo.positions).field_plan
+
+
 # (row name, layout, make)
 ROWS: list[tuple[str, str, Make]] = [
     *((f"_exhaustive {rule}", f"n{size}.csv", _polled_sets(rule))
@@ -122,7 +127,7 @@ ROWS: list[tuple[str, str, Make]] = [
     ("stats sampled 5000 max", "n50.csv", _stats_sampled),
     ("optimize greedy_prim min", "n200_seed3.csv", _optimize(SEARCH, "min", "minimize", "greedy_prim")),
     ("optimize brute_force min", "n2000.csv", _optimize(SEARCH, "min", "minimize", "brute_force")),
-    ("pair_tails field min", "n500.csv", _pair_tails),
+    *(("pair_tails field min", f"n{size}.csv", _pair_tails) for size in (500, 2000)),
     ("budget_matrix field", "n500.csv", _budget_matrix(FIELD)),
     ("budget_matrix n=10**6", "n500.csv", _budget_matrix(PER_PAIR)),
     ("budget_matrix beta=0", "n500.csv", _budget_matrix(CONSTANT)),
@@ -130,8 +135,9 @@ ROWS: list[tuple[str, str, Make]] = [
     ("budget_steps search", "n200_seed3.csv", _budget_steps(SEARCH)),
     ("evaluate max shuffled", "n500.csv", _evaluate("max")),
     ("evaluate additive shuffled", "n500.csv", _evaluate("additive")),
-    ("nearest_links shuffled", "n500.csv",
-     lambda tree, topo, _: functools.partial(topo.nearest_links, _shuffled(topo))),
+    *(("nearest_links shuffled", f"n{size}.csv",
+       lambda tree, topo, _: functools.partial(topo.nearest_links, _shuffled(topo))) for size in (500, 2000)),
+    *(("field_plan", f"n{size}.csv", _field_plan) for size in (500, 2000)),
     *(("load_topology", f"n{size}.csv", lambda tree, _, path: functools.partial(tree.load_topology, path))
       for size in (500, 2000)),
 ]
