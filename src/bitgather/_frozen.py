@@ -1,7 +1,5 @@
 """The one base of bitgather's validated value types: it generates no code at import."""
 
-from itertools import chain
-
 
 class Frozen:
     """Immutable value over the fields named in `_fields`: built by keyword or position, then
@@ -13,10 +11,10 @@ class Frozen:
     def __init__(self, *args, **kwargs) -> None:
         names = self._fields
         if kwargs or len(args) != len(names):  # not all positional; all by keyword builds no set or tuple
-            rest = names[len(args) :]  # the fields after the positional ones: names itself where none is
+            rest = names[len(args) :]  # the fields after the positional ones
             if len(args) > len(names) or len(kwargs) != len(rest) or not all(map(kwargs.__contains__, rest)):
                 raise TypeError(f"{type(self).__qualname__} takes exactly the fields {', '.join(names)}")
-            args = chain(args, map(kwargs.__getitem__, rest))
+            args = (*args, *map(kwargs.__getitem__, rest)) if args else map(kwargs.__getitem__, names)
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)  # one by one, so instances share a key table
         self._check()

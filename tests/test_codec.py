@@ -119,8 +119,11 @@ def test_reading_and_codeword_validation():
         Codeword(2, 1)
     with pytest.raises(ValueError):
         Codeword(1, 0)
-    with pytest.raises(TypeError, match=r"^Reading takes exactly the fields value, width$"):
-        Reading(1)
+    for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"value": 1}), ((), {"value": 1}),
+                         ((), {"value": 1, "width": 2, "bits": 3}), ((1,), {"bits": 2}), ((1, 2), {"width": 2})]:
+        with pytest.raises(TypeError, match=r"^Reading takes exactly the fields value, width$"):
+            Reading(*args, **kwargs)
+    assert Reading(1, 2) == Reading(1, width=2) == Reading(value=1, width=2) == Reading(width=2, value=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
