@@ -185,11 +185,9 @@ def _near_rows(topology: Topology, s: float, values: Callable, top) -> Iterator[
     Each row starts as `top`, the value at distance >= s, and takes the
     values, _pair_values on the labelled staircase, of its node's tail of
     near nodes. A candidate costs up to twice a row's pair (it is scattered
-    as well), so the grid is used only where its candidate pairs, counted
-    before any row and no further than half of the N(N-1)/2 pairs, are
-    under half: each counted from both ends, under N(N-1)/2."""
-    size = topology.size
-    tails = topology.near_tails(s, size * (size - 1) // 2)
+    as well), so the grid is used only where its candidate pairs are under
+    half of the N(N-1)/2 pairs, as near_tails counts them."""
+    size, tails = topology.size, topology.near_tails(s)
     if tails is None:
         return None
 

@@ -154,12 +154,12 @@ class Topology(Frozen):
                    if (a + b) * q * q < p * p]
         return [*map(operator.add, map(operator.mul, cx, repeat(stride)), cy)], offsets
 
-    def near_tails(self, s: float, most: int) -> Iterator[tuple[list[int], Iterator[float]]] | None:
+    def near_tails(self, s: float) -> Iterator[tuple[list[int], Iterator[float]]] | None:
         """For each node i in id order, the nodes j > i that grid(s) cannot
         certify to be at distance >= s, in id order, and an iterator of their
-        distances from i; None where grid(s) is None, or where the ordered
-        pairs (i, j), i != j, in each other's blocks number `most` or more,
-        counted before any tail. Each tail is read before the next is drawn.
+        distances from i; None where grid(s) is None, or where those pairs
+        are half of the N(N-1)/2 pairs or more, counted before any tail and
+        no further. Each tail is read before the next is drawn.
 
         A cell's block, the nodes of the cells its key differs from by an
         offset, is gathered once, at its cell's first node: ids sorted,
@@ -173,10 +173,10 @@ class Topology(Frozen):
         cells: dict[int, list[int]] = {}
         for v, k in enumerate(keys):
             cells.setdefault(k, []).append(v)
-        get, count = cells.get, -len(keys)  # each node lies in its own block
+        get, count, half = cells.get, -len(keys), len(keys) * (len(keys) - 1) // 2  # each node is in its own block, a pair in both
         for k, c in cells.items():
             count += len(c) * sum(map(len, map(get, map(operator.add, repeat(k), offsets), repeat(()))))
-            if count >= most:  # count only grows
+            if count >= half:  # count only grows
                 return None
 
         def tails() -> Iterator[tuple[list[int], Iterator[float]]]:
