@@ -247,13 +247,8 @@ def _cmd_stats(cfg: dict[str, Any], model, rule: ConditioningRule, topo) -> list
         model, rule, topo, cfg["mode"], count=cfg["samples"], seed=cfg["seed"]
     )
     lines = ["metric,value"]
-    lines.append(f"mean_total,{stats.mean_total!r}")
-    lines.append(f"min_total,{stats.min_total}")
-    lines.append(f"max_total,{stats.max_total}")
-    lines.append(f"argmin,{'-'.join(str(v) for v in stats.argmin)}")
-    lines.append(f"argmax,{'-'.join(str(v) for v in stats.argmax)}")
-    lines.append(f"sample_count,{stats.sample_count}")
-    lines.append(f"exhaustive,{_fmt(stats.exhaustive)}")
+    for name, value in zip(stats._fields, stats):
+        lines.append(f"{name},{'-'.join(map(str, value)) if isinstance(value, tuple) else _fmt(value)}")
     return lines
 
 

@@ -14,6 +14,8 @@ it once per node with no Reading or Codeword built.
 
 from __future__ import annotations
 
+import operator
+
 from ._frozen import Frozen
 
 
@@ -23,9 +25,9 @@ class Reading(Frozen):
     _fields = ("value", "width")
 
     def _check(self) -> None:
-        if self.width < 1:
+        if operator.index(self.width) < 1:
             raise ValueError("width must be >= 1")
-        if not 0 <= self.value < (1 << self.width):
+        if not 0 <= operator.index(self.value) < (1 << self.width):
             raise ValueError(f"value {self.value} out of range for {self.width} bits")
 
 
@@ -35,9 +37,9 @@ class Codeword(Frozen):
     _fields = ("payload", "bits")
 
     def _check(self) -> None:
-        if self.bits < 0:
+        if operator.index(self.bits) < 0:
             raise ValueError("bits must be >= 0")
-        if not 0 <= self.payload < (1 << self.bits):
+        if not 0 <= operator.index(self.payload) < (1 << self.bits):
             raise ValueError(f"payload {self.payload} out of range for {self.bits} bits")
 
 

@@ -30,6 +30,7 @@ so a pair's budget costs the method and that one helper.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from enum import Enum
 from typing import Iterable, Union
@@ -49,7 +50,7 @@ class _Checked(Frozen):
 
     def _check(self) -> None:
         k = self._subscript
-        if self.n < 1:
+        if operator.index(self.n) < 1:
             raise ValueError("n must be >= 1")
         if self.n > 2**53:  # budgets, sums and the mean total use float arithmetic
             raise ValueError("n must be at most 2**53")
@@ -163,20 +164,18 @@ def _float(bits: int) -> float:
     return struct.unpack("d", struct.pack("Q", bits))[0]
 
 
-def _staircase(f, lo: int, v: int, hi: int, top: int, seed=None) -> tuple[list[float], list[int]]:
+def _staircase(f, lo: int, v: int, hi: int, top: int, seed) -> tuple[list[float], list[int]]:
     """The steps of a monotone f over the float bit patterns (lo, hi], f(lo) = v
     and f(hi) = top: each step's least pattern as a float, and [v, the value
     past each]. Each step is pinned from the last, galloping out from seed(r)
     clamped into the bracket, r the raw value past which clamped_ceil leaves
-    v, else bisecting (at most 63 calls a step) up to the least probe known
-    to lie past it; no call is repeated."""
+    v, then bisecting (at most 63 calls a step) once the gallop leaves the
+    bracket, up to the least probe known to lie past it; no call is repeated."""
     steps, vals, past = [], [v], [(hi, top)]  # (pattern, value) of each probe past a step to come, least last
     while v != top:
         hi, vh = past.pop()  # the least pattern known past this step
-        probe, gap = lo, 1  # lo is outside the open bracket: bisect
-        if seed is not None:
-            r = v + CEIL_SNAP if top > v else v - 1 + CEIL_SNAP
-            probe = min(max(struct.unpack("Q", struct.pack("d", seed(r)))[0], lo + 1), hi - 1)
+        r = v + CEIL_SNAP if top > v else v - 1 + CEIL_SNAP
+        probe, gap = min(max(struct.unpack("Q", struct.pack("d", seed(r)))[0], lo + 1), hi - 1), 1
         while hi - lo > 1:
             if not lo < probe < hi:  # the gallop left (lo, hi): bisect from here on
                 probe, gap = (lo + hi) // 2, 0

@@ -24,6 +24,7 @@ bits, decoded by codec.nearest, the rule codec.decode applies to a Reading.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from typing import Iterable, NamedTuple, Sequence
 
@@ -125,9 +126,9 @@ def gather(
         )
     if field.width != model.n:
         raise ValueError(f"field width {field.width} != model n {model.n}")
-    top = 1 << field.width  # the decode loop takes the readings as plain ints; Reading rejects a bad one
+    top = 1 << field.width  # the decode loop takes plain ints: index refuses a non-int, Reading one out of range
     for value in field.readings:
-        if not 0 <= value < top:
+        if not 0 <= operator.index(value) < top:
             Reading(value, field.width)
     return _decode_all(*_walk_references(model, rule, topology, schedule), field)
 

@@ -1,5 +1,6 @@
 """Node placement and pairwise Euclidean distances, computed on demand from
-the positions and never stored as a matrix; overflowing distances rejected.
+the positions and never stored as a matrix. A Topology checks its layout as
+it is built; from_positions only reads each coordinate through float.
 Each node's nearest earlier node along an order comes from one sorted sweep
 (nearest_links), and the field plan, one such sweep, is cached. One cell
 grid (grid) certifies pairs at least s apart, and near_tails reads each
@@ -29,6 +30,8 @@ class Topology(Frozen):
     """Immutable 2-D node layout that holds O(N): positions, a tuple of float
     pairs, holds the (x, y) coordinate of node i at index i, and each distance
     is computed when read, exactly symmetric. Safe for concurrent reads.
+    Checked as it is built: at least one node, each entry a tuple of two
+    finite coordinates, and no pair whose distance overflows the float range.
     """
 
     _fields = ("positions",)
@@ -42,26 +45,32 @@ class Topology(Frozen):
         """Whether two nodes share a position: only such a pair is at distance 0."""
         return len(set(self.positions)) < self.size
 
-    @classmethod
-    def from_positions(cls, positions: Iterable[tuple[float, float]]) -> "Topology":
-        xs, ys = [], []
-        for x, y in positions:
-            xs.append(float(x))
-            ys.append(float(y))
-        if not xs:
+    def _check(self) -> None:
+        positions, n = self.positions, len(self.positions)
+        if not n:
             raise TopologyError("topology needs at least one node")
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
-            finite = [*map(operator.and_, map(math.isfinite, xs), map(math.isfinite, ys))]
-            raise TopologyError(f"non-finite coordinate for node {finite.index(False)}")
-        topo, n = cls(positions=tuple(zip(xs, ys))), len(xs)
+        if not all(map(isinstance, positions, repeat(tuple))) or {*map(len, positions)} != {2}:
+            for i, p in enumerate(positions):
+                if not (isinstance(p, tuple) and len(p) == 2):
+                    raise TopologyError(f"node {i} is not an (x, y) pair")
+        if not all(map(math.isfinite, chain.from_iterable(positions))):
+            finite = [*map(math.isfinite, chain.from_iterable(positions))]
+            raise TopologyError(f"non-finite coordinate for node {finite.index(False) // 2}")
+        x, y = operator.itemgetter(0), operator.itemgetter(1)  # zip(*positions) would build an iterator a node
         # spans <= 2**1023 keep each distance <= 2**1023.5, and dist errs by < 1 ulp: none overflows
-        if max(xs) - min(xs) > 2.0**1023 or max(ys) - min(ys) > 2.0**1023:
+        if (max(map(x, positions)) - min(map(x, positions)) > 2.0**1023
+                or max(map(y, positions)) - min(map(y, positions)) > 2.0**1023):
             for i in range(n):
-                tail = topo.distances_from(i, range(i + 1, n))
+                tail = self.distances_from(i, range(i + 1, n))
                 if math.inf in tail:
                     j = i + 1 + tail.index(math.inf)
                     raise TopologyError(f"distance between nodes {i} and {j} overflows the float range")
-        return topo
+
+    @classmethod
+    def from_positions(cls, positions: Iterable[tuple[float, float]]) -> "Topology":
+        """The layout on `positions`, each coordinate read through float: the
+        constructor checks it."""
+        return cls(positions=tuple((float(x), float(y)) for x, y in positions))
 
     def distances_from(self, i: int, nodes: Iterable[int]) -> list[float]:
         """The distance from node i to each node of `nodes`: dist takes the
@@ -270,4 +279,4 @@ def load_topology(source: str | Path | Iterable[str]) -> Topology:
             raise TopologyError(f"ids must be dense 0..{len(xs) - 1}; missing {missing}")
         at = [*map(rows.__getitem__, range(len(xs)))]
         xs, ys = [*map(xs.__getitem__, at)], [*map(ys.__getitem__, at)]
-    return Topology.from_positions(zip(xs, ys))
+    return Topology(positions=tuple(zip(xs, ys)))

@@ -71,6 +71,9 @@ class TestPairwise:
             PowerLawModel(n=5, alpha=0.0, beta=1.0)
         with pytest.raises(ValueError):
             GaussianDecayModel(n=5, alpha=-1.0, beta=1.0)
+        for cls in (PowerLawModel, GaussianDecayModel):  # n is an int: 5.5 would report 5.5-bit budgets
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                cls(5.5, 1.0, 1.0)
 
     def test_non_finite_parameters_rejected_by_name(self):
         for cls, k in ((PowerLawModel, "1"), (GaussianDecayModel, "2")):

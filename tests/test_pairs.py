@@ -211,6 +211,11 @@ def test_value_types_keep_their_semantics():
         (lambda: GaussianDecayModel(n=5, alpha=1.0, beta=math.inf), "beta2 must be finite, got inf"),
         (lambda: PowerLawModel(5, -1.0, 1.0), "alpha1 must be positive"),
         (lambda: GaussianDecayModel(5, 0.0, 1.0), "alpha2 must be positive"),
+        (lambda: Topology(positions=()), "topology needs at least one node"),
+        (lambda: Topology(positions=((0.0, math.nan),)), "non-finite coordinate for node 0"),
+        (lambda: Topology(positions=((0.0, 0.0), (3.0, 4.0, 12.0))), "node 1 is not an (x, y) pair"),
+        (lambda: Topology(positions=((0.0, 1.7e308), (0.0, -1.7e308))),
+         "distance between nodes 0 and 1 overflows the float range"),
     ],
 )
 def test_value_types_keep_their_validation_messages(build, message):

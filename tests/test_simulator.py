@@ -132,6 +132,13 @@ class TestGather:
         with pytest.raises(ValueError, match=rf"^value {bad} out of range for 5 bits$"):
             gather(unit_staircase, MIN, topo, list(range(size)), field)
 
+    def test_non_integer_reading_rejected(self, unit_staircase):
+        # 1.5 is in range, but & on it fails; gather refuses it before the walk
+        topo = Topology.from_positions([(0.0, 0.0), (9.0, 0.0)])
+        field = SensorField(readings=(1.5, 2), width=5, smoothness=0.0, seed=0)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            gather(unit_staircase, MIN, topo, [0, 1], field)
+
     def test_readings_at_the_range_ends_accepted(self, unit_staircase):
         topo = Topology.from_positions([(0.0, 0.0), (9.0, 0.0)])  # 9 apart: the second node sends all 5 bits
         field = SensorField(readings=(0, 31), width=5, smoothness=0.0, seed=0)

@@ -294,10 +294,14 @@ def check_refusal(points):
     pair = first_overflow(points)
     if pair is None:
         assert Topology.from_positions(points).size == len(points)
+        assert Topology(positions=tuple(points)).size == len(points)
     else:
         with pytest.raises(TopologyError) as info:
             Topology.from_positions(points)
         assert str(info.value) == f"distance between nodes {pair[0]} and {pair[1]} overflows the float range"
+        with pytest.raises(TopologyError) as built:
+            Topology(positions=tuple(points))
+        assert str(built.value) == str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ collection. The run records the machine too: core count, Python version,
 machine type, and the git commit of the imported bitgather (with whether its
 sources differ from that commit). Run from the repository root:
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_39.json --label change
+    PYTHONPATH=src python tools/ladder.py --out BENCH_40.json --label change
 
 --out appends the run to the file's "runs", so one file can hold a parent
 run and a change run. --layout puts every row on one layout, as a quick
@@ -21,7 +21,7 @@ parent and change calls in turn, k rounds alternated, so that both runs
 meet the same drift of the machine's speed. It writes two runs, "parent"
 and the --label one (default "change"):
 
-    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_39.json
+    PYTHONPATH=src python tools/ladder.py --parent ../parent --out BENCH_40.json
 """
 
 from __future__ import annotations
@@ -111,6 +111,17 @@ def _evaluate(rule: str) -> Make:
         tree.schedule.evaluate, _model(tree, FIELD), tree.ConditioningRule(rule), topo, _shuffled(topo))
 
 
+def _from_positions(tree: ModuleType, topo, _: Path) -> Callable[[], object]:
+    """from_positions on the layout's positions as a list of pairs: each coordinate read, the layout checked."""
+    return functools.partial(tree.Topology.from_positions, [*topo.positions])
+
+
+def _generate_field(tree: ModuleType, topo, _: Path) -> Callable[[], object]:
+    """A field of the benchmark's width (n = 12) at L = 8: the warm-up call caches the layout's plan, so
+    the row times the draws alone."""
+    return functools.partial(tree.generate_field, topo, 12, 8.0, 1)
+
+
 def _field_plan(tree: ModuleType, topo, _: Path) -> Callable[[], object]:
     """The field plan of a fresh Topology on the layout's positions, so that no call reads the cached one."""
     return lambda: tree.Topology(positions=topo.positions).field_plan
@@ -138,6 +149,8 @@ ROWS: list[tuple[str, str, Make]] = [
     *(("nearest_links shuffled", f"n{size}.csv",
        lambda tree, topo, _: functools.partial(topo.nearest_links, _shuffled(topo))) for size in (500, 2000)),
     *(("field_plan", f"n{size}.csv", _field_plan) for size in (500, 2000)),
+    ("generate_field n=12 L=8", "n500.csv", _generate_field),
+    *(("from_positions", f"n{size}.csv", _from_positions) for size in (500, 2000)),
     *(("load_topology", f"n{size}.csv", lambda tree, _, path: functools.partial(tree.load_topology, path))
       for size in (500, 2000)),
 ]
