@@ -153,6 +153,11 @@ ROWS: list[tuple[str, str, Make]] = [
     *(("from_positions", f"n{size}.csv", _from_positions) for size in (500, 2000)),
     *(("load_topology", f"n{size}.csv", lambda tree, _, path: functools.partial(tree.load_topology, path))
       for size in (500, 2000)),
+    # Where the grid pays less: every block covers the dense square, and a cluster's block holds its 40 nodes.
+    *((name, layout, make) for layout in ("dense2000.csv", "clustered2000.csv")
+      for name, make in (("pair_tails field min", _pair_tails), ("evaluate max shuffled", _evaluate("max")),
+                         ("evaluate additive shuffled", _evaluate("additive")),
+                         ("optimize greedy_prim min field", _optimize(FIELD, "min", "minimize", "greedy_prim")))),
 ]
 
 

@@ -23,9 +23,38 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-def uniform(size: int, seed: int = 0) -> list[tuple[float, float]]:
+def uniform(size: int, seed: int = 0, width: float = 10, height: float = 10) -> list[tuple[float, float]]:
     r = random.Random(seed)
-    return [(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(size)]
+    return [(r.uniform(0, width), r.uniform(0, height)) for _ in range(size)]
+
+
+def clustered(parents: int, children: int, seed: int = 0) -> list[tuple[float, float]]:
+    """A Matern cluster layout: parents uniform in a 10 x 10 square, each with
+    its children uniform in the disk of radius 0.3 around it (drawn in the
+    disk's square, its corners refused), listed a cluster at a time."""
+    r = random.Random(seed)
+
+    def child(x: float, y: float) -> tuple[float, float]:
+        while True:
+            dx, dy = r.uniform(-0.3, 0.3), r.uniform(-0.3, 0.3)
+            if dx * dx + dy * dy <= 0.09:
+                return x + dx, y + dy
+
+    return [child(x, y) for x, y in [(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(parents)]
+            for _ in range(children)]
+
+
+def circle(size: int, seed: int = 0) -> list[tuple[float, float]]:
+    """Nodes on the circle of radius 5 about (5, 5): the rational point
+    ((1 - t*t) / (1 + t*t), 2t / (1 + t*t)) for t uniform in [-1, 1], its x
+    mirrored at random. Only correctly rounded arithmetic, no libm call, so
+    the file is the same on every platform."""
+    r = random.Random(seed)
+
+    def point(t: float, side: float) -> tuple[float, float]:
+        return 5 + side * (1 - t * t) / (1 + t * t), 5 + 5 * 2 * t / (1 + t * t)
+
+    return [point(r.uniform(-1, 1), 5.0 if r.random() < 0.5 else -5.0) for _ in range(size)]
 
 
 def twins() -> list[tuple[float, float]]:
@@ -44,6 +73,15 @@ LAYOUTS = {
     **{f"n{size}.csv": functools.partial(uniform, size) for size in (8, 10, 12, 14, 16, 17, 40, 50, 500, 2000, 2001)},
     "n200_seed3.csv": functools.partial(uniform, 200, 3),
     "twins.csv": twins,
+    # Layouts where the cell grid pays less or not at all: 40 nodes per
+    # 0.3-radius disk, a 1000 x 1 corridor, 2000 nodes in a 1 x 1 square
+    # (every block covers it), a circle, and uniform nodes in x order (each
+    # cell's nodes near one another in the file).
+    "clustered2000.csv": functools.partial(clustered, 50, 40),
+    "corridor1000.csv": functools.partial(uniform, 1000, 0, 1000, 1),
+    "dense2000.csv": functools.partial(uniform, 2000, 0, 1, 1),
+    "circle1000.csv": functools.partial(circle, 1000),
+    "xsorted2000.csv": lambda: sorted(uniform(2000)),
 }
 
 
@@ -61,6 +99,46 @@ SPANNING_MIN = Row("n2000.csv", "optimize --strategy brute_force --rule min", 60
                    "04a6e87f88ccc0ce5e639fee357d807e6c7964636c800b123875aa0d7c20ffb6")
 PRIM_MIN = Row("n2000.csv", "optimize --strategy greedy_prim --rule min", 60,
                "f9da72b4bcc48b936d21dd3365312f980954edcb344ca5e7397d4da985ba80b6")
+
+SPARSE_GRID_ARGV = (
+    "bits --model 2 --n 12 --beta 0.5",
+    "evaluate --model 2 --n 12 --beta 0.5 --rule max --order {order}",
+    "evaluate --model 2 --n 12 --beta 0.5 --rule additive --order {order}",
+    "optimize --strategy greedy_prim --model 2 --n 12 --beta 0.5 --rule min",
+)
+# Each layout's digests, in SPARSE_GRID_ARGV's order.
+SPARSE_GRID = {
+    "clustered2000.csv": (
+        "8eb337af3ede14d2ca770fe86dfec186e192a241332aba04268adda44255740b",
+        "4dc565ec411f56ba32b46df00663bf51e0a872fa25d6994d7d723d27b36d966b",
+        "7c66d54ac969a098110b4b9e124a6ce4e3637036924ac0cc96cf93f23e7c34a1",
+        "13fbbbab4102e8547343c15721a92972b707a199fce134e9e781746de376acd7",
+    ),
+    "corridor1000.csv": (
+        "7828c0f5a0c71af86e1586c07ae71cffa7a63d62d2a33e2e05a8bb49061b64fc",
+        "68c7373c6ea239eeeab3aaa45da52a063300fd07bb5a7e899c27b76e0608a5ad",
+        "f6fce60104bef23422ee3553514c7c9f96385dec1e209d9a761fbbc22451e360",
+        "eb5afb1498351db05be1353c0608638bfaee7efd6e14f4ad17f8d8cd3ed92bbc",
+    ),
+    "dense2000.csv": (
+        "e75243ca010e95cf6fc1e8dc8f31afc04cc5795ad436451ba0083a694f4aaa79",
+        "ae44b759d754a7461b479f24548eb99c8155d388c8a208abbbac6c3bc862fa10",
+        "e6b5348e87a4f1738736cd6e039df582e41768ac6ee14029f7ad9a7ae7ae56f3",
+        "cd1f5f710ed2590dcdae69c6286321ab36b303537c11f6b27724f771d86dd08f",
+    ),
+    "circle1000.csv": (
+        "a2e3f3e47b724c449f141add5b607511f41b4244f0d2ee66df10d6b73245709f",
+        "e7c1528d1bb6f199b498d0f99a268628fdb27eda699849f99c5035334efa7350",
+        "8e847952f319b960d304b24f713bfe10032351417b56f8c2089ca1171fd9b61f",
+        "ed2cbf7b15dd38054fa41fd98574e8d812ff3121ae1647aa238e5fcba60baa31",
+    ),
+    "xsorted2000.csv": (
+        "9060a93b64e7b3466fa05f494432625a1684d9756fc17f216c30f1eb370b3084",
+        "feaa4ba5a12f3c010bbb77cf83d54aeb0935fcdafec75b4285fcbcca69e0e850",
+        "7fa918957e3c4fb379d230b63dc00d33c4a605d53110fed492b79256d68312be",
+        "b8bd5f94d73a7af3a3a1ff742c2b3cb699e3cfd42038e4623e4055321461d015",
+    ),
+}
 
 # Times quoted below were measured on a 2-vCPU Xeon VM under Python 3.11.7.
 ROWS = [
@@ -250,6 +328,12 @@ ROWS = [
     Row("twins.csv", "simulate --beta -0.5 --rule min", 30, 2, SINGULAR),
     Row("twins.csv", "optimize --strategy greedy_prim --beta -0.5 --rule min", 30, 2, SINGULAR),
     Row("twins.csv", "optimize --strategy brute_force --beta -0.5 --rule min", 30, 2, SINGULAR),
+    # The field model on the layouts where the grid pays less: bits, the
+    # farthest-partner and decay-term walks, and the MIN Prim order, each
+    # 0.3-1.5 s. The digests were recorded before any of these paths changed:
+    # they pin today's outputs, and the hypothesis oracles carry correctness.
+    *(Row(layout, argv, 10, digest) for layout, digests in SPARSE_GRID.items()
+      for argv, digest in zip(SPARSE_GRID_ARGV, digests)),
 ]
 
 
