@@ -169,8 +169,10 @@ def _staircase(f, lo: int, v: int, hi: int, top: int, seed) -> tuple[list[float]
     and f(hi) = top: each step's least pattern as a float, and [v, the value
     past each]. Each step is pinned from the last, galloping out from seed(r)
     clamped into the bracket, r the raw value past which clamped_ceil leaves
-    v, then bisecting (at most 63 calls a step) once the gallop leaves the
-    bracket, up to the least probe known to lie past it; no call is repeated."""
+    v, then bisecting once the gallop leaves the bracket, up to the least
+    probe known to lie past it; no call is repeated. A step far from its
+    seed costs the gallop's doublings and then bisection's halvings: nothing
+    but measurement bounds the calls a step (see budget_steps)."""
     steps, vals, past = [], [v], [(hi, top)]  # (pattern, value) of each probe past a step to come, least last
     while v != top:
         hi, vh = past.pop()  # the least pattern known past this step
@@ -203,11 +205,14 @@ def budget_steps(model: ModelSpec, zero: bool, pairs: float) -> tuple[list[float
     positive float, and the largest float. Where they agree the budget is
     constant between them, and the staircase is ([], [v]) at any `pairs`.
     Else _staircase pins each step with model.budget as the oracle,
-    galloping out from the model's closed-form inverse: a few calls a step
-    on most models, and about bisection's 63 where the budget's rounding
-    puts a step far from that inverse (just past d = 0, where exp(-beta *
-    d * d) is near 1). The gate keeps bisection's bound, 64n + 2 with the
-    ends: the staircase is built only where that is below `pairs`.
+    galloping out from the model's closed-form inverse. Counted with the
+    two end calls, that is 38 calls for GaussianDecayModel(12, 1, 0.5)'s 12
+    steps and 18 for PowerLawModel(8, 1, 1)'s 8; the one step of
+    GaussianDecayModel(2, 0.5, 0.5) takes 60 besides the ends, as the
+    rounding puts it just past d = 0, far from the inverse (exp(-beta * d *
+    d) is near 1 there). The gate, 64n + 2 calls, rests on at most 64 calls a
+    step, which a test holds over a grid of both families: the staircase
+    is built only where 64n + 2 is below `pairs`.
     """
     budget, lo = model.budget, 0 if zero else 1
     v_lo, v_top = budget(_float(lo)), budget(_float(_TOP))

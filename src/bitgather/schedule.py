@@ -479,6 +479,7 @@ def _sample(
         raise ValueError("sampling needs count >= 1")
     if seed is None:
         raise ValueError("sampling needs an explicit seed")
+    count, seed = operator.index(count), operator.index(seed)  # so 2.0 fails, and True counts as 1
     if count > SAMPLE_LIMIT:
         raise InfeasibleError(f"sampling refused: more than {SAMPLE_LIMIT} schedules")
     rows = _table(model, rule, topology)

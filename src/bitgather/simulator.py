@@ -58,11 +58,11 @@ def generate_field(
         raise ValueError(f"smoothness must be finite, got {smoothness!r}")
     if smoothness < 0:
         raise ValueError("smoothness must be >= 0")
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError("n must be >= 1")
     # randint(lo, lo + w - 1) is lo plus the first of getrandbits(w.bit_length())
     # draws that is below w: the same numbers, without randint's three frames
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = random.Random(operator.index(seed)).getrandbits
     top = (1 << n) - 1
     readings = [0] * topology.size
     value = getrandbits(n + 1)  # w = top + 1

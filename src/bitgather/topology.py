@@ -30,8 +30,12 @@ class Topology(Frozen):
     """Immutable 2-D node layout that holds O(N): positions, a tuple of float
     pairs, holds the (x, y) coordinate of node i at index i, and each distance
     is computed when read, exactly symmetric. Safe for concurrent reads.
-    Checked as it is built: at least one node, each entry a tuple of two
-    finite coordinates, and no pair whose distance overflows the float range.
+    Checked as it is built: positions a tuple, at least one node, each entry
+    a tuple of two finite coordinates, and no pair whose distance overflows
+    the float range. One pass sums the coordinates' magnitudes; at most
+    2**1022, no distance can overflow. Only a layout past that bound, or
+    with NaN or inf, is diagnosed: its first non-finite coordinate, else a
+    scan of every pair.
     """
 
     _fields = ("positions",)
@@ -46,25 +50,26 @@ class Topology(Frozen):
         return len(set(self.positions)) < self.size
 
     def _check(self) -> None:
-        positions, n = self.positions, len(self.positions)
-        if not n:
+        positions = self.positions
+        if not isinstance(positions, tuple):  # a list would build, then fail to hash
+            raise TopologyError(f"positions must be a tuple of (x, y) pairs, not {type(positions).__name__}")
+        if not positions:
             raise TopologyError("topology needs at least one node")
         if not all(map(isinstance, positions, repeat(tuple))) or {*map(len, positions)} != {2}:
             for i, p in enumerate(positions):
                 if not (isinstance(p, tuple) and len(p) == 2):
                     raise TopologyError(f"node {i} is not an (x, y) pair")
-        if not all(map(math.isfinite, chain.from_iterable(positions))):
+        # The sum bounds |xi| + |xj|, so every gap, by about 2**1022: each distance is then
+        # about 2**1022.5 at most, and dist errs by < 1 ulp. NaN and inf fail it. It starts
+        # as a float, so int coordinates add as floats and an overflow reads inf.
+        if not sum(map(abs, chain.from_iterable(positions)), 0.0) <= 2.0**1022:
             finite = [*map(math.isfinite, chain.from_iterable(positions))]
-            raise TopologyError(f"non-finite coordinate for node {finite.index(False) // 2}")
-        x, y = operator.itemgetter(0), operator.itemgetter(1)  # zip(*positions) would build an iterator a node
-        # spans <= 2**1023 keep each distance <= 2**1023.5, and dist errs by < 1 ulp: none overflows
-        if (max(map(x, positions)) - min(map(x, positions)) > 2.0**1023
-                or max(map(y, positions)) - min(map(y, positions)) > 2.0**1023):
-            for i in range(n):
-                tail = self.distances_from(i, range(i + 1, n))
+            if not all(finite):
+                raise TopologyError(f"non-finite coordinate for node {finite.index(False) // 2}")
+            for i in range(len(positions)):
+                tail = self.distances_from(i, range(i + 1, len(positions)))
                 if math.inf in tail:
-                    j = i + 1 + tail.index(math.inf)
-                    raise TopologyError(f"distance between nodes {i} and {j} overflows the float range")
+                    raise TopologyError(f"distance between nodes {i} and {i + 1 + tail.index(math.inf)} overflows the float range")
 
     @classmethod
     def from_positions(cls, positions: Iterable[tuple[float, float]]) -> "Topology":

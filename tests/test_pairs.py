@@ -216,6 +216,7 @@ def test_value_types_keep_their_semantics():
         (lambda: Topology(positions=((0.0, 0.0), (3.0, 4.0, 12.0))), "node 1 is not an (x, y) pair"),
         (lambda: Topology(positions=((0.0, 1.7e308), (0.0, -1.7e308))),
          "distance between nodes 0 and 1 overflows the float range"),
+        (lambda: Topology(positions=[(0.0, 0.0), (1.0, 0.0)]), "positions must be a tuple of (x, y) pairs, not list"),
     ],
 )
 def test_value_types_keep_their_validation_messages(build, message):
@@ -305,6 +306,29 @@ def test_step_tables_take_few_calls_a_step():
     for model in (GaussianDecayModel(12, 1.0, 0.5), PowerLawModel(8, 1.0, 1.0)):
         made, table = counted(model)
         assert len(made) <= 4 * len(table)
+
+
+def test_every_staircase_keeps_the_gate_premise():
+    """budget_steps makes at most 64 budget calls a step plus its two end
+    calls, which is what the 64n + 2 gate rests on (a staircase has at most
+    n steps). The gallop bounds no step by itself, so a grid holds it: both
+    families, n from 1 to 64, alpha from 0.05 to 3 and beta of either sign
+    from 1e-300 to 9, from 0 and from the least positive float. The worst is
+    60 calls, the one step of GaussianDecayModel(2, 0.5, 0.5) past d = 0."""
+    worst = 0.0
+    for cls, n, alpha, beta, zero in itertools.product(
+        [PowerLawModel, GaussianDecayModel], [1, 2, 3, 5, 8, 12, 16, 32, 64], [0.05, 0.3, 0.5, 1.0, 1.5, 3.0],
+        [sign * b for sign in (1, -1) for b in (1e-300, 1e-100, 1e-5, 0.05, 0.5, 1.0, 3.0, 9.0)], [False, True],
+    ):
+        if zero and cls is PowerLawModel and beta < 0:  # singular at d = 0
+            continue
+        model = cls(n, alpha, beta)
+        calls, budget = [], model.budget
+        vars(model)["budget"] = lambda d: calls.append(d) or budget(d)
+        steps = budget_steps(model, zero, math.inf)[0]
+        assert len(calls) <= 64 * len(steps) + 2, (model, zero, len(calls), len(steps))
+        worst = max(worst, (len(calls) - 2) / max(len(steps), 1))
+    assert worst == 60
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 12, 1000])

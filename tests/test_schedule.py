@@ -259,6 +259,19 @@ def test_sampling_refusals(collinear3, unit_staircase, call):
         call(unit_staircase, collinear3)
 
 
+@pytest.mark.parametrize("count, seed", [(2.0, 0), (3, 1.5)], ids=["float-count", "float-seed"])
+def test_sampling_reads_count_and_seed_as_ints(collinear3, unit_staircase, count, seed):
+    """A float count or seed is refused before any schedule is drawn: no 2.0
+    passes as 2, and no float seeds a generator."""
+    with pytest.raises(TypeError, match=r"^'float' object cannot be interpreted as an integer$"):
+        schedule_stats(unit_staircase, MIN, collinear3, "sampled", count=count, seed=seed)
+
+
+def test_sampling_counts_true_as_one(collinear3, unit_staircase):
+    stats = schedule_stats(unit_staircase, MIN, collinear3, "sampled", count=True, seed=0)
+    assert type(stats.sample_count) is int and stats.sample_count == 1
+
+
 # Below the step-table gate a pairwise budget is first asked at both ends of
 # the distances, the least positive float and the largest, which tell a
 # constant staircase (equal there) from one computed pair by pair.

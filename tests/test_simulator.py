@@ -29,6 +29,11 @@ class TestGenerateField:
         field = generate_field(collinear3, 5, 0.0, seed=123)
         assert len(set(field.readings)) == 1
 
+    @pytest.mark.parametrize("n, seed", [(5.0, 1), (5, 1.5)], ids=["float-n", "float-seed"])
+    def test_width_and_seed_are_read_as_ints(self, collinear3, n, seed):
+        with pytest.raises(TypeError, match=r"^'float' object cannot be interpreted as an integer$"):
+            generate_field(collinear3, n, 1.0, seed)
+
     def test_deterministic(self, collinear3):
         a = generate_field(collinear3, 8, 1.5, seed=99)
         b = generate_field(collinear3, 8, 1.5, seed=99)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import sys
@@ -325,6 +326,46 @@ def test_overflow_refusals_at_the_span_edge(points, overflows):
 @given(st.lists(st.tuples(st.sampled_from(EDGE), st.sampled_from(EDGE)), min_size=1, max_size=6))
 def test_overflow_refusals_match_a_full_scan(points):
     check_refusal(points)
+
+
+def guard_oracle(points):
+    """The message Topology(positions=...) must raise on points, or None:
+    the first non-finite coordinate's node, else the first pair in row order
+    whose math.dist is inf."""
+    for i, p in enumerate(points):
+        if not all(map(math.isfinite, p)):
+            return f"non-finite coordinate for node {i}"
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if math.isinf(math.dist(points[i], points[j])):
+            return f"distance between nodes {i} and {j} overflows the float range"
+    return None
+
+
+# Small values, values about the guard's 2**1022 and the spans a distance
+# overflows at, the largest float, NaN, +-inf, and ints, each sign.
+guard_coordinates = st.one_of(
+    st.floats(-10, 10),
+    st.sampled_from([2.0**1021, 2.0**1022, 2.0**1023, TOP]).flatmap(
+        lambda e: st.sampled_from([e, math.nextafter(e, 0), math.nextafter(e, math.inf)]) | st.floats(e / 2, TOP)),
+    st.sampled_from([math.nan, math.inf]),
+    st.integers(-3, 3) | st.sampled_from([2**1021, 2**1022, 2**1023]),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(guard_coordinates, guard_coordinates), min_size=1, max_size=7))
+def test_the_coordinate_guard_matches_an_oracle(points):
+    """Built through the constructor: a layout the oracle passes builds,
+    hashes, and equals from_positions of its list; any other raises the
+    oracle's message."""
+    fault = guard_oracle(points)
+    if fault is None:
+        topo = Topology(positions=tuple(points))
+        assert hash(topo) == hash(Topology.from_positions(points)) and topo == Topology.from_positions(points)
+        return
+    with pytest.raises(TopologyError) as info:
+        Topology(positions=tuple(points))
+    assert str(info.value) == fault
 
 
 def test_a_layout_and_its_runs_hold_linear_memory():
