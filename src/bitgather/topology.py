@@ -60,9 +60,9 @@ class Topology(Frozen):
                 if not (isinstance(p, tuple) and len(p) == 2):
                     raise TopologyError(f"node {i} is not an (x, y) pair")
         # The sum bounds |xi| + |xj|, so every gap, by about 2**1022: each distance is then
-        # about 2**1022.5 at most, and dist errs by < 1 ulp. NaN and inf fail it. It starts
-        # as a float, so int coordinates add as floats and an overflow reads inf.
-        if not sum(map(abs, chain.from_iterable(positions)), 0.0) <= 2.0**1022:
+        # about 2**1022.5 at most, and dist errs by < 1 ulp. NaN and inf fail it. fabs reads
+        # each coordinate as a float, so it refuses a complex one, and an overflow reads inf.
+        if not sum(map(math.fabs, chain.from_iterable(positions))) <= 2.0**1022:
             finite = [*map(math.isfinite, chain.from_iterable(positions))]
             if not all(finite):
                 raise TopologyError(f"non-finite coordinate for node {finite.index(False) // 2}")

@@ -360,12 +360,19 @@ def test_the_coordinate_guard_matches_an_oracle(points):
     oracle's message."""
     fault = guard_oracle(points)
     if fault is None:
-        topo = Topology(positions=tuple(points))
-        assert hash(topo) == hash(Topology.from_positions(points)) and topo == Topology.from_positions(points)
+        topo, listed = Topology(positions=tuple(points)), Topology.from_positions(points)
+        assert topo == listed and hash(topo) == hash(listed)
         return
     with pytest.raises(TopologyError) as info:
         Topology(positions=tuple(points))
     assert str(info.value) == fault
+
+
+@pytest.mark.parametrize("coordinate, error", [(1 + 2j, TypeError), ("1.0", TypeError), (10**400, OverflowError)])
+def test_a_coordinate_that_reads_as_no_float_is_refused(coordinate, error):
+    """Each coordinate is read as a float: a complex one, whose abs is real, is refused all the same."""
+    with pytest.raises(error):
+        Topology(positions=((0.0, 0.0), (coordinate, 0.0)))
 
 
 def test_a_layout_and_its_runs_hold_linear_memory():
